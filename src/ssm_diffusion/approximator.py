@@ -126,32 +126,31 @@ def mlp_backward(params, cache, output_grad):
                      biases=g_biases, activation=params.activation)
 
 
-def grad_check(params, x, loss_fn, h):
-    """Compare backprop gradients with central finite differences.
+def grad_check(params, loss_and_grads, h):
+    """Compare analytic gradients with central finite differences.
 
-    loss_fn maps the network output vector to (loss, dloss/doutput).
-    Returns the max relative error over all parameters."""
+    loss_and_grads() returns (loss, grads) at the current values of params,
+    with grads shaped like params; each entry of params is perturbed in
+    place by +-h and restored. Returns the max relative error over all
+    parameters."""
     if h <= 0:
         raise ConfigurationError(f"h must be positive, got {h}")
-    out, cache = mlp_forward(params, x)
-    _, g_out = loss_fn(out)
-    analytic = mlp_backward(params, cache, g_out)
+    _, analytic = loss_and_grads()
     max_err = 0.0
-    for arrs, grads in ((params.weights, analytic.weights),
-                        (params.biases, analytic.biases)):
-        for arr, g_arr in zip(arrs, grads):
-            flat = arr.reshape(-1)
-            g_flat = g_arr.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                lp, _ = loss_fn(mlp_forward(params, x)[0])
-                flat[k] = orig - h
-                lm, _ = loss_fn(mlp_forward(params, x)[0])
-                flat[k] = orig
-                numeric = (lp - lm) / (2.0 * h)
-                denom = max(abs(g_flat[k]), abs(numeric), 1e-12)
-                max_err = max(max_err, abs(g_flat[k] - numeric) / denom)
+    for arr, g_arr in zip(params.weights + params.biases,
+                          analytic.weights + analytic.biases):
+        flat = arr.reshape(-1)
+        g_flat = g_arr.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            lp, _ = loss_and_grads()
+            flat[k] = orig - h
+            lm, _ = loss_and_grads()
+            flat[k] = orig
+            numeric = (lp - lm) / (2.0 * h)
+            denom = max(abs(g_flat[k]), abs(numeric), 1e-12)
+            max_err = max(max_err, abs(g_flat[k] - numeric) / denom)
     return max_err
 
 
@@ -225,49 +224,3 @@ def polyak_update(target, online, tau):
         biases=[(1 - tau) * tb + tau * ob
                 for tb, ob in zip(target.biases, online.biases)],
         activation=target.activation)
-
-
-PARAMS_FORMAT_VERSION = 1
-
-
-def serialize_params(params):
-    """Text header (layer sizes, activation, format version) followed by all
-    weights then all biases, layer by layer, as little-endian float64."""
-    header = (f"mlp-params v{PARAMS_FORMAT_VERSION}\n"
-              f"layer_sizes {' '.join(str(n) for n in params.layer_sizes)}\n"
-              f"activation {params.activation}\n"
-              "END\n").encode("ascii")
-    blobs = [w.astype("<f8").tobytes() for w in params.weights]
-    blobs += [b.astype("<f8").tobytes() for b in params.biases]
-    return header + b"".join(blobs)
-
-
-def deserialize_params(buf):
-    from .errors import FormatError
-    end = buf.find(b"END\n")
-    if end < 0:
-        raise FormatError("missing END marker in params header")
-    lines = buf[:end].decode("ascii").splitlines()
-    if not lines or lines[0] != f"mlp-params v{PARAMS_FORMAT_VERSION}":
-        raise FormatError(f"unsupported params header: {lines[:1]}")
-    fields = dict(line.split(None, 1) for line in lines[1:])
-    sizes = [int(n) for n in fields["layer_sizes"].split()]
-    activation = fields["activation"]
-    offset = end + 4
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        nbytes = fan_in * fan_out * 8
-        if offset + nbytes > len(buf):
-            raise FormatError(f"truncated weight block at offset {offset}")
-        weights.append(np.frombuffer(buf, dtype="<f8", count=fan_in * fan_out,
-                                     offset=offset).reshape(fan_out, fan_in).copy())
-        offset += nbytes
-    for fan_out in sizes[1:]:
-        nbytes = fan_out * 8
-        if offset + nbytes > len(buf):
-            raise FormatError(f"truncated bias block at offset {offset}")
-        biases.append(np.frombuffer(buf, dtype="<f8", count=fan_out,
-                                    offset=offset).copy())
-        offset += nbytes
-    return MlpParams(layer_sizes=sizes, weights=weights, biases=biases,
-                     activation=activation)

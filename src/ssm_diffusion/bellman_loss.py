@@ -5,7 +5,7 @@ branch with probability 1/n, so the expected loss realizes
 (1/n) L1 + ((n-1)/n) L2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class Trainer:
     n_max: int
     step_dim: int = 8
     condition_on: str = "current"   # "current" (loss display) or "next" (alg. listing)
-    eta_mode: str = "simple"
     sync_mode: str = "hard"         # "hard" or "polyak"
     sync_period: int = 500
     tau: float = 0.005
@@ -32,93 +31,84 @@ class Trainer:
     horizon_encoding: str = "scalar"  # "scalar" (n / n_max) or "onehot"
 
 
-def net_input_dim(x_dim, state_dim, action_dim, step_dim, horizon_dim):
-    # x | state | action | step embedding | horizon encoding
-    return x_dim + state_dim + action_dim + step_dim + horizon_dim
-
-
 def make_trainer(sched, n_max, x_dim=2, state_dim=2, action_dim=4,
                  hidden_sizes=(128, 128), activation="relu", step_dim=8,
                  optimizer="adam", lr=1e-3, condition_on="current",
-                 eta_mode="simple", sync_mode="hard", sync_period=500,
-                 tau=0.005, horizon_encoding="onehot", seed=0):
+                 sync_mode="hard", sync_period=500, tau=0.005,
+                 horizon_encoding="onehot", seed=0):
     horizon_dim = n_max if horizon_encoding == "onehot" else 1
-    sizes = [net_input_dim(x_dim, state_dim, action_dim, step_dim,
-                           horizon_dim)]
+    # input: x | state | action | step embedding | horizon encoding
+    sizes = [x_dim + state_dim + action_dim + step_dim + horizon_dim]
     sizes += list(hidden_sizes) + [x_dim]
     online = ap.mlp_init(sizes, activation=activation, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
                    opt=ap.init_opt_state(online, optimizer=optimizer, lr=lr),
                    n_max=n_max, step_dim=step_dim, condition_on=condition_on,
-                   eta_mode=eta_mode, sync_mode=sync_mode,
-                   sync_period=sync_period, tau=tau, x_dim=x_dim,
-                   horizon_encoding=horizon_encoding)
+                   sync_mode=sync_mode, sync_period=sync_period, tau=tau,
+                   x_dim=x_dim, horizon_encoding=horizon_encoding)
 
 
 def conditioning(trainer, state_enc, action_enc, n):
+    """Denoiser context for one horizon n, or for a vector of horizons
+    with one row of state and action encodings each."""
+    n = np.asarray(n)
+    if np.any(n < 1) or np.any(n > trainer.n_max):
+        raise ValueError(f"horizon {n} out of range [1, {trainer.n_max}]")
     if trainer.horizon_encoding == "onehot":
-        horizon = np.zeros(trainer.n_max)
-        # L2 targets are queried at n-1 >= 1, so n=0 never occurs; clamp
-        # defensively rather than index out of range
-        horizon[min(max(n, 1), trainer.n_max) - 1] = 1.0
+        horizon = np.eye(trainer.n_max)[n - 1]
     else:
-        horizon = np.array([n / trainer.n_max])
+        horizon = n[..., None] / trainer.n_max
     return df.Conditioning(state_enc=np.asarray(state_enc, dtype=float),
                            action_enc=np.asarray(action_enc, dtype=float),
                            horizon_enc=horizon,
                            step_dim=trainer.step_dim)
 
 
-def _online_cond(trainer, tup):
+def td_loss(trainer, batch, i, eps):
+    """Mean over the batch of eta_i |f_online(x_i | s, a, n) - y|^2 and its
+    gradient with respect to the online parameters.
+
+    Row r noises x0 with its diffusion step i[r] and noise eps[r]. On an
+    immediate-successor row (L1) x0 = s' and y = eps; on any other row (L2)
+    x0 = x and y is the frozen target network at (s', pi(s'), n-1), which no
+    gradient reaches. In "next" mode the online network is conditioned on
+    (s', pi(s'), n) instead of (s, a, n)."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    B = len(batch)
+    i = np.asarray(i)
+    is_l1 = np.array([t.is_l1 for t in batch])
+    n = np.array([t.n for t in batch])
+    s_next, a_next = (np.array([t.s_next_enc for t in batch]),
+                      np.array([t.a_next_enc for t in batch]))
     if trainer.condition_on == "current":
-        return conditioning(trainer, tup.s_enc, tup.a_enc, tup.n)
-    return conditioning(trainer, tup.s_next_enc, tup.a_next_enc, tup.n)
+        s_on, a_on = (np.array([t.s_enc for t in batch]),
+                      np.array([t.a_enc for t in batch]))
+    else:
+        s_on, a_on = s_next, a_next
+    x0 = np.where(is_l1[:, None], s_next, np.array([t.x_enc for t in batch]))
+    x_i = df.forward_noise(trainer.sched, x0, i, eps)
+    inputs = df.net_input(x_i, conditioning(trainer, s_on, a_on, n), i)
 
+    targets = np.array(eps, dtype=float)
+    l2 = ~is_l1
+    if l2.any():
+        tgt_cond = conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
+        tgt_out, _ = ap.mlp_forward(
+            trainer.target, df.net_input(x_i[l2], tgt_cond, i[l2]))
+        targets[l2] = tgt_out
 
-def _target_cond(trainer, tup):
-    return conditioning(trainer, tup.s_next_enc, tup.a_next_enc, tup.n - 1)
-
-
-def loss_l1(trainer, tup, i, epsilon):
-    """Denoising loss on the immediate successor: x0 = s'."""
-    if not tup.is_l1:
-        raise ValueError("loss_l1 requires an immediate-successor tuple")
-    epsilon = np.asarray(epsilon, dtype=float)
-    eta = df.loss_weight(trainer.sched, i, trainer.eta_mode)
-    x_i = df.forward_noise(trainer.sched, tup.s_next_enc, i, epsilon)
-    inp = df.net_input(x_i, _online_cond(trainer, tup), i)
-    out, cache = ap.mlp_forward(trainer.online, inp)
-    resid = out - epsilon
-    loss = eta * float(resid @ resid)
-    grads = ap.mlp_backward(trainer.online, cache, 2.0 * eta * resid)
+    etas = df.loss_weight(trainer.sched, i)
+    out, cache = ap.mlp_forward(trainer.online, inputs)
+    resid = out - targets
+    row_losses = etas * np.sum(resid ** 2, axis=1)
+    loss = float(np.mean(row_losses))
+    if not np.isfinite(loss):
+        bad = int(np.argmax(~np.isfinite(row_losses)))
+        raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
+    grads = ap.mlp_backward(trainer.online, cache,
+                            (2.0 / B) * etas[:, None] * resid)
     return loss, grads
-
-
-def loss_l2(trainer, tup, i, epsilon):
-    """Bootstrap loss: regress the online prediction onto the frozen target
-    network evaluated at (s', pi(s'), n-1). No gradient reaches the target."""
-    if tup.is_l1:
-        raise ValueError("loss_l2 requires a non-immediate future tuple")
-    epsilon = np.asarray(epsilon, dtype=float)
-    eta = df.loss_weight(trainer.sched, i, trainer.eta_mode)
-    x_i = df.forward_noise(trainer.sched, tup.x_enc, i, epsilon)
-    tgt_inp = df.net_input(x_i, _target_cond(trainer, tup), i)
-    tgt_out, _ = ap.mlp_forward(trainer.target, tgt_inp)
-    inp = df.net_input(x_i, _online_cond(trainer, tup), i)
-    out, cache = ap.mlp_forward(trainer.online, inp)
-    resid = out - tgt_out
-    loss = eta * float(resid @ resid)
-    grads = ap.mlp_backward(trainer.online, cache, 2.0 * eta * resid)
-    return loss, grads
-
-
-def compute_loss(trainer, tup, rng):
-    """Draw a diffusion step and noise, then dispatch on the branch flag."""
-    i = int(rng.integers(1, trainer.sched.K + 1))
-    epsilon = rng.standard_normal(trainer.x_dim)
-    if tup.is_l1:
-        return loss_l1(trainer, tup, i, epsilon)
-    return loss_l2(trainer, tup, i, epsilon)
 
 
 def sync_target(trainer):
@@ -132,47 +122,16 @@ def sync_target(trainer):
 
 
 def train_step(trainer, batch, rng):
-    """Mean loss over the batch, one optimizer step, target sync.
-
-    Per-tuple (i, epsilon) draws happen in batch order, so a single-tuple
-    batch consumes the rng exactly like compute_loss. The forward/backward
-    passes themselves run batched."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    B = len(batch)
+    """Draw a diffusion step and noise per tuple, in batch order, then take
+    one optimizer step on the batch's td_loss and sync the target."""
     draws = [(int(rng.integers(1, trainer.sched.K + 1)),
               rng.standard_normal(trainer.x_dim)) for _ in batch]
-
-    inputs = np.empty((B, trainer.online.layer_sizes[0]))
-    targets = np.empty((B, trainer.x_dim))
-    etas = np.empty(B)
-    l2_rows, l2_inputs = [], []
-    for r, (tup, (i, eps)) in enumerate(zip(batch, draws)):
-        etas[r] = df.loss_weight(trainer.sched, i, trainer.eta_mode)
-        x0 = tup.s_next_enc if tup.is_l1 else tup.x_enc
-        x_i = df.forward_noise(trainer.sched, x0, i, eps)
-        inputs[r] = df.net_input(x_i, _online_cond(trainer, tup), i)
-        if tup.is_l1:
-            targets[r] = eps
-        else:
-            l2_rows.append(r)
-            l2_inputs.append(df.net_input(x_i, _target_cond(trainer, tup), i))
-    if l2_rows:
-        tgt_out, _ = ap.mlp_forward(trainer.target, np.asarray(l2_inputs))
-        targets[l2_rows] = tgt_out
-
-    out, cache = ap.mlp_forward(trainer.online, inputs)
-    resid = out - targets
-    row_losses = etas * np.sum(resid ** 2, axis=1)
-    mean_loss = float(np.mean(row_losses))
-    if not np.isfinite(mean_loss):
-        bad = int(np.argmax(~np.isfinite(row_losses)))
-        raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
-    grads = ap.mlp_backward(trainer.online, cache,
-                            (2.0 / B) * etas[:, None] * resid)
+    i = np.array([d[0] for d in draws])
+    eps = np.array([d[1] for d in draws])
+    loss, grads = td_loss(trainer, batch, i, eps)
     trainer.online, trainer.opt = ap.opt_step(trainer.online, grads, trainer.opt)
     trainer.step_count += 1
     sync_target(trainer)
-    l1_fraction = sum(t.is_l1 for t in batch) / B
-    return {"loss": mean_loss, "l1_fraction": l1_fraction,
+    l1_fraction = sum(t.is_l1 for t in batch) / len(batch)
+    return {"loss": loss, "l1_fraction": l1_fraction,
             "step": trainer.step_count}

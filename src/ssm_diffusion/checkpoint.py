@@ -7,6 +7,7 @@ uninterrupted one bit-exactly.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,16 +16,16 @@ from .approximator import MlpParams, OptState
 from .errors import FormatError
 from .mdp import Trajectory
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class Checkpoint:
     config_digest: str
-    sched_meta: dict        # K, beta_min, beta_max, eta_mode
-    model_meta: dict        # layer_sizes, activation
+    structure: dict         # see runner.structure; includes layer_sizes
+                            # and activation
     trainer_meta: dict      # condition_on, sync_mode, sync_period, tau,
-                            # step_count, n_max, step_dim, x_dim, eta_mode
+                            # step_count, x_dim
     opt_meta: dict          # optimizer, lr, beta1, beta2, eps, step_count
     rng_state: dict
     online: MlpParams
@@ -34,21 +35,12 @@ class Checkpoint:
     trajectories: list      # of Trajectory
 
 
-def _param_blocks(params):
-    return ([w for w in params.weights] + [b for b in params.biases])
-
-
-def _moment_blocks(moments):
-    out = []
-    for mw, mb in moments:
-        out.append(mw)
-        out.append(mb)
-    return out
-
-
 def save_checkpoint(path, ck):
-    f64_blocks = (_param_blocks(ck.online) + _param_blocks(ck.target)
-                  + _moment_blocks(ck.opt_m) + _moment_blocks(ck.opt_v))
+    """Write through a temporary file in the same directory, then rename it
+    over `path`, so a failed write leaves any previous file intact."""
+    f64_blocks = (ck.online.weights + ck.online.biases + ck.target.weights
+                  + ck.target.biases
+                  + [a for moments in ck.opt_m + ck.opt_v for a in moments])
     f64_bytes = b"".join(a.astype("<f8").tobytes() for a in f64_blocks)
     horizon = ck.trajectories[0].horizon if ck.trajectories else 0
     ints = []
@@ -59,8 +51,7 @@ def save_checkpoint(path, ck):
     i64_bytes = b"".join(a.tobytes() for a in ints)
     header = {
         "config_digest": ck.config_digest,
-        "sched": ck.sched_meta,
-        "model": ck.model_meta,
+        "structure": ck.structure,
         "trainer": ck.trainer_meta,
         "opt": ck.opt_meta,
         "rng": ck.rng_state,
@@ -71,10 +62,16 @@ def save_checkpoint(path, ck):
     }
     head = (f"ssm-diffusion-checkpoint v{FORMAT_VERSION}\n"
             + json.dumps(header, sort_keys=True) + "\nEND\n").encode()
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(f64_bytes)
-        fh.write(i64_bytes)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(f64_bytes)
+            fh.write(i64_bytes)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _take_f64(buf, offset, shape):
@@ -116,22 +113,29 @@ def _read_moments(buf, offset, sizes):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") \
+            from exc
     end = buf.find(b"\nEND\n")
     if end < 0:
         raise FormatError("missing END marker in checkpoint header")
-    lines = buf[:end].decode().split("\n", 1)
+    lines = buf[:end].decode(errors="replace").split("\n", 1)
     if lines[0] != f"ssm-diffusion-checkpoint v{FORMAT_VERSION}":
         raise FormatError(f"unsupported checkpoint version line {lines[0]!r}")
-    header = json.loads(lines[1])
+    try:
+        header = json.loads(lines[1])
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"corrupt checkpoint header: {exc}") from exc
     offset = end + 5
     expected = offset + header["f64_bytes"] + header["i64_bytes"]
     if len(buf) < expected:
         raise FormatError(
             f"truncated checkpoint: {len(buf)} bytes, expected {expected}")
-    sizes = header["model"]["layer_sizes"]
-    activation = header["model"]["activation"]
+    sizes = header["structure"]["layer_sizes"]
+    activation = header["structure"]["activation"]
     online, offset = _read_params(buf, offset, sizes, activation)
     target, offset = _read_params(buf, offset, sizes, activation)
     if header["opt"]["optimizer"] == "adam":
@@ -148,7 +152,7 @@ def load_checkpoint(path):
         trajectories.append(Trajectory(states=states, actions=actions,
                                        episode_id=int(eid[0])))
     return Checkpoint(config_digest=header["config_digest"],
-                      sched_meta=header["sched"], model_meta=header["model"],
+                      structure=header["structure"],
                       trainer_meta=header["trainer"], opt_meta=header["opt"],
                       rng_state=header["rng"], online=online, target=target,
                       opt_m=opt_m, opt_v=opt_v, trajectories=trajectories)

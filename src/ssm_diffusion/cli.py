@@ -1,7 +1,9 @@
 """Command-line entry points: train, eval, oracle.
 
-Exit codes: 0 success, 2 invalid configuration, 3 checkpoint digest
-mismatch, 4 unsupported operation, 1 other failure.
+Exit codes: 0 success, 2 invalid configuration, 3 checkpoint that does not
+match the config (a digest mismatch without --override-digest, or any
+structural mismatch), 1 other failure, including an unreadable or
+malformed checkpoint.
 """
 
 import argparse
@@ -10,12 +12,12 @@ import sys
 from .checkpoint import load_checkpoint
 from .config import config_digest, load_config
 from .errors import ConfigurationError, FormatError, NumericError
-from .runner import restore_trainer, run_eval, run_training, write_oracle_csvs
+from .runner import restore_trainer, run_eval, run_training, \
+    structure_mismatch, write_oracle_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIGEST = 3
-EXIT_UNSUPPORTED = 4
 
 
 def build_parser():
@@ -31,7 +33,8 @@ def build_parser():
     p_train.add_argument("--checkpoint", help="resume from this checkpoint")
     p_train.add_argument("--seed", type=int, help="override training seed")
     p_train.add_argument("--override-digest", action="store_true",
-                         help="resume despite a config digest mismatch")
+                         help="resume despite a config digest mismatch "
+                              "(structural fields must still match)")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint vs the oracle")
     p_eval.add_argument("--checkpoint", required=True)
@@ -47,11 +50,17 @@ def build_parser():
 
 
 def _load_checkpoint_checked(path, cfg, override):
+    """The checkpoint, or None after reporting why it does not fit cfg. The
+    override skips only the digest comparison."""
     ck = load_checkpoint(path)
-    if ck.config_digest != config_digest(cfg) and not override:
-        print(f"error: checkpoint digest {ck.config_digest[:12]} does not "
-              f"match config digest {config_digest(cfg)[:12]} "
-              "(use --override-digest to proceed)", file=sys.stderr)
+    problem = structure_mismatch(cfg, ck)
+    if problem is None and ck.config_digest != config_digest(cfg) \
+            and not override:
+        problem = (f"checkpoint digest {ck.config_digest[:12]} does not "
+                   f"match config digest {config_digest(cfg)[:12]} "
+                   "(use --override-digest to proceed)")
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return None
     return ck
 
@@ -81,12 +90,7 @@ def cmd_eval(args):
 
 
 def cmd_oracle(args):
-    cfg = load_config(args.config)
-    if cfg.env["type"] != "grid":
-        print(f"error: oracle dump requires a tabular environment, "
-              f"got {cfg.env['type']!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    write_oracle_csvs(cfg, args.out)
+    write_oracle_csvs(load_config(args.config), args.out)
     return EXIT_OK
 
 

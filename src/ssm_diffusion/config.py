@@ -6,7 +6,7 @@ every output file.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -24,7 +24,6 @@ _REQUIRED = object()
 
 _SECTIONS = {
     "env": {
-        "type": ("grid", str),
         "width": (_REQUIRED, int),
         "height": (_REQUIRED, int),
         "p_move": (0.8, float),
@@ -38,7 +37,6 @@ _SECTIONS = {
         "K": (32, int),
         "beta_min": (1e-4, float),
         "beta_max": (0.2, float),
-        "spacing": ("linear", str),
         "eta_mode": ("simple", str),
         "sigma_mode": ("beta", str),
     },
@@ -95,6 +93,13 @@ def _validate_section(name, raw):
     return out
 
 
+def _ints_in(values, lo, hi):
+    """True for a non-empty list of ints (bools excluded) in [lo, hi)."""
+    return (isinstance(values, list) and bool(values)
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    and lo <= v < hi for v in values))
+
+
 def _validate_cellspec(env, key, kinds):
     spec = env[key]
     kind = spec.get("kind")
@@ -105,22 +110,25 @@ def _validate_cellspec(env, key, kinds):
     if kind in ("goal", "toward_goal"):
         cell = spec.get("cell")
         if (not isinstance(cell, list) or len(cell) != 2
-                or not 0 <= cell[0] < env["width"]
-                or not 0 <= cell[1] < env["height"]):
+                or not _ints_in(cell[:1], 0, env["width"])
+                or not _ints_in(cell[1:], 0, env["height"])):
             raise ConfigurationError(f"env.{key}.cell invalid: {cell}")
     elif kind == "fixed_action":
-        if not isinstance(spec.get("action"), int) or not 0 <= spec["action"] < 4:
+        if not _ints_in([spec.get("action")], 0, 4):
             raise ConfigurationError(f"env.{key}.action invalid: {spec}")
     elif kind == "values":
         vals = spec.get("values")
-        if not isinstance(vals, list) or len(vals) != n_states:
+        if (not isinstance(vals, list) or len(vals) != n_states
+                or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                       for v in vals)):
             raise ConfigurationError(
-                f"env.{key}.values must be a list of length {n_states}")
+                f"env.{key}.values must be a list of {n_states} numbers")
     elif kind == "table":
         table = spec.get("table")
-        if not isinstance(table, list) or len(table) != n_states:
+        if not _ints_in(table, 0, 4) or len(table) != n_states:
             raise ConfigurationError(
-                f"env.{key}.table must be a list of length {n_states}")
+                f"env.{key}.table must be a list of {n_states} actions "
+                f"(ints in [0, 4)), got {table}")
 
 
 def validate_config(raw):
@@ -134,14 +142,17 @@ def validate_config(raw):
                 for name in _SECTIONS}
     env, dif, mdl, trn, evl = (sections[k] for k in
                                ("env", "diffusion", "model", "training", "eval"))
-    if env["type"] != "grid":
-        raise ConfigurationError(f"env.type: unsupported environment {env['type']!r}")
     if env["width"] < 1 or env["height"] < 1:
         raise ConfigurationError("env.width/env.height must be >= 1")
     if not 0.0 < env["p_move"] <= 1.0:
         raise ConfigurationError(f"env.p_move must be in (0, 1], got {env['p_move']}")
     if env["horizon"] < 1:
         raise ConfigurationError("env.horizon must be >= 1")
+    if env["start"] != "uniform" and not _ints_in(
+            [env["start"]], 0, env["width"] * env["height"]):
+        raise ConfigurationError(
+            f"env.start must be \"uniform\" or a state index, "
+            f"got {env['start']!r}")
     corner = [env["width"] - 1, env["height"] - 1]
     if env["reward"] is None:
         env["reward"] = {"kind": "goal", "cell": corner}
@@ -178,13 +189,10 @@ def validate_config(raw):
         raise ConfigurationError("training.initial_trajectories must be >= 1")
     if evl["num_samples"] < 1:
         raise ConfigurationError("eval.num_samples must be >= 1")
-    if evl["eval_n"] is not None:
-        ns = evl["eval_n"]
-        if (not isinstance(ns, list) or not ns
-                or any(not isinstance(n, int) or not 1 <= n <= env["horizon"]
-                       for n in ns)):
-            raise ConfigurationError(
-                f"eval.eval_n must be ints in [1, horizon], got {ns}")
+    if evl["eval_n"] is not None and not _ints_in(evl["eval_n"], 1,
+                                                  env["horizon"] + 1):
+        raise ConfigurationError(
+            f"eval.eval_n must be ints in [1, horizon], got {evl['eval_n']}")
     return ExperimentConfig(env=env, diffusion=dif, model=mdl, training=trn,
                             eval=evl)
 

@@ -28,23 +28,21 @@ class NoiseSchedule:
 
 @dataclass
 class Conditioning:
-    """Context vectors the denoiser is conditioned on. Any field may be an
-    empty array (unconditional sampling uses only the step embedding)."""
+    """Context vectors the denoiser is conditioned on, or one row of them
+    per sample. Any field may be an empty array (unconditional sampling
+    uses only the step embedding)."""
     state_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     action_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     horizon_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_dim: int = 8
 
 
-def make_schedule(K, beta_min, beta_max, spacing="linear", eta_mode="simple",
-                  sigma_mode="beta"):
+def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigurationError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    if spacing != "linear":
-        raise ConfigurationError(f"unknown spacing {spacing!r}")
     if eta_mode not in ("simple", "paper"):
         raise ConfigurationError(f"unknown eta_mode {eta_mode!r}")
     if sigma_mode not in ("posterior", "beta"):
@@ -71,58 +69,58 @@ def make_schedule(K, beta_min, beta_max, spacing="linear", eta_mode="simple",
 
 
 def _check_step(sched, i):
-    if not 1 <= i <= sched.K:
+    if np.any(np.less(i, 1)) or np.any(np.greater(i, sched.K)):
         raise IndexError(f"diffusion step {i} out of range [1, {sched.K}]")
 
 
 def forward_noise(sched, x0, i, epsilon):
     """x_i = sqrt(abar_i) x0 + sqrt(1 - abar_i) epsilon. Works on a vector
-    or a batch of row vectors (epsilon must match x0's shape)."""
+    or a batch of row vectors (epsilon must match x0's shape); i is one
+    step, or a vector holding each row's step."""
     _check_step(sched, i)
     x0 = np.asarray(x0, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
     if x0.shape != epsilon.shape:
         raise ShapeError(f"x0 shape {x0.shape} != epsilon shape {epsilon.shape}")
-    ab = sched.alpha_bar[i - 1]
+    ab = sched.alpha_bar[np.asarray(i) - 1]
+    if np.ndim(i):
+        ab = ab[:, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * epsilon
 
 
-def loss_weight(sched, i, mode="simple"):
-    """Per-step weight on the squared noise-prediction error."""
+def loss_weight(sched, i):
+    """Per-step weight on the squared noise-prediction error (one step or
+    a vector of steps)."""
     _check_step(sched, i)
-    if mode == "simple":
-        return 1.0
-    if mode == "paper":
-        beta = sched.beta[i - 1]
-        sig2 = sched.sigma[i - 1] ** 2
-        if sig2 == 0.0:
-            sig2 = beta
-        return (beta ** 2 / (2.0 * sig2)) * sched.alpha[i - 1] * (
-            1.0 - sched.alpha_bar[i - 1])
-    raise ConfigurationError(f"unknown eta mode {mode!r}")
+    return sched.eta[np.asarray(i) - 1]
 
 
 def sinusoidal_embedding(i, dim):
-    """Standard sin/cos positional embedding of the (1-based) step index."""
+    """Standard sin/cos positional embedding of the (1-based) step index;
+    a vector of steps gives one row per step."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = i * freqs
-    emb = np.concatenate([np.sin(angles), np.cos(angles)])
-    if emb.size < dim:
-        emb = np.concatenate([emb, np.zeros(dim - emb.size)])
+    angles = np.multiply.outer(i, freqs)
+    emb = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+    if emb.shape[-1] < dim:
+        pad = np.zeros(emb.shape[:-1] + (dim - emb.shape[-1],))
+        emb = np.concatenate([emb, pad], axis=-1)
     return emb
 
 
 def net_input(x_i, cond, i):
     """Concatenate noised point and conditioning into the denoiser input.
-    x_i may be a vector or a (batch, dim) matrix."""
+    x_i may be a vector or a (batch, dim) matrix. In a batch, each
+    conditioning field and the step i are either shared by every row or
+    given per row."""
     x_i = np.asarray(x_i, dtype=float)
-    ctx = np.concatenate([cond.state_enc, cond.action_enc,
-                          sinusoidal_embedding(i, cond.step_dim),
-                          cond.horizon_enc])
+    ctx = [cond.state_enc, cond.action_enc,
+           sinusoidal_embedding(i, cond.step_dim), cond.horizon_enc]
     if x_i.ndim == 1:
-        return np.concatenate([x_i, ctx])
-    return np.hstack([x_i, np.broadcast_to(ctx, (x_i.shape[0], ctx.size))])
+        return np.concatenate([x_i] + ctx)
+    rows = x_i.shape[0]
+    return np.hstack([x_i] + [np.broadcast_to(c, (rows, c.shape[-1]))
+                              for c in ctx])
 
 
 def reverse_step(sched, net, x_i, i, cond, z):

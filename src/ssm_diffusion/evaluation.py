@@ -1,5 +1,5 @@
 """Comparison of the learned conditional sampler against the exact table:
-total variation on decoded cells and Monte Carlo Q-estimates."""
+total variation on decoded cells and the Q estimates their pmfs give."""
 
 from dataclasses import dataclass
 
@@ -34,33 +34,19 @@ def empirical_pmf(samples, mdp):
 
 
 def tv_distance(p, q):
+    """Total variation between two pmfs, at most 1 even where rounding in
+    the sum of two disjoint pmfs would give 1 + 2e-16."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ShapeError(f"pmf shapes differ: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def default_eval_set(mdp, policy, n_max):
-    """All (s, pi(s)) pairs at n in {1, n_max/2, n_max} (deduplicated)."""
-    ns = sorted({1, max(1, n_max // 2), n_max})
-    return [(s, int(policy.table[s]), n)
-            for n in ns for s in range(mdp.n_states)]
+    return min(1.0, 0.5 * float(np.abs(p - q).sum()))
 
 
 def sample_condition(trainer, mdp, s, a, n, num_samples, rng):
     """Draw decoded-space samples from the learned model at (s, a, n)."""
     cond = conditioning(trainer, encode_state(mdp, s), encode_action(mdp, a), n)
     return df.sample(trainer.sched, trainer.online, cond, num_samples, rng)
-
-
-def q_estimate(trainer, mdp, s, a, n, num_samples, rng):
-    """Monte Carlo mean of R over decoded samples; returns (mean, stderr)."""
-    samples = sample_condition(trainer, mdp, s, a, n, num_samples, rng)
-    rewards = mdp.reward[decode_states(mdp, samples)]
-    stderr = float(rewards.std(ddof=1) / np.sqrt(num_samples)) \
-        if num_samples > 1 else float("inf")
-    return float(rewards.mean()), stderr
 
 
 def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,

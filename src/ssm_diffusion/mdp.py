@@ -6,7 +6,7 @@ States are cells indexed s = cy * width + cx. Actions: 0=up, 1=down,
 p_move, otherwise the agent stays; moving into a wall also stays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,8 +5,8 @@ The finite-horizon table follows the flow recursion
     d(x | s, a, n) = E_{s'}[ (1/n) 1[s' = x] + ((n-1)/n) d(x | s', pi(s'), n-1) ]
 
 whose solution is the uniform average of the 1..n step transition
-distributions. A Monte Carlo estimator and a discounted fixed-point solver
-serve as independent cross-checks.
+distributions. A matrix-power computation of that average and a Monte Carlo
+estimator serve as independent cross-checks.
 """
 
 from dataclasses import dataclass
@@ -76,22 +76,3 @@ def mc_ssm(mdp, policy, s, a, n, num_rollouts, rng):
 def exact_q(table, mdp):
     """q[s, a, n-1] = sum_x d(x | s, a, n) R(x)."""
     return np.einsum("sanx,x->san", table.d, mdp.reward)
-
-
-def exact_ssm_discounted(mdp, policy, gamma, tol=1e-12, max_iters=100000):
-    """Fixed point of d = (1-gamma) T + gamma T_pi d under the policy chain."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    T = mdp.transition
-    S = mdp.n_states
-    d = T.copy()
-    for _ in range(max_iters):
-        d_pi = d[np.arange(S), policy.table, :]
-        new = (1.0 - gamma) * T + gamma * np.einsum("saj,jx->sax", T, d_pi)
-        delta = np.max(np.abs(new - d))
-        d = new
-        if delta < tol:
-            break
-    return d

@@ -52,7 +52,15 @@ class ReplayBuffer:
     def push_trajectory(self, traj):
         self.trajectories.append(traj)
 
-    def _make_tuple(self, traj, t, n, k):
+    def sample_tuple(self, rng):
+        """Uniform trajectory, uniform remaining horizon, uniform time index
+        among those with enough steps left, uniform future offset."""
+        if not self.trajectories:
+            raise RuntimeError("cannot sample from an empty replay buffer")
+        traj = self.trajectories[int(rng.integers(len(self.trajectories)))]
+        n = int(rng.integers(1, traj.horizon + 1))
+        t = int(rng.integers(traj.horizon - n + 1))
+        k = int(rng.integers(1, n + 1))
         s = int(traj.states[t])
         a = int(traj.actions[t])
         s_next = int(traj.states[t + 1])
@@ -65,34 +73,3 @@ class ReplayBuffer:
             s_next_enc=encode_state(self.mdp, s_next),
             a_next_enc=encode_action(self.mdp, a_next),
             x_enc=encode_state(self.mdp, x))
-
-    def sample_tuple(self, rng):
-        """Uniform trajectory, uniform remaining horizon, uniform time index
-        among those with enough steps left, uniform future offset."""
-        if not self.trajectories:
-            raise RuntimeError("cannot sample from an empty replay buffer")
-        traj = self.trajectories[int(rng.integers(len(self.trajectories)))]
-        n = int(rng.integers(1, traj.horizon + 1))
-        t = int(rng.integers(traj.horizon - n + 1))
-        k = int(rng.integers(1, n + 1))
-        return self._make_tuple(traj, t, n, k)
-
-    def sample_tuple_discounted(self, gamma, rng):
-        """Geometric(1 - gamma) future offset truncated to {1..n}; an
-        extension mirroring the discounted flow constraint (default off)."""
-        if not self.trajectories:
-            raise RuntimeError("cannot sample from an empty replay buffer")
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-        traj = self.trajectories[int(rng.integers(len(self.trajectories)))]
-        n = int(rng.integers(1, traj.horizon + 1))
-        t = int(rng.integers(traj.horizon - n + 1))
-        # inverse-CDF draw from Geometric(1-gamma) truncated to {1..n}
-        u = rng.random()
-        if gamma == 0.0:
-            k = 1
-        else:
-            mass = 1.0 - gamma ** n
-            k = int(np.ceil(np.log1p(-u * mass) / np.log(gamma)))
-            k = min(max(k, 1), n)
-        return self._make_tuple(traj, t, n, k)

@@ -7,16 +7,14 @@ import os
 
 import numpy as np
 
-from . import approximator as ap
 from . import bellman_loss as bl
 from . import diffusion as df
 from . import evaluation as ev
 from . import mdp as mdp_mod
 from . import oracle as orc
-from .checkpoint import Checkpoint, load_checkpoint, opt_state_from_checkpoint, \
-    save_checkpoint
+from .checkpoint import Checkpoint, opt_state_from_checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import ConfigurationError, NumericError
+from .errors import NumericError
 from .replay import ReplayBuffer
 
 
@@ -39,45 +37,60 @@ def build_env(cfg):
     elif pspec["kind"] == "fixed_action":
         policy = mdp_mod.policy_fixed_action(mdp, pspec["action"])
     else:
-        table = np.asarray(pspec["table"], dtype=int)
-        if table.shape != (mdp.n_states,) or table.min() < 0 \
-                or table.max() >= mdp.n_actions:
-            raise ConfigurationError("env.policy.table has invalid entries")
-        policy = mdp_mod.Policy(kind="tabular_deterministic", table=table)
+        policy = mdp_mod.Policy(kind="tabular_deterministic",
+                                table=np.asarray(pspec["table"], dtype=int))
     return mdp, policy
 
 
 def build_trainer(cfg, seed=None):
     trn, dif, mdl = cfg.training, cfg.diffusion, cfg.model
     sched = df.make_schedule(dif["K"], dif["beta_min"], dif["beta_max"],
-                             spacing=dif["spacing"], eta_mode=dif["eta_mode"],
+                             eta_mode=dif["eta_mode"],
                              sigma_mode=dif["sigma_mode"])
     return bl.make_trainer(
         sched, n_max=cfg.env["horizon"], x_dim=2, state_dim=2,
         action_dim=mdp_mod.N_ACTIONS, hidden_sizes=mdl["hidden_sizes"],
         activation=mdl["activation"], step_dim=mdl["step_embed_dim"],
         optimizer=trn["optimizer"], lr=trn["lr"],
-        condition_on=trn["condition_on"], eta_mode=dif["eta_mode"],
-        sync_mode=trn["sync_mode"], sync_period=trn["sync_period"],
-        tau=trn["tau"], horizon_encoding=mdl["horizon_encoding"],
+        condition_on=trn["condition_on"], sync_mode=trn["sync_mode"],
+        sync_period=trn["sync_period"], tau=trn["tau"],
+        horizon_encoding=mdl["horizon_encoding"],
         seed=trn["seed"] if seed is None else seed)
 
 
-def make_checkpoint(cfg, trainer, buf, rng):
+def structure(cfg, trainer):
+    """The fields that fix what a trained network's parameters mean. A
+    checkpoint is resumed or evaluated only under a config that agrees on
+    every one of them, whatever the digest says."""
     dif = cfg.diffusion
+    return {"K": dif["K"], "beta_min": dif["beta_min"],
+            "beta_max": dif["beta_max"], "eta_mode": dif["eta_mode"],
+            "sigma_mode": dif["sigma_mode"],
+            "layer_sizes": trainer.online.layer_sizes,
+            "activation": trainer.online.activation,
+            "n_max": trainer.n_max, "step_dim": trainer.step_dim,
+            "horizon_encoding": trainer.horizon_encoding}
+
+
+def structure_mismatch(cfg, ck):
+    """One line naming each structural field where the checkpoint and the
+    config disagree, or None when they agree."""
+    want = structure(cfg, build_trainer(cfg))
+    diffs = [f"{key} {ck.structure.get(key)!r} (config {value!r})"
+             for key, value in want.items() if ck.structure.get(key) != value]
+    if not diffs:
+        return None
+    return "checkpoint does not match config: " + ", ".join(diffs)
+
+
+def make_checkpoint(cfg, trainer, buf, rng):
     return Checkpoint(
         config_digest=config_digest(cfg),
-        sched_meta={"K": dif["K"], "beta_min": dif["beta_min"],
-                    "beta_max": dif["beta_max"], "eta_mode": dif["eta_mode"],
-                    "sigma_mode": dif["sigma_mode"]},
-        model_meta={"layer_sizes": trainer.online.layer_sizes,
-                    "activation": trainer.online.activation},
+        structure=structure(cfg, trainer),
         trainer_meta={"condition_on": trainer.condition_on,
                       "sync_mode": trainer.sync_mode,
                       "sync_period": trainer.sync_period, "tau": trainer.tau,
-                      "step_count": trainer.step_count, "n_max": trainer.n_max,
-                      "step_dim": trainer.step_dim, "x_dim": trainer.x_dim,
-                      "eta_mode": trainer.eta_mode},
+                      "step_count": trainer.step_count, "x_dim": trainer.x_dim},
         opt_meta={"optimizer": trainer.opt.optimizer, "lr": trainer.opt.lr,
                   "beta1": trainer.opt.beta1, "beta2": trainer.opt.beta2,
                   "eps": trainer.opt.eps, "step_count": trainer.opt.step_count},

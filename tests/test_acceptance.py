@@ -22,7 +22,7 @@ from ssm_diffusion.runner import build_env, build_trainer, eval_n_values, \
     run_eval, run_training
 
 from conftest import acceptance_lines
-from test_bellman_loss import loss_fd_check
+from test_bellman_loss import draws, mixed_batch
 
 
 def report(num, name, ok, detail):
@@ -44,24 +44,15 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(0)
     for e in range(10):
         buf.push_trajectory(m.rollout(g, pol, rng, episode_id=e))
-    errors = []
-    checked_l1 = checked_l2 = 0
-    while checked_l1 + checked_l2 < 10:
-        tup = buf.sample_tuple(rng)
-        if tup.is_l1 and checked_l1 < 5:
-            checked_l1 += 1
-            fn = bl.loss_l1
-        elif not tup.is_l1 and checked_l2 < 5:
-            checked_l2 += 1
-            fn = bl.loss_l2
-        else:
-            continue
-        i = int(rng.integers(1, sched.K + 1))
-        eps = rng.standard_normal(2)
-        errors.append(loss_fd_check(trainer, fn, tup, i, eps, h=1e-5))
-    worst = max(errors)
+    # the loss training minimizes, on one batch that mixes both branches
+    batch = mixed_batch(buf, rng, size=16)
+    i, eps = draws(trainer, len(batch), rng)
+    n_l1 = sum(t.is_l1 for t in batch)
+    worst = ap.grad_check(trainer.online,
+                          lambda: bl.td_loss(trainer, batch, i, eps), h=1e-5)
     report(1, "gradient correctness", worst < 1e-4,
-           f"max rel err {worst:.2e} over 10 inputs, threshold 1e-4")
+           f"td_loss max rel err {worst:.2e} on a batch of {len(batch)} "
+           f"({n_l1} L1, {len(batch) - n_l1} L2 rows), threshold 1e-4")
 
 
 # -- 2: forward-process marginals -------------------------------------------

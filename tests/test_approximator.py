@@ -5,11 +5,13 @@ from ssm_diffusion import approximator as ap
 from ssm_diffusion.errors import ConfigurationError, NumericError, ShapeError
 
 
-def quadratic_loss(target):
-    def fn(out):
+def quadratic_loss(p, x, target):
+    """(loss, grads) of |net(x) - target|^2 at the current values of p."""
+    def loss_and_grads():
+        out, cache = ap.mlp_forward(p, x)
         resid = out - target
-        return float(resid @ resid), 2.0 * resid
-    return fn
+        return float(resid @ resid), ap.mlp_backward(p, cache, 2.0 * resid)
+    return loss_and_grads
 
 
 def test_init_deterministic():
@@ -102,29 +104,29 @@ def test_backward_affine_outer_product():
 def test_backward_matches_finite_differences():
     p = ap.mlp_init([4, 8, 8, 3], activation="relu", seed=2)
     x = np.random.default_rng(3).normal(size=4)
-    err = ap.grad_check(p, x, quadratic_loss(np.array([0.1, -0.2, 0.3])),
+    err = ap.grad_check(p, quadratic_loss(p, x, np.array([0.1, -0.2, 0.3])),
                         h=1e-5)
     assert err < 1e-4
 
 
 def test_grad_check_linear_net_exact():
     p = ap.mlp_init([3, 2], seed=4)
-    err = ap.grad_check(p, np.array([1.0, 2.0, -1.0]),
-                        quadratic_loss(np.zeros(2)), h=1e-5)
+    err = ap.grad_check(p, quadratic_loss(p, np.array([1.0, 2.0, -1.0]),
+                                          np.zeros(2)), h=1e-5)
     assert err < 1e-7
 
 
 def test_grad_check_tanh_tight():
     p = ap.mlp_init([3, 10, 2], activation="tanh", seed=6)
-    err = ap.grad_check(p, np.array([0.2, -0.4, 0.9]),
-                        quadratic_loss(np.zeros(2)), h=1e-5)
+    err = ap.grad_check(p, quadratic_loss(p, np.array([0.2, -0.4, 0.9]),
+                                          np.zeros(2)), h=1e-5)
     assert err < 1e-6
 
 
 def test_grad_check_rejects_zero_h():
     p = ap.mlp_init([2, 1], seed=0)
     with pytest.raises(ConfigurationError):
-        ap.grad_check(p, np.zeros(2), quadratic_loss(np.zeros(1)), h=0.0)
+        ap.grad_check(p, quadratic_loss(p, np.zeros(2), np.zeros(1)), h=0.0)
 
 
 def test_sgd_step():
@@ -197,21 +199,3 @@ def test_polyak_shape_mismatch():
     with pytest.raises(ShapeError):
         ap.polyak_update(ap.mlp_init([2, 1], seed=0),
                          ap.mlp_init([3, 1], seed=0), 0.5)
-
-
-def test_params_serialization_roundtrip():
-    p = ap.mlp_init([3, 5, 2], activation="tanh", seed=42)
-    blob = ap.serialize_params(p)
-    q = ap.deserialize_params(blob)
-    assert q.layer_sizes == p.layer_sizes
-    assert q.activation == "tanh"
-    for a, b in zip(p.weights + p.biases, q.weights + q.biases):
-        np.testing.assert_array_equal(a, b)
-    assert ap.serialize_params(q) == blob
-
-
-def test_params_deserialize_truncated():
-    from ssm_diffusion.errors import FormatError
-    blob = ap.serialize_params(ap.mlp_init([3, 5, 2], seed=0))
-    with pytest.raises(FormatError):
-        ap.deserialize_params(blob[:-16])

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,10 @@ from ssm_diffusion.replay import ReplayBuffer
 
 
 def make_setup(width=4, height=1, horizon=4, p_move=1.0, hidden=(8, 8),
-               seed=0, **trainer_kw):
+               seed=0, eta_mode="simple", **trainer_kw):
     g = m.gridworld_new(width, height, p_move=p_move, horizon=horizon)
     pol = m.policy_fixed_action(g, 3)
-    sched = df.make_schedule(8, 0.01, 0.2)
+    sched = df.make_schedule(8, 0.01, 0.2, eta_mode=eta_mode)
     trainer = bl.make_trainer(sched, n_max=horizon, hidden_sizes=hidden,
                               seed=seed, **trainer_kw)
     buf = ReplayBuffer(g, pol, 50)
@@ -29,6 +32,20 @@ def get_tuple(buf, rng, want_l1):
             return tup
 
 
+def mixed_batch(buf, rng, size=8):
+    """`size` replayed tuples with at least two L1 and two L2 rows."""
+    while True:
+        batch = [buf.sample_tuple(rng) for _ in range(size)]
+        if 2 <= sum(t.is_l1 for t in batch) <= size - 2:
+            return batch
+
+
+def draws(trainer, size, rng):
+    """Per-row diffusion steps and noise for a batch of `size` rows."""
+    return (rng.integers(1, trainer.sched.K + 1, size=size),
+            rng.standard_normal((size, trainer.x_dim)))
+
+
 def zero_net(trainer, which="online", bias=None):
     net = getattr(trainer, which)
     for w in net.weights:
@@ -39,82 +56,149 @@ def zero_net(trainer, which="online", bias=None):
         net.biases[-1][:] = bias
 
 
-def flat_params(net):
-    return np.concatenate([a.reshape(-1) for a in net.weights + net.biases])
+def row_loss(trainer, tup, i, eps):
+    """Reference loss of one row, assembled through the scalar conditioning
+    and input path that the sampler uses."""
+    x0 = tup.s_next_enc if tup.is_l1 else tup.x_enc
+    x_i = df.forward_noise(trainer.sched, x0, i, eps)
+    s, a = ((tup.s_enc, tup.a_enc) if trainer.condition_on == "current"
+            else (tup.s_next_enc, tup.a_next_enc))
+    out, _ = ap.mlp_forward(trainer.online, df.net_input(
+        x_i, bl.conditioning(trainer, s, a, tup.n), i))
+    y = eps
+    if not tup.is_l1:
+        y, _ = ap.mlp_forward(trainer.target, df.net_input(
+            x_i, bl.conditioning(trainer, tup.s_next_enc, tup.a_next_enc,
+                                 tup.n - 1), i))
+    return df.loss_weight(trainer.sched, i) * float((out - y) @ (out - y))
 
 
-def loss_fd_check(trainer, loss_fn, tup, i, eps, h=1e-5):
-    """Max relative error between analytic grads and central differences."""
-    _, grads = loss_fn(trainer, tup, i, eps)
-    max_err = 0.0
-    for arrs, g_arrs in ((trainer.online.weights, grads.weights),
-                         (trainer.online.biases, grads.biases)):
-        for arr, g_arr in zip(arrs, g_arrs):
-            flat = arr.reshape(-1)
-            g_flat = g_arr.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                lp, _ = loss_fn(trainer, tup, i, eps)
-                flat[k] = orig - h
-                lm, _ = loss_fn(trainer, tup, i, eps)
-                flat[k] = orig
-                numeric = (lp - lm) / (2 * h)
-                denom = max(abs(g_flat[k]), abs(numeric), 1e-12)
-                max_err = max(max_err, abs(g_flat[k] - numeric) / denom)
-    return max_err
+# every setting a config can give the loss: horizon_encoding x condition_on
+# x eta_mode
+COMBOS = list(itertools.product(("scalar", "onehot"), ("current", "next"),
+                                ("simple", "paper")))
 
 
-def test_loss_l1_zero_net_equals_eps_norm():
+def combo_setup(horizon_encoding, condition_on, eta_mode):
+    trainer, buf, _, _, rng = make_setup(
+        seed=3, eta_mode=eta_mode, horizon_encoding=horizon_encoding,
+        condition_on=condition_on)
+    # a target that differs from the online net, so L2 residuals are not
+    # just the conditioning difference
+    trainer.target = ap.mlp_init(trainer.online.layer_sizes, seed=4)
+    # biases off their zero init: with zero biases a row whose first layer
+    # is all inactive puts every second-layer unit exactly on the ReLU
+    # kink, where central differences see half a slope
+    for b in trainer.online.biases + trainer.target.biases:
+        b[:] = rng.uniform(-0.1, 0.1, b.shape)
+    batch = mixed_batch(buf, rng)
+    return trainer, batch, *draws(trainer, len(batch), rng)
+
+
+@pytest.mark.parametrize("horizon_encoding, condition_on, eta_mode", COMBOS)
+def test_td_loss_gradient_finite_differences(horizon_encoding, condition_on,
+                                             eta_mode):
+    trainer, batch, i, eps = combo_setup(horizon_encoding, condition_on,
+                                         eta_mode)
+    err = ap.grad_check(trainer.online,
+                        lambda: bl.td_loss(trainer, batch, i, eps), h=1e-5)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("horizon_encoding, condition_on, eta_mode", COMBOS)
+def test_td_loss_matches_per_row_reference(horizon_encoding, condition_on,
+                                           eta_mode):
+    trainer, batch, i, eps = combo_setup(horizon_encoding, condition_on,
+                                         eta_mode)
+    loss, _ = bl.td_loss(trainer, batch, i, eps)
+    ref = np.mean([row_loss(trainer, t, int(i[r]), eps[r])
+                   for r, t in enumerate(batch)])
+    assert loss == pytest.approx(ref, rel=1e-12)
+
+
+def test_td_loss_zero_net_l1_rows_equal_eps_norm():
     trainer, buf, _, _, rng = make_setup()
     zero_net(trainer)
-    tup = get_tuple(buf, rng, want_l1=True)
-    eps = np.array([0.3, -1.2])
-    loss, _ = bl.loss_l1(trainer, tup, 3, eps)
-    assert loss == pytest.approx(float(eps @ eps))
+    batch = [get_tuple(buf, rng, want_l1=True) for _ in range(2)]
+    eps = np.array([[0.3, -1.2], [0.5, 0.1]])
+    loss, _ = bl.td_loss(trainer, batch, np.array([3, 5]), eps)
+    assert loss == pytest.approx(float(np.mean(np.sum(eps ** 2, axis=1))))
+
+
+def test_td_loss_constant_offset_on_l2_rows():
+    trainer, buf, _, _, rng = make_setup()
+    c = np.array([0.4, -0.9])
+    zero_net(trainer, "online", bias=c)
+    zero_net(trainer, "target")
+    batch = [get_tuple(buf, rng, want_l1=False) for _ in range(3)]
+    loss, _ = bl.td_loss(trainer, batch, np.array([2, 2, 7]),
+                         np.array([[0.1, 0.2], [0.0, 1.0], [-2.0, 0.3]]))
+    assert loss == pytest.approx(float(c @ c))
+
+
+def test_td_loss_rows_take_branch_from_flag():
+    # constant online output c, zero target: an L1 row regresses c onto its
+    # noise, an L2 row onto the target's 0
+    trainer, buf, _, _, rng = make_setup()
+    c = np.array([0.4, -0.9])
+    zero_net(trainer, "online", bias=c)
+    zero_net(trainer, "target")
+    batch = mixed_batch(buf, rng)
+    i, eps = draws(trainer, len(batch), rng)
+    loss, _ = bl.td_loss(trainer, batch, i, eps)
+    rows = [float((c - e) @ (c - e)) if t.is_l1 else float(c @ c)
+            for t, e in zip(batch, eps)]
+    assert loss == pytest.approx(np.mean(rows))
 
 
 def test_loss_l1_contract():
+    # an L1 row never reads the target network: a target full of NaN leaves
+    # its loss and gradients as they are with the online net's own copy
     trainer, buf, _, _, rng = make_setup()
-    tup = get_tuple(buf, rng, want_l1=False)
-    with pytest.raises(ValueError):
-        bl.loss_l1(trainer, tup, 1, np.zeros(2))
+    batch = [get_tuple(buf, rng, want_l1=True) for _ in range(3)]
+    i, eps = draws(trainer, len(batch), rng)
+    loss, grads = bl.td_loss(trainer, batch, i, eps)
+    for a in trainer.target.weights + trainer.target.biases:
+        a[:] = np.nan
+    loss_nan, grads_nan = bl.td_loss(trainer, batch, i, eps)
+    assert loss_nan == loss
+    for a, b in zip(grads.weights + grads.biases,
+                    grads_nan.weights + grads_nan.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_loss_l2_contract():
+    # an L2 row regresses onto the target network, never onto its noise:
+    # with a zero online net and a target that outputs the constant c, the
+    # loss is |c|^2 whatever the noise
+    trainer, buf, _, _, rng = make_setup()
+    c = np.array([0.4, -0.9])
+    zero_net(trainer, "online")
+    zero_net(trainer, "target", bias=c)
+    batch = [get_tuple(buf, rng, want_l1=False) for _ in range(3)]
+    i = np.array([1, 4, 8])
+    for eps in (np.zeros((3, 2)), rng.standard_normal((3, 2))):
+        loss, _ = bl.td_loss(trainer, batch, i, eps)
+        assert loss == pytest.approx(float(c @ c))
 
 
 def test_loss_l1_gradient_finite_differences():
     trainer, buf, _, _, rng = make_setup(hidden=(8, 8))
     tup = get_tuple(buf, rng, want_l1=True)
-    err = loss_fd_check(trainer, bl.loss_l1, tup, 4,
-                        np.array([0.5, -0.7]))
+    err = ap.grad_check(trainer.online, lambda: bl.td_loss(
+        trainer, [tup], np.array([4]), np.array([[0.5, -0.7]])), h=1e-5)
     assert err < 1e-4
-
-
-def test_loss_l2_constant_offset():
-    trainer, buf, _, _, rng = make_setup()
-    c = np.array([0.4, -0.9])
-    zero_net(trainer, "online", bias=c)
-    zero_net(trainer, "target")
-    tup = get_tuple(buf, rng, want_l1=False)
-    loss, _ = bl.loss_l2(trainer, tup, 2, np.array([0.1, 0.2]))
-    assert loss == pytest.approx(float(c @ c))
-
-
-def test_loss_l2_contract():
-    trainer, buf, _, _, rng = make_setup()
-    tup = get_tuple(buf, rng, want_l1=True)
-    with pytest.raises(ValueError):
-        bl.loss_l2(trainer, tup, 1, np.zeros(2))
 
 
 def test_loss_l2_gradient_finite_differences():
     trainer, buf, _, _, rng = make_setup(hidden=(8, 8), seed=3)
     tup = get_tuple(buf, rng, want_l1=False)
-    err = loss_fd_check(trainer, bl.loss_l2, tup, 5,
-                        np.array([-0.3, 0.8]))
+    err = ap.grad_check(trainer.online, lambda: bl.td_loss(
+        trainer, [tup], np.array([5]), np.array([[-0.3, 0.8]])), h=1e-5)
     assert err < 1e-4
 
 
-def test_loss_l2_self_consistency_at_fixed_point():
+def test_td_loss_self_consistency_at_fixed_point():
     # target is a bit-exact copy of online at init: under identical
     # conditioning the two outputs coincide (residual 0), while the actual
     # L2 conditioning (n vs n-1, and s vs s' in "current" mode) differs, so
@@ -128,7 +212,7 @@ def test_loss_l2_self_consistency_at_fixed_point():
     out_online, _ = ap.mlp_forward(trainer.online, inp)
     out_target, _ = ap.mlp_forward(trainer.target, inp)
     np.testing.assert_array_equal(out_online, out_target)
-    loss, _ = bl.loss_l2(trainer, tup, 2, eps)
+    loss, _ = bl.td_loss(trainer, [tup], np.array([2]), eps[None, :])
     assert loss > 0.0
 
 
@@ -144,31 +228,48 @@ def test_stop_gradient_target_untouched():
         np.testing.assert_array_equal(a, b)
 
 
-def test_loss_l2_grads_do_not_depend_on_target_grad_path():
-    # analytic grads treat the target output as a constant: gradients match
-    # finite differences that also hold the target fixed (checked above);
-    # additionally the returned grads are shaped like the online net only
+def test_td_loss_grads_shaped_like_online_only():
+    # the target output is a constant of the loss: its gradients match
+    # finite differences that hold the target fixed (checked above), they
+    # are shaped like the online net, and computing them changes no network
     trainer, buf, _, _, rng = make_setup()
-    tup = get_tuple(buf, rng, want_l1=False)
-    _, grads = bl.loss_l2(trainer, tup, 2, np.zeros(2))
+    trainer.target = ap.mlp_init(trainer.online.layer_sizes, seed=9)
+    before = [a.copy() for a in trainer.online.weights + trainer.target.weights]
+    batch = mixed_batch(buf, rng)
+    _, grads = bl.td_loss(trainer, batch, *draws(trainer, len(batch), rng))
     assert grads.layer_sizes == trainer.online.layer_sizes
+    for a, b in zip(before, trainer.online.weights + trainer.target.weights):
+        np.testing.assert_array_equal(a, b)
 
 
-def test_compute_loss_n1_always_l1():
+def test_td_loss_n1_always_l1():
     trainer, buf, _, _, rng = make_setup(horizon=1)
-    for _ in range(20):
-        tup = buf.sample_tuple(rng)
-        assert tup.is_l1
-        loss, _ = bl.compute_loss(trainer, tup, rng)
-        assert np.isfinite(loss)
+    batch = [buf.sample_tuple(rng) for _ in range(20)]
+    assert all(t.is_l1 for t in batch)
+    loss, _ = bl.td_loss(trainer, batch, *draws(trainer, len(batch), rng))
+    assert np.isfinite(loss)
 
 
-def test_compute_loss_deterministic():
+def test_td_loss_deterministic():
     trainer, buf, _, _, rng = make_setup()
-    tup = buf.sample_tuple(rng)
-    l1, _ = bl.compute_loss(trainer, tup, np.random.default_rng(11))
-    l2, _ = bl.compute_loss(trainer, tup, np.random.default_rng(11))
+    batch = mixed_batch(buf, rng)
+    i, eps = draws(trainer, len(batch), rng)
+    l1, g1 = bl.td_loss(trainer, batch, i, eps)
+    l2, g2 = bl.td_loss(trainer, batch, i, eps)
     assert l1 == l2
+    for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_conditioning_rejects_out_of_range_horizon():
+    trainer, _, _, _, _ = make_setup(horizon=4)
+    s, a = np.zeros(2), np.zeros(4)
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="horizon"):
+            bl.conditioning(trainer, s, a, n)
+    with pytest.raises(ValueError, match="horizon"):
+        bl.conditioning(trainer, np.zeros((2, 2)), np.zeros((2, 4)),
+                        np.array([1, 0]))
 
 
 def test_branch_fraction_matches_one_over_n():
@@ -184,7 +285,7 @@ def test_branch_fraction_matches_one_over_n():
 
 
 def test_branch_decomposition_expectation():
-    # E[compute_loss | n] = (1/n) E[L1] + ((n-1)/n) E[L2] within MC error
+    # E[td_loss | n] = (1/n) E[L1] + ((n-1)/n) E[L2] within MC error
     trainer, buf, _, _, rng = make_setup(width=8, horizon=4, seed=5)
     losses, l1_losses, l2_losses = [], [], []
     draw_rng = np.random.default_rng(17)
@@ -192,7 +293,7 @@ def test_branch_decomposition_expectation():
         tup = buf.sample_tuple(rng)
         if tup.n != 4:
             continue
-        loss, _ = bl.compute_loss(trainer, tup, draw_rng)
+        loss, _ = bl.td_loss(trainer, [tup], *draws(trainer, 1, draw_rng))
         losses.append(loss)
         (l1_losses if tup.is_l1 else l2_losses).append(loss)
     lhs = np.mean(losses)
@@ -204,12 +305,23 @@ def test_branch_decomposition_expectation():
         np.mean(l1_losses) - np.mean(l2_losses))
 
 
-def test_train_step_single_tuple_matches_compute_loss():
+def test_train_step_matches_td_loss():
+    # train_step draws (i, eps) row after row, integers then normals
     trainer, buf, _, _, rng = make_setup()
-    tup = buf.sample_tuple(rng)
-    loss_direct, _ = bl.compute_loss(trainer, tup, np.random.default_rng(23))
-    stats = bl.train_step(trainer, [tup], np.random.default_rng(23))
-    assert stats["loss"] == pytest.approx(loss_direct, rel=1e-12)
+    batch = mixed_batch(buf, rng)
+    draw_rng = np.random.default_rng(23)
+    rows = [(int(draw_rng.integers(1, trainer.sched.K + 1)),
+             draw_rng.standard_normal(trainer.x_dim)) for _ in batch]
+    i = np.array([r[0] for r in rows])
+    eps = np.array([r[1] for r in rows])
+    loss, grads = bl.td_loss(trainer, batch, i, eps)
+    expected, _ = ap.opt_step(trainer.online, grads,
+                              copy.deepcopy(trainer.opt))
+    stats = bl.train_step(trainer, batch, np.random.default_rng(23))
+    assert stats["loss"] == loss
+    for a, b in zip(expected.weights + expected.biases,
+                    trainer.online.weights + trainer.online.biases):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_train_step_hard_sync_every_step():

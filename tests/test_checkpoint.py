@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssm_diffusion import checkpoint
 from ssm_diffusion import mdp as m
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import validate_config
@@ -59,6 +60,54 @@ def test_bad_version_line_raises(tmp_path):
     path.write_bytes(b"no header at all")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_unreadable_file_raises(tmp_path):
+    with pytest.raises(FormatError, match="cannot read"):
+        load_checkpoint(tmp_path / "missing.bin")
+    path = tmp_path / "corrupt.bin"
+    for header in (b"{not json", b"\xff\xfe", b""):
+        path.write_bytes(b"ssm-diffusion-checkpoint v2\n" + header
+                         + b"\nEND\n")
+        with pytest.raises(FormatError, match="corrupt checkpoint header"):
+            load_checkpoint(path)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    _, ck = make_ck()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, ck)
+    before = path.read_bytes()
+
+    class DiskFullAfterOneWrite:
+        """A file whose second write fails after writing half its data."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+            self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", DiskFullAfterOneWrite,
+                        raising=False)
+    ck.online.weights[0] += 1.0
+    with pytest.raises(OSError):
+        save_checkpoint(path, ck)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).config_digest == ck.config_digest
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
 
 def test_restores_optimizer_moments(tmp_path):

@@ -73,6 +73,51 @@ def test_missing_config_key_exit_2(tmp_path, capsys):
     assert "training.seed" in capsys.readouterr().err
 
 
+def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{**tiny_overrides(),
+                                    "env": {"width": 2, "height": 2,
+                                            "horizon": 3, "start": "foo"}})
+    assert run(["train", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "env.start" in err
+
+
+def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, **tiny_overrides())
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(b"ssm-diffusion-checkpoint v2\n{not json\nEND\n")
+    for ck, says in ((tmp_path / "missing.bin", "cannot read"),
+                     (corrupt, "corrupt checkpoint header")):
+        assert run(["eval", "--checkpoint", str(ck), "--config", str(cfg),
+                    "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and says in err
+
+
+def test_structural_mismatch_exit_3_despite_override(tmp_path, capsys):
+    trained = tiny_overrides(steps=0)
+    trained["diffusion"] = {"K": 32}
+    trained["model"] = {"hidden_sizes": [8]}
+    out = tmp_path / "run"
+    assert run(["train", "--config",
+                str(write_config(tmp_path, "k32.json", **trained)),
+                "--out", str(out)]) == 0
+    other = tiny_overrides()
+    other["model"] = {"hidden_sizes": [16, 16]}
+    cfg = str(write_config(tmp_path, "k4.json", **other))
+    ck = str(out / "checkpoint.bin")
+    for argv in (["eval", "--checkpoint", ck, "--config", cfg,
+                  "--out", str(tmp_path / "e")],
+                 ["train", "--checkpoint", ck, "--config", cfg,
+                  "--out", str(tmp_path / "t")]):
+        assert run(argv + ["--override-digest"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "K 32 (config 4)" in err and "layer_sizes" in err
+    assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
+
+
 def test_resume_equivalence(tmp_path):
     over_full = tiny_overrides(steps=30)
     cfg = write_config(tmp_path, "full.json", **over_full)

@@ -66,6 +66,32 @@ def test_policy_spec_validation():
             env={"policy": {"kind": "table", "table": [0, 1]}}))
 
 
+@pytest.mark.parametrize("section, values, named", [
+    ("env", {"start": "foo"}, "env.start"),
+    ("env", {"start": 9}, "env.start"),
+    ("env", {"start": True}, "env.start"),
+    ("env", {"policy": {"kind": "table", "table": [1.7] + [0] * 8}},
+     "env.policy.table"),
+    ("env", {"policy": {"kind": "table", "table": [4] + [0] * 8}},
+     "env.policy.table"),
+    ("env", {"policy": {"kind": "fixed_action", "action": True}},
+     "env.policy.action"),
+    ("env", {"reward": {"kind": "goal", "cell": ["a", 0]}}, "env.reward.cell"),
+    ("env", {"reward": {"kind": "values", "values": ["a"] * 9}},
+     "env.reward.values"),
+    ("eval", {"eval_n": [True]}, "eval.eval_n"),
+], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
+        "table-out-of-range", "action-bool", "cell-str", "values-str",
+        "eval_n-bool"])
+def test_malformed_values_rejected(section, values, named):
+    with pytest.raises(ConfigurationError, match=named):
+        validate_config(minimal_raw(**{section: values}))
+
+
+def test_start_state_index_accepted():
+    assert validate_config(minimal_raw(env={"start": 8})).env["start"] == 8
+
+
 def test_digest_stable_and_sensitive():
     a = config_digest(validate_config(minimal_raw()))
     b = config_digest(validate_config(minimal_raw()))

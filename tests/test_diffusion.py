@@ -66,19 +66,26 @@ def test_forward_marginal_monte_carlo():
 
 def test_loss_weight_simple():
     sched = df.make_schedule(5, 0.05, 0.2)
-    assert all(df.loss_weight(sched, i, "simple") == 1.0 for i in range(1, 6))
+    assert all(df.loss_weight(sched, i) == 1.0 for i in range(1, 6))
+    np.testing.assert_array_equal(df.loss_weight(sched, np.array([1, 5])),
+                                  [1.0, 1.0])
 
 
 def test_loss_weight_paper_value():
     # beta=0.1, sigma^2=0.1, alpha=0.9, alpha_bar=0.81
-    sched = df.make_schedule(2, 0.1, 0.1)
-    assert df.loss_weight(sched, 2, "paper") == pytest.approx(0.00855)
+    sched = df.make_schedule(2, 0.1, 0.1, eta_mode="paper")
+    assert df.loss_weight(sched, 2) == pytest.approx(0.00855)
+    # posterior sigma_1 = 0 falls back to beta_1 in the weight
+    sched = df.make_schedule(2, 0.1, 0.1, eta_mode="paper",
+                             sigma_mode="posterior")
+    assert df.loss_weight(sched, 1) == pytest.approx(0.1 / 2 * 0.9 * 0.1)
 
 
 def test_loss_weight_index_error():
     sched = df.make_schedule(2, 0.1, 0.1)
-    with pytest.raises(IndexError):
-        df.loss_weight(sched, 3, "simple")
+    for bad in (0, 3, np.array([1, 3])):
+        with pytest.raises(IndexError):
+            df.loss_weight(sched, bad)
 
 
 def test_schedule_stores_paper_eta():
@@ -168,6 +175,10 @@ def test_sinusoidal_embedding_shape_and_range():
         assert np.all(np.abs(emb) <= 1.0)
     assert not np.array_equal(df.sinusoidal_embedding(1, 8),
                               df.sinusoidal_embedding(2, 8))
+    rows = df.sinusoidal_embedding(np.array([3, 1, 3]), 9)
+    assert rows.shape == (3, 9)
+    for row, i in zip(rows, (3, 1, 3)):
+        np.testing.assert_array_equal(row, df.sinusoidal_embedding(i, 9))
 
 
 def test_net_input_concatenation():
@@ -179,3 +190,11 @@ def test_net_input_concatenation():
     assert v[0] == 9.0 and v[1] == 0.5 and v[-1] == 0.25
     batch = df.net_input(np.array([[9.0], [8.0]]), cond, 2)
     np.testing.assert_array_equal(batch[0], v)
+    # per-row conditioning and steps
+    rows = df.Conditioning(state_enc=np.array([[0.5], [0.7]]),
+                           action_enc=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                           horizon_enc=np.array([[0.25], [0.5]]), step_dim=4)
+    batch = df.net_input(np.array([[9.0], [8.0]]), rows, np.array([2, 3]))
+    np.testing.assert_array_equal(batch[0], v)
+    assert batch[1, 1] == 0.7 and batch[1, -1] == 0.5
+    np.testing.assert_array_equal(batch[1, 4:8], df.sinusoidal_embedding(3, 4))

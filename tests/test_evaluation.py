@@ -6,7 +6,11 @@ from ssm_diffusion import diffusion as df
 from ssm_diffusion import evaluation as ev
 from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
+from ssm_diffusion.config import validate_config
 from ssm_diffusion.errors import NumericError, ShapeError
+from ssm_diffusion.runner import eval_n_values
+
+from test_config import minimal_raw
 
 
 def sample_from_pmf(pmf, mdp, count, rng):
@@ -50,6 +54,13 @@ def test_tv_distance_values():
     assert ev.tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert ev.tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
     assert ev.tv_distance([0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.5)
+    # disjoint pmfs whose float sum of |p - q| is 2 + 4e-16
+    p = np.zeros(12)
+    p[:2] = 0.5
+    q = np.zeros(12)
+    q[2:] = 0.1
+    assert 0.5 * np.abs(p - q).sum() > 1.0
+    assert ev.tv_distance(p, q) == 1.0
 
 
 def test_tv_distance_shape_error():
@@ -57,13 +68,17 @@ def test_tv_distance_shape_error():
         ev.tv_distance([1.0], [0.5, 0.5])
 
 
-def test_default_eval_set():
-    g = m.gridworld_new(3, 3, horizon=8)
-    pol = m.policy_toward_goal(g, (2, 2))
-    es = ev.default_eval_set(g, pol, 8)
-    assert len(es) == 3 * g.n_states
-    assert {n for _, _, n in es} == {1, 4, 8}
-    assert all(a == pol.table[s] for s, a, _ in es)
+def eval_set(mdp, policy, ns):
+    return [(s, int(policy.table[s]), n)
+            for n in ns for s in range(mdp.n_states)]
+
+
+def test_eval_n_values():
+    cfg = validate_config(minimal_raw(env={"horizon": 8}))
+    assert eval_n_values(cfg) == [1, 4, 8]
+    cfg = validate_config(minimal_raw(env={"horizon": 8},
+                                      eval={"eval_n": [8, 2, 8]}))
+    assert eval_n_values(cfg) == [2, 8]
 
 
 def make_untrained(horizon=4):
@@ -78,7 +93,7 @@ def make_untrained(horizon=4):
 
 def test_eval_model_report_structure():
     trainer, g, pol, table = make_untrained()
-    es = ev.default_eval_set(g, pol, 4)[:6]
+    es = eval_set(g, pol, [1, 2, 4])[:6]
     report = ev.eval_model(trainer, g, table, es, 200,
                            np.random.default_rng(0), seed=0)
     assert len(report.rows) == 6
@@ -97,19 +112,19 @@ def test_eval_model_requires_nonempty_set():
 
 def test_untrained_model_has_large_tv():
     trainer, g, pol, table = make_untrained()
-    es = ev.default_eval_set(g, pol, 4)
+    es = eval_set(g, pol, [1, 2, 4])
     report = ev.eval_model(trainer, g, table, es, 500,
                            np.random.default_rng(0))
     assert report.mean_tv > 0.3
 
 
-def test_q_estimate_constant_reward():
+def test_eval_model_q_est_constant_reward():
     trainer, g, pol, table = make_untrained()
     g.reward = np.full(g.n_states, 3.0)
-    est, stderr = ev.q_estimate(trainer, g, 0, pol.table[0], 2, 200,
-                                np.random.default_rng(0))
-    assert est == pytest.approx(3.0)
-    assert stderr == pytest.approx(0.0)
+    report = ev.eval_model(trainer, g, table, [(0, int(pol.table[0]), 2)],
+                           200, np.random.default_rng(0))
+    assert report.rows[0]["q_est"] == pytest.approx(3.0)
+    assert report.rows[0]["q_abs_err"] == pytest.approx(0.0)
 
 
 def test_q_from_oracle_samples_matches_exact_q():
@@ -126,17 +141,9 @@ def test_q_from_oracle_samples_matches_exact_q():
     assert abs(q_hat - p) < 3 * se + 1e-9
 
 
-def test_q_estimate_variance_shrinks():
-    trainer, g, pol, table = make_untrained()
-    rng = np.random.default_rng(3)
-    _, se_small = ev.q_estimate(trainer, g, 0, pol.table[0], 2, 100, rng)
-    _, se_big = ev.q_estimate(trainer, g, 0, pol.table[0], 2, 10_000, rng)
-    assert se_big < se_small
-
-
 def test_eval_deterministic_given_seed():
     trainer, g, pol, table = make_untrained()
-    es = ev.default_eval_set(g, pol, 4)[:4]
+    es = eval_set(g, pol, [1, 2, 4])[:4]
     r1 = ev.eval_model(trainer, g, table, es, 100, np.random.default_rng(5))
     r2 = ev.eval_model(trainer, g, table, es, 100, np.random.default_rng(5))
     assert r1.rows == r2.rows

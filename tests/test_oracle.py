@@ -103,33 +103,7 @@ def test_exact_q_linear_in_reward():
     np.testing.assert_allclose(q12, q1 + q2, atol=1e-12)
 
 
-def test_discounted_small_gamma_approaches_transition():
-    g = m.gridworld_new(3, 3, p_move=0.7, horizon=4)
-    pol = m.policy_toward_goal(g, (2, 2))
-    d = orc.exact_ssm_discounted(g, pol, 1e-9)
-    np.testing.assert_allclose(d, g.transition, atol=1e-6)
-
-
-def test_discounted_one_state():
-    g = m.gridworld_new(1, 1, horizon=2)
-    pol = m.policy_fixed_action(g, 0)
-    d = orc.exact_ssm_discounted(g, pol, 0.5)
-    np.testing.assert_allclose(d, 1.0, atol=1e-10)
-
-
-def test_discounted_two_state_chain_hand_fixed_point():
+def test_exact_ssm_rejects_bad_n():
     g, pol = two_state_chain()
-    d = orc.exact_ssm_discounted(g, pol, 0.5)
-    # from 0 under "right": all discounted mass lands on state 1
-    assert d[0, 3, 1] == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(d.sum(axis=2), 1.0, atol=1e-8)
-
-
-def test_discounted_rejects_bad_args():
-    g, pol = two_state_chain()
-    with pytest.raises(ValueError):
-        orc.exact_ssm_discounted(g, pol, 1.5)
-    with pytest.raises(ValueError):
-        orc.exact_ssm_discounted(g, pol, 0.5, tol=0.0)
     with pytest.raises(ValueError):
         orc.exact_ssm(g, pol, 0)

@@ -40,8 +40,6 @@ def test_empty_buffer_raises():
     buf, rng = make_buffer(n_traj=0)
     with pytest.raises(RuntimeError):
         buf.sample_tuple(rng)
-    with pytest.raises(RuntimeError):
-        buf.sample_tuple_discounted(0.5, rng)
 
 
 def test_n_equals_one_forces_l1():
@@ -123,34 +121,3 @@ def test_tuple_encodings_match_indices():
     a_next = int(buf.policy.table[tup.s_next])
     np.testing.assert_array_equal(tup.a_next_enc,
                                   m.encode_action(buf.mdp, a_next))
-
-
-def test_discounted_gamma_zero_always_l1():
-    buf, rng = make_buffer(horizon=5, n_traj=3)
-    for _ in range(100):
-        tup = buf.sample_tuple_discounted(0.0, rng)
-        assert tup.is_l1
-
-
-def test_discounted_branch_probability():
-    # P(is_l1 | n) = (1 - gamma) / (1 - gamma^n)
-    buf, rng = make_buffer(width=12, horizon=8, n_traj=5)
-    gamma = 0.5
-    hits = {n: 0 for n in range(1, 9)}
-    tot = {n: 0 for n in range(1, 9)}
-    for _ in range(100_000):
-        tup = buf.sample_tuple_discounted(gamma, rng)
-        tot[tup.n] += 1
-        hits[tup.n] += tup.is_l1
-    for n in (4, 8):
-        p = (1 - gamma) / (1 - gamma ** n)
-        freq = hits[n] / tot[n]
-        se = np.sqrt(p * (1 - p) / tot[n])
-        assert abs(freq - p) < 4 * se
-
-
-def test_discounted_offset_truncation():
-    buf, rng = make_buffer(width=12, horizon=6, n_traj=3)
-    for _ in range(2000):
-        tup = buf.sample_tuple_discounted(0.95, rng)
-        assert tup.s + 1 <= tup.x <= tup.s + tup.n
