@@ -1,8 +1,7 @@
 """Minimal MLP with explicit forward/backward passes and SGD/Adam optimizers.
 
-Everything is float64 numpy. Forward and backward accept either a single
-input vector or a (batch, dim) matrix; batched backward sums gradients
-over rows.
+Everything is float64 numpy. Forward takes a (batch, dim) matrix, one row
+per input; backward sums the gradients over the rows.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +24,6 @@ class MlpParams:
 @dataclass
 class ForwardCache:
     activations: list       # input to each layer, activations[0] is the net input
-    pre_activations: list   # z = W a + b per layer
-    batched: bool = False
 
 
 @dataclass
@@ -61,40 +58,37 @@ def mlp_init(layer_sizes, activation="relu", seed=0):
 
 
 def _activate(z, kind):
+    """The activation of z, computed in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _activate_grad(z, kind):
+def _activate_grad(a, kind):
+    """The activation's derivative, from its output a."""
     if kind == "relu":
-        return (z > 0.0).astype(float)
-    return 1.0 - np.tanh(z) ** 2
+        return (a > 0.0).astype(float)
+    return 1.0 - a ** 2
 
 
 def mlp_forward(params, x):
-    """Forward pass. Returns (output, cache). Hidden layers use the
-    configured activation; the output layer is linear."""
-    x = np.asarray(x, dtype=float)
-    batched = x.ndim == 2
-    if not batched and x.ndim != 1:
-        raise ShapeError(f"input must be 1-D or 2-D, got ndim={x.ndim}")
-    a = x if batched else x[None, :]
-    if a.shape[1] != params.layer_sizes[0]:
-        raise ShapeError(
-            f"input dim {a.shape[1]} != expected {params.layer_sizes[0]}")
+    """Forward pass over a (batch, dim) matrix. Returns (output, cache).
+    Hidden layers use the configured activation; the output layer is
+    linear."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != params.layer_sizes[0]:
+        raise ShapeError(f"input shape {a.shape} is not (batch, "
+                         f"{params.layer_sizes[0]})")
     n_layers = len(params.weights)
     activations = [a]
-    pre_activations = []
+    # in place on each layer's fresh output, to keep large temporaries few
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        pre_activations.append(z)
-        a = z if l == n_layers - 1 else _activate(z, params.activation)
-        activations.append(a)
-    out = a if batched else a[0]
-    cache = ForwardCache(activations=activations[:-1],
-                         pre_activations=pre_activations, batched=batched)
-    return out, cache
+        a = a @ w.T
+        a += b
+        if l < n_layers - 1:
+            _activate(a, params.activation)
+            activations.append(a)
+    return a, ForwardCache(activations=activations)
 
 
 def mlp_backward(params, cache, output_grad):
@@ -102,13 +96,11 @@ def mlp_backward(params, cache, output_grad):
 
     Returns an MlpParams holding gradients (same shapes)."""
     g = np.asarray(output_grad, dtype=float)
-    if g.ndim == 1:
-        g = g[None, :]
     n_layers = len(params.weights)
-    if g.shape != cache.pre_activations[-1].shape:
+    out_shape = (cache.activations[0].shape[0], params.layer_sizes[-1])
+    if g.shape != out_shape:
         raise ShapeError(
-            f"output_grad shape {g.shape} != output shape "
-            f"{cache.pre_activations[-1].shape}")
+            f"output_grad shape {g.shape} != output shape {out_shape}")
     if len(cache.activations) != n_layers:
         raise ShapeError("cache does not match network depth")
     g_weights = [None] * n_layers
@@ -120,8 +112,8 @@ def mlp_backward(params, cache, output_grad):
         g_weights[l] = g.T @ a_in
         g_biases[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ params.weights[l]) * _activate_grad(
-                cache.pre_activations[l - 1], params.activation)
+            g = (g @ params.weights[l]) * _activate_grad(a_in,
+                                                         params.activation)
     return MlpParams(layer_sizes=list(params.layer_sizes), weights=g_weights,
                      biases=g_biases, activation=params.activation)
 

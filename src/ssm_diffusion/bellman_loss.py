@@ -12,6 +12,7 @@ import numpy as np
 from . import approximator as ap
 from . import diffusion as df
 from .errors import NumericError
+from .mdp import TabularMdp, encode_action, encode_state
 
 
 @dataclass
@@ -20,46 +21,45 @@ class Trainer:
     target: ap.MlpParams
     sched: df.NoiseSchedule
     opt: ap.OptState
-    n_max: int
+    mdp: TabularMdp                 # its horizon is the largest n
     step_dim: int = 8
     condition_on: str = "current"   # "current" (loss display) or "next" (alg. listing)
     sync_mode: str = "hard"         # "hard" or "polyak"
     sync_period: int = 500
     tau: float = 0.005
     step_count: int = 0
-    x_dim: int = 2
     horizon_encoding: str = "scalar"  # "scalar" (n / n_max) or "onehot"
 
 
-def make_trainer(sched, n_max, x_dim=2, state_dim=2, action_dim=4,
-                 hidden_sizes=(128, 128), activation="relu", step_dim=8,
-                 optimizer="adam", lr=1e-3, condition_on="current",
+def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
+                 step_dim=8, optimizer="adam", lr=1e-3, condition_on="current",
                  sync_mode="hard", sync_period=500, tau=0.005,
                  horizon_encoding="onehot", seed=0):
-    horizon_dim = n_max if horizon_encoding == "onehot" else 1
-    # input: x | state | action | step embedding | horizon encoding
-    sizes = [x_dim + state_dim + action_dim + step_dim + horizon_dim]
-    sizes += list(hidden_sizes) + [x_dim]
+    horizon_dim = mdp.horizon if horizon_encoding == "onehot" else 1
+    # input: x | state | action | step embedding | horizon encoding; x and
+    # the state are 2-D cell centers
+    sizes = [2 + 2 + mdp.n_actions + step_dim + horizon_dim]
+    sizes += list(hidden_sizes) + [2]
     online = ap.mlp_init(sizes, activation=activation, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
                    opt=ap.init_opt_state(online, optimizer=optimizer, lr=lr),
-                   n_max=n_max, step_dim=step_dim, condition_on=condition_on,
+                   mdp=mdp, step_dim=step_dim, condition_on=condition_on,
                    sync_mode=sync_mode, sync_period=sync_period, tau=tau,
-                   x_dim=x_dim, horizon_encoding=horizon_encoding)
+                   horizon_encoding=horizon_encoding)
 
 
-def conditioning(trainer, state_enc, action_enc, n):
-    """Denoiser context for one horizon n, or for a vector of horizons
-    with one row of state and action encodings each."""
-    n = np.asarray(n)
-    if np.any(n < 1) or np.any(n > trainer.n_max):
-        raise ValueError(f"horizon {n} out of range [1, {trainer.n_max}]")
+def conditioning(trainer, s, a, n):
+    """Denoiser context for state s, action a and horizon n, each one index
+    or a vector of them (one row each)."""
+    n, n_max = np.asarray(n), trainer.mdp.horizon
+    if np.any(n < 1) or np.any(n > n_max):
+        raise ValueError(f"horizon {n} out of range [1, {n_max}]")
     if trainer.horizon_encoding == "onehot":
-        horizon = np.eye(trainer.n_max)[n - 1]
+        horizon = np.eye(n_max)[n - 1]
     else:
-        horizon = n[..., None] / trainer.n_max
-    return df.Conditioning(state_enc=np.asarray(state_enc, dtype=float),
-                           action_enc=np.asarray(action_enc, dtype=float),
+        horizon = n[..., None] / n_max
+    return df.Conditioning(state_enc=encode_state(trainer.mdp, s),
+                           action_enc=encode_action(trainer.mdp, a),
                            horizon_enc=horizon,
                            step_dim=trainer.step_dim)
 
@@ -77,18 +77,13 @@ def td_loss(trainer, batch, i, eps):
         raise ValueError("batch must be non-empty")
     B = len(batch)
     i = np.asarray(i)
-    is_l1 = np.array([t.is_l1 for t in batch])
-    n = np.array([t.n for t in batch])
-    s_next, a_next = (np.array([t.s_next_enc for t in batch]),
-                      np.array([t.a_next_enc for t in batch]))
-    if trainer.condition_on == "current":
-        s_on, a_on = (np.array([t.s_enc for t in batch]),
-                      np.array([t.a_enc for t in batch]))
-    else:
-        s_on, a_on = s_next, a_next
-    x0 = np.where(is_l1[:, None], s_next, np.array([t.x_enc for t in batch]))
+    s, a, s_next, a_next, x, n, is_l1 = np.array(batch).T
+    is_l1 = is_l1.astype(bool)
+    if trainer.condition_on == "next":
+        s, a = s_next, a_next
+    x0 = encode_state(trainer.mdp, np.where(is_l1, s_next, x))
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
-    inputs = df.net_input(x_i, conditioning(trainer, s_on, a_on, n), i)
+    inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i)
 
     targets = np.array(eps, dtype=float)
     l2 = ~is_l1
@@ -124,8 +119,9 @@ def sync_target(trainer):
 def train_step(trainer, batch, rng):
     """Draw a diffusion step and noise per tuple, in batch order, then take
     one optimizer step on the batch's td_loss and sync the target."""
-    draws = [(int(rng.integers(1, trainer.sched.K + 1)),
-              rng.standard_normal(trainer.x_dim)) for _ in batch]
+    K, dim = trainer.sched.K, trainer.online.layer_sizes[-1]
+    draws = [(int(rng.integers(1, K + 1)), rng.standard_normal(dim))
+             for _ in batch]
     i = np.array([d[0] for d in draws])
     eps = np.array([d[1] for d in draws])
     loss, grads = td_loss(trainer, batch, i, eps)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximator import MlpParams, OptState
+from .config import _ints_in
 from .errors import FormatError
 from .mdp import Trajectory
 
@@ -74,30 +75,53 @@ def save_checkpoint(path, ck):
             os.remove(tmp)
 
 
-def _take_f64(buf, offset, shape):
+def _take(buf, offset, shape, kind):
+    """The next block of little-endian float64 ("f8") or int64 ("i8")."""
     count = int(np.prod(shape))
-    nbytes = count * 8
-    if offset + nbytes > len(buf):
+    if offset + 8 * count > len(buf):
         raise FormatError(f"truncated checkpoint at offset {offset}")
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    return arr.reshape(shape).copy(), offset + nbytes
+    arr = np.frombuffer(buf, dtype="<" + kind, count=count, offset=offset)
+    return arr.reshape(shape).astype(kind), offset + 8 * count
 
 
-def _take_i64(buf, offset, count):
-    nbytes = count * 8
-    if offset + nbytes > len(buf):
-        raise FormatError(f"truncated checkpoint at offset {offset}")
-    arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
-    return arr.astype(int), offset + nbytes
+def _rng_state(v):
+    try:
+        np.random.default_rng().bit_generator.state = v
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+# the header fields that loading or resuming reads, each with its check; the
+# other structure fields are compared with the config before use
+_FIELDS = {
+    **dict.fromkeys(["config_digest", "structure.activation"],
+                    lambda v: isinstance(v, str)),
+    **dict.fromkeys(["opt.lr", "opt.beta1", "opt.beta2", "opt.eps"],
+                    lambda v: isinstance(v, float)),
+    **dict.fromkeys(["trainer.step_count", "opt.step_count", "horizon",
+                     "n_trajectories"], lambda v: _ints_in([v], 0, np.inf)),
+    "structure.layer_sizes": lambda v: _ints_in(v, 1, np.inf) and len(v) > 1,
+    "opt.optimizer": ("sgd", "adam").__contains__, "rng": _rng_state}
+
+
+def _check_header(header):
+    for path, ok in _FIELDS.items():
+        value = header
+        for key in path.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not ok(value):
+            raise FormatError(f"checkpoint header field {path} missing or "
+                              f"malformed: {value!r}")
 
 
 def _read_params(buf, offset, sizes, activation):
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w, offset = _take_f64(buf, offset, (fan_out, fan_in))
+        w, offset = _take(buf, offset, (fan_out, fan_in), "f8")
         weights.append(w)
     for fan_out in sizes[1:]:
-        b, offset = _take_f64(buf, offset, (fan_out,))
+        b, offset = _take(buf, offset, (fan_out,), "f8")
         biases.append(b)
     return MlpParams(layer_sizes=list(sizes), weights=weights, biases=biases,
                      activation=activation), offset
@@ -106,8 +130,8 @@ def _read_params(buf, offset, sizes, activation):
 def _read_moments(buf, offset, sizes):
     out = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        mw, offset = _take_f64(buf, offset, (fan_out, fan_in))
-        mb, offset = _take_f64(buf, offset, (fan_out,))
+        mw, offset = _take(buf, offset, (fan_out, fan_in), "f8")
+        mb, offset = _take(buf, offset, (fan_out,), "f8")
         out.append((mw, mb))
     return out, offset
 
@@ -129,11 +153,8 @@ def load_checkpoint(path):
         header = json.loads(lines[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"corrupt checkpoint header: {exc}") from exc
+    _check_header(header)
     offset = end + 5
-    expected = offset + header["f64_bytes"] + header["i64_bytes"]
-    if len(buf) < expected:
-        raise FormatError(
-            f"truncated checkpoint: {len(buf)} bytes, expected {expected}")
     sizes = header["structure"]["layer_sizes"]
     activation = header["structure"]["activation"]
     online, offset = _read_params(buf, offset, sizes, activation)
@@ -146,9 +167,9 @@ def load_checkpoint(path):
     trajectories = []
     H = header["horizon"]
     for _ in range(header["n_trajectories"]):
-        states, offset = _take_i64(buf, offset, H + 1)
-        actions, offset = _take_i64(buf, offset, H)
-        eid, offset = _take_i64(buf, offset, 1)
+        states, offset = _take(buf, offset, H + 1, "i8")
+        actions, offset = _take(buf, offset, H, "i8")
+        eid, offset = _take(buf, offset, 1, "i8")
         trajectories.append(Trajectory(states=states, actions=actions,
                                        episode_id=int(eid[0])))
     return Checkpoint(config_digest=header["config_digest"],

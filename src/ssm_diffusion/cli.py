@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 invalid configuration, 3 checkpoint that does not
 match the config (a digest mismatch without --override-digest, or any
 structural mismatch), 1 other failure, including an unreadable or
-malformed checkpoint.
+malformed checkpoint and an --out path that cannot be written.
 """
 
 import argparse
@@ -107,6 +107,9 @@ def main(argv=None):
         return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -173,8 +173,9 @@ def validate_config(raw):
             f"model.horizon_encoding: {mdl['horizon_encoding']!r}")
     if mdl["activation"] not in ("relu", "tanh"):
         raise ConfigurationError(f"model.activation: {mdl['activation']!r}")
-    if not mdl["hidden_sizes"] or any(int(h) < 1 for h in mdl["hidden_sizes"]):
-        raise ConfigurationError("model.hidden_sizes must be positive ints")
+    if not _ints_in(mdl["hidden_sizes"], 1, float("inf")):
+        raise ConfigurationError("model.hidden_sizes must be a non-empty list "
+                                 f"of positive ints, got {mdl['hidden_sizes']}")
     if trn["condition_on"] not in ("current", "next"):
         raise ConfigurationError(f"training.condition_on: {trn['condition_on']!r}")
     if trn["optimizer"] not in ("sgd", "adam"):

@@ -82,9 +82,7 @@ def forward_noise(sched, x0, i, epsilon):
     epsilon = np.asarray(epsilon, dtype=float)
     if x0.shape != epsilon.shape:
         raise ShapeError(f"x0 shape {x0.shape} != epsilon shape {epsilon.shape}")
-    ab = sched.alpha_bar[np.asarray(i) - 1]
-    if np.ndim(i):
-        ab = ab[:, None]
+    ab = sched.alpha_bar[np.asarray(i) - 1][..., None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * epsilon
 
 
@@ -109,23 +107,20 @@ def sinusoidal_embedding(i, dim):
 
 
 def net_input(x_i, cond, i):
-    """Concatenate noised point and conditioning into the denoiser input.
-    x_i may be a vector or a (batch, dim) matrix. In a batch, each
-    conditioning field and the step i are either shared by every row or
-    given per row."""
+    """Concatenate a (batch, dim) matrix of noised points and their
+    conditioning into the denoiser input. Each conditioning field and the
+    step i are either shared by every row or given per row."""
     x_i = np.asarray(x_i, dtype=float)
+    rows = x_i.shape[0]
     ctx = [cond.state_enc, cond.action_enc,
            sinusoidal_embedding(i, cond.step_dim), cond.horizon_enc]
-    if x_i.ndim == 1:
-        return np.concatenate([x_i] + ctx)
-    rows = x_i.shape[0]
     return np.hstack([x_i] + [np.broadcast_to(c, (rows, c.shape[-1]))
                               for c in ctx])
 
 
 def reverse_step(sched, net, x_i, i, cond, z):
-    """One reverse-process step x_i -> x_{i-1} with the standard
-    posterior-mean update; no noise is added at i=1."""
+    """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
+    the standard posterior-mean update; no noise is added at i=1."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -140,13 +135,12 @@ def reverse_step(sched, net, x_i, i, cond, z):
     return mean + sched.sigma[i - 1] * z
 
 
-def sample(sched, net, cond, count, rng, dim=None):
+def sample(sched, net, cond, count, rng):
     """Draw `count` x0 vectors by running the reverse chain from unit
     Gaussian noise. Deterministic given the rng state."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    if dim is None:
-        dim = net.layer_sizes[-1]
+    dim = net.layer_sizes[-1]
     x = rng.standard_normal((count, dim))
     for i in range(sched.K, 0, -1):
         z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))

@@ -8,7 +8,7 @@ import numpy as np
 from . import diffusion as df
 from .bellman_loss import conditioning
 from .errors import ShapeError
-from .mdp import decode_states, encode_action, encode_state
+from .mdp import decode_states
 
 
 @dataclass
@@ -43,10 +43,10 @@ def tv_distance(p, q):
     return min(1.0, 0.5 * float(np.abs(p - q).sum()))
 
 
-def sample_condition(trainer, mdp, s, a, n, num_samples, rng):
+def sample_condition(trainer, s, a, n, num_samples, rng):
     """Draw decoded-space samples from the learned model at (s, a, n)."""
-    cond = conditioning(trainer, encode_state(mdp, s), encode_action(mdp, a), n)
-    return df.sample(trainer.sched, trainer.online, cond, num_samples, rng)
+    return df.sample(trainer.sched, trainer.online,
+                     conditioning(trainer, s, a, n), num_samples, rng)
 
 
 def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
@@ -55,7 +55,7 @@ def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
         raise ValueError("eval_set must be non-empty")
     rows = []
     for s, a, n in eval_set:
-        samples = sample_condition(trainer, mdp, s, a, n, num_samples, rng)
+        samples = sample_condition(trainer, s, a, n, num_samples, rng)
         pmf = empirical_pmf(samples, mdp)
         oracle_pmf = oracle_table.d[s, a, n - 1]
         q_est = float(pmf @ mdp.reward)

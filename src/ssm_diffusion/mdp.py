@@ -141,48 +141,34 @@ def rollout(mdp, policy, rng, start=None, episode_id=0):
 
 
 def encode_state(mdp, s):
-    """Cell center in [-1, 1]^2 (a degenerate axis maps to 0)."""
-    if not 0 <= s < mdp.n_states:
+    """Cell center in [-1, 1]^2 (a degenerate axis maps to 0); a vector of
+    states gives one row per state."""
+    s = np.asarray(s)
+    if s.dtype.kind not in "iu" or np.any(s < 0) or np.any(s >= mdp.n_states):
         raise IndexError(f"state {s} out of range")
     cx, cy = s % mdp.width, s // mdp.width
-    vx = -1.0 + 2.0 * cx / (mdp.width - 1) if mdp.width > 1 else 0.0
-    vy = -1.0 + 2.0 * cy / (mdp.height - 1) if mdp.height > 1 else 0.0
-    return np.array([vx, vy])
-
-
-def decode_state(mdp, v):
-    """Nearest cell center, clamped to the grid."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"non-finite state vector {v}")
-    cx = int(np.clip(round((v[0] + 1.0) * (mdp.width - 1) / 2.0),
-                     0, mdp.width - 1)) if mdp.width > 1 else 0
-    cy = int(np.clip(round((v[1] + 1.0) * (mdp.height - 1) / 2.0),
-                     0, mdp.height - 1)) if mdp.height > 1 else 0
-    return cy * mdp.width + cx
+    vx = -1.0 + 2.0 * cx / (mdp.width - 1) if mdp.width > 1 else 0.0 * cx
+    vy = -1.0 + 2.0 * cy / (mdp.height - 1) if mdp.height > 1 else 0.0 * cy
+    return np.stack([vx, vy], axis=-1)
 
 
 def decode_states(mdp, vs):
-    """Vectorized decode for a (batch, 2) array of samples."""
+    """Nearest cell center of each row of a (batch, 2) array of samples,
+    clamped to the grid."""
     vs = np.asarray(vs, dtype=float)
     if not np.all(np.isfinite(vs)):
         raise NumericError("non-finite sample values")
-    if mdp.width > 1:
-        cx = np.clip(np.rint((vs[:, 0] + 1.0) * (mdp.width - 1) / 2.0),
-                     0, mdp.width - 1).astype(int)
-    else:
-        cx = np.zeros(len(vs), dtype=int)
-    if mdp.height > 1:
-        cy = np.clip(np.rint((vs[:, 1] + 1.0) * (mdp.height - 1) / 2.0),
-                     0, mdp.height - 1).astype(int)
-    else:
-        cy = np.zeros(len(vs), dtype=int)
+    # a degenerate axis scales to 0 and clamps to its one cell
+    cx = np.clip(np.rint((vs[:, 0] + 1.0) * (mdp.width - 1) / 2.0),
+                 0, mdp.width - 1).astype(int)
+    cy = np.clip(np.rint((vs[:, 1] + 1.0) * (mdp.height - 1) / 2.0),
+                 0, mdp.height - 1).astype(int)
     return cy * mdp.width + cx
 
 
 def encode_action(mdp, a):
-    if not 0 <= a < mdp.n_actions:
+    """One-hot action; a vector of actions gives one row per action."""
+    a = np.asarray(a)
+    if np.any(a < 0) or np.any(a >= mdp.n_actions):
         raise IndexError(f"action {a} out of range")
-    v = np.zeros(mdp.n_actions)
-    v[a] = 1.0
-    return v
+    return np.eye(mdp.n_actions)[a]

@@ -13,26 +13,19 @@ states.
 """
 
 from collections import deque
-from dataclasses import dataclass
-
-import numpy as np
-
-from .mdp import encode_action, encode_state
+from typing import NamedTuple
 
 
-@dataclass
-class TrainTuple:
+class TrainTuple(NamedTuple):
+    """State, action and horizon indices of one replayed row; the loss
+    encodes them to vectors a batch at a time."""
     s: int
     a: int
     s_next: int
+    a_next: int     # policy(s_next)
     x: int
     n: int
     is_l1: bool
-    s_enc: np.ndarray
-    a_enc: np.ndarray
-    s_next_enc: np.ndarray
-    a_next_enc: np.ndarray  # encoding of policy(s_next)
-    x_enc: np.ndarray
 
 
 class ReplayBuffer:
@@ -61,15 +54,7 @@ class ReplayBuffer:
         n = int(rng.integers(1, traj.horizon + 1))
         t = int(rng.integers(traj.horizon - n + 1))
         k = int(rng.integers(1, n + 1))
-        s = int(traj.states[t])
-        a = int(traj.actions[t])
         s_next = int(traj.states[t + 1])
-        x = int(traj.states[t + k])
-        a_next = int(self.policy.table[s_next])
-        return TrainTuple(
-            s=s, a=a, s_next=s_next, x=x, n=n, is_l1=(k == 1),
-            s_enc=encode_state(self.mdp, s),
-            a_enc=encode_action(self.mdp, a),
-            s_next_enc=encode_state(self.mdp, s_next),
-            a_next_enc=encode_action(self.mdp, a_next),
-            x_enc=encode_state(self.mdp, x))
+        return TrainTuple(s=int(traj.states[t]), a=int(traj.actions[t]),
+                          s_next=s_next, a_next=int(self.policy.table[s_next]),
+                          x=int(traj.states[t + k]), n=n, is_l1=(k == 1))

@@ -48,8 +48,7 @@ def build_trainer(cfg, seed=None):
                              eta_mode=dif["eta_mode"],
                              sigma_mode=dif["sigma_mode"])
     return bl.make_trainer(
-        sched, n_max=cfg.env["horizon"], x_dim=2, state_dim=2,
-        action_dim=mdp_mod.N_ACTIONS, hidden_sizes=mdl["hidden_sizes"],
+        sched, build_env(cfg)[0], hidden_sizes=mdl["hidden_sizes"],
         activation=mdl["activation"], step_dim=mdl["step_embed_dim"],
         optimizer=trn["optimizer"], lr=trn["lr"],
         condition_on=trn["condition_on"], sync_mode=trn["sync_mode"],
@@ -68,7 +67,7 @@ def structure(cfg, trainer):
             "sigma_mode": dif["sigma_mode"],
             "layer_sizes": trainer.online.layer_sizes,
             "activation": trainer.online.activation,
-            "n_max": trainer.n_max, "step_dim": trainer.step_dim,
+            "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim,
             "horizon_encoding": trainer.horizon_encoding}
 
 
@@ -90,7 +89,8 @@ def make_checkpoint(cfg, trainer, buf, rng):
         trainer_meta={"condition_on": trainer.condition_on,
                       "sync_mode": trainer.sync_mode,
                       "sync_period": trainer.sync_period, "tau": trainer.tau,
-                      "step_count": trainer.step_count, "x_dim": trainer.x_dim},
+                      "step_count": trainer.step_count,
+                      "x_dim": trainer.online.layer_sizes[-1]},
         opt_meta={"optimizer": trainer.opt.optimizer, "lr": trainer.opt.lr,
                   "beta1": trainer.opt.beta1, "beta2": trainer.opt.beta2,
                   "eps": trainer.opt.eps, "step_count": trainer.opt.step_count},

@@ -38,7 +38,7 @@ def test_criterion_1_gradient_correctness():
     g = m.gridworld_new(4, 4, p_move=0.8, horizon=4)
     pol = m.policy_toward_goal(g, (3, 3))
     sched = df.make_schedule(8, 0.01, 0.2)
-    trainer = bl.make_trainer(sched, n_max=4, hidden_sizes=(8, 8),
+    trainer = bl.make_trainer(sched, g, hidden_sizes=(8, 8),
                               activation="relu", seed=2)
     buf = ReplayBuffer(g, pol, 50)
     rng = np.random.default_rng(0)

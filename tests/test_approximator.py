@@ -6,11 +6,13 @@ from ssm_diffusion.errors import ConfigurationError, NumericError, ShapeError
 
 
 def quadratic_loss(p, x, target):
-    """(loss, grads) of |net(x) - target|^2 at the current values of p."""
+    """(loss, grads) of |net(x) - target|^2 for one input vector x at the
+    current values of p."""
     def loss_and_grads():
-        out, cache = ap.mlp_forward(p, x)
+        out, cache = ap.mlp_forward(p, x[None, :])
         resid = out - target
-        return float(resid @ resid), ap.mlp_backward(p, cache, 2.0 * resid)
+        return float(np.sum(resid ** 2)), ap.mlp_backward(p, cache,
+                                                          2.0 * resid)
     return loss_and_grads
 
 
@@ -46,21 +48,21 @@ def test_forward_zero_params_zero_output():
     p = ap.mlp_init([3, 5, 2], seed=0)
     for w in p.weights:
         w[:] = 0.0
-    out, _ = ap.mlp_forward(p, np.array([1.0, -2.0, 3.0]))
-    assert np.array_equal(out, np.zeros(2))
+    out, _ = ap.mlp_forward(p, np.array([[1.0, -2.0, 3.0]]))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_forward_affine_1layer():
     p = ap.MlpParams(layer_sizes=[1, 1], weights=[np.array([[2.0]])],
                      biases=[np.array([1.0])], activation="relu")
-    out, _ = ap.mlp_forward(p, np.array([3.0]))
-    assert out[0] == pytest.approx(7.0)
+    out, _ = ap.mlp_forward(p, np.array([[3.0], [-1.0]]))
+    np.testing.assert_allclose(out, [[7.0], [-1.0]])
 
 
 def test_forward_tanh_odd_symmetry():
     # zero biases + tanh: f(-x) = -f(x)
     p = ap.mlp_init([3, 6, 2], activation="tanh", seed=11)
-    x = np.array([0.4, -0.7, 1.1])
+    x = np.array([[0.4, -0.7, 1.1]])
     out_pos, _ = ap.mlp_forward(p, x)
     out_neg, _ = ap.mlp_forward(p, -x)
     np.testing.assert_allclose(out_neg, -out_pos, atol=1e-12)
@@ -68,8 +70,9 @@ def test_forward_tanh_odd_symmetry():
 
 def test_forward_dim_mismatch():
     p = ap.mlp_init([3, 2], seed=0)
-    with pytest.raises(ShapeError):
-        ap.mlp_forward(p, np.zeros(4))
+    for x in (np.zeros((1, 4)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ShapeError):
+            ap.mlp_forward(p, x)
 
 
 def test_forward_batched_matches_rows():
@@ -77,14 +80,14 @@ def test_forward_batched_matches_rows():
     xs = np.random.default_rng(0).normal(size=(4, 3))
     batch_out, _ = ap.mlp_forward(p, xs)
     for r in range(4):
-        row_out, _ = ap.mlp_forward(p, xs[r])
-        np.testing.assert_allclose(batch_out[r], row_out, rtol=1e-14)
+        row_out, _ = ap.mlp_forward(p, xs[r:r + 1])
+        np.testing.assert_allclose(batch_out[r:r + 1], row_out, rtol=1e-14)
 
 
 def test_backward_zero_grad():
     p = ap.mlp_init([2, 4, 3], seed=1)
-    _, cache = ap.mlp_forward(p, np.array([0.5, -0.5]))
-    g = ap.mlp_backward(p, cache, np.zeros(3))
+    _, cache = ap.mlp_forward(p, np.array([[0.5, -0.5]]))
+    g = ap.mlp_backward(p, cache, np.zeros((1, 3)))
     for arr in g.weights + g.biases:
         assert np.all(arr == 0.0)
 
@@ -93,12 +96,12 @@ def test_backward_affine_outer_product():
     p = ap.MlpParams(layer_sizes=[2, 2],
                      weights=[np.array([[1.0, 2.0], [3.0, 4.0]])],
                      biases=[np.zeros(2)], activation="relu")
-    x = np.array([0.3, -0.8])
+    x = np.array([[0.3, -0.8]])
     _, cache = ap.mlp_forward(p, x)
-    g_out = np.array([1.5, -2.5])
+    g_out = np.array([[1.5, -2.5]])
     g = ap.mlp_backward(p, cache, g_out)
     np.testing.assert_allclose(g.weights[0], np.outer(g_out, x))
-    np.testing.assert_allclose(g.biases[0], g_out)
+    np.testing.assert_allclose(g.biases[0], g_out[0])
 
 
 def test_backward_matches_finite_differences():

@@ -16,8 +16,8 @@ def make_setup(width=4, height=1, horizon=4, p_move=1.0, hidden=(8, 8),
     g = m.gridworld_new(width, height, p_move=p_move, horizon=horizon)
     pol = m.policy_fixed_action(g, 3)
     sched = df.make_schedule(8, 0.01, 0.2, eta_mode=eta_mode)
-    trainer = bl.make_trainer(sched, n_max=horizon, hidden_sizes=hidden,
-                              seed=seed, **trainer_kw)
+    trainer = bl.make_trainer(sched, g, hidden_sizes=hidden, seed=seed,
+                              **trainer_kw)
     buf = ReplayBuffer(g, pol, 50)
     rng = np.random.default_rng(seed)
     for e in range(10):
@@ -43,7 +43,7 @@ def mixed_batch(buf, rng, size=8):
 def draws(trainer, size, rng):
     """Per-row diffusion steps and noise for a batch of `size` rows."""
     return (rng.integers(1, trainer.sched.K + 1, size=size),
-            rng.standard_normal((size, trainer.x_dim)))
+            rng.standard_normal((size, 2)))
 
 
 def zero_net(trainer, which="online", bias=None):
@@ -57,20 +57,21 @@ def zero_net(trainer, which="online", bias=None):
 
 
 def row_loss(trainer, tup, i, eps):
-    """Reference loss of one row, assembled through the scalar conditioning
-    and input path that the sampler uses."""
-    x0 = tup.s_next_enc if tup.is_l1 else tup.x_enc
-    x_i = df.forward_noise(trainer.sched, x0, i, eps)
-    s, a = ((tup.s_enc, tup.a_enc) if trainer.condition_on == "current"
-            else (tup.s_next_enc, tup.a_next_enc))
+    """Reference loss of one row, assembled as the sampler assembles its
+    input: a one-row batch with scalar-index conditioning and step."""
+    x0 = m.encode_state(trainer.mdp, tup.s_next if tup.is_l1 else tup.x)
+    x_i = df.forward_noise(trainer.sched, x0, i, eps)[None, :]
+    s, a = ((tup.s, tup.a) if trainer.condition_on == "current"
+            else (tup.s_next, tup.a_next))
     out, _ = ap.mlp_forward(trainer.online, df.net_input(
         x_i, bl.conditioning(trainer, s, a, tup.n), i))
     y = eps
     if not tup.is_l1:
         y, _ = ap.mlp_forward(trainer.target, df.net_input(
-            x_i, bl.conditioning(trainer, tup.s_next_enc, tup.a_next_enc,
-                                 tup.n - 1), i))
-    return df.loss_weight(trainer.sched, i) * float((out - y) @ (out - y))
+            x_i, bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1),
+            i))
+    resid = (out - y)[0]
+    return df.loss_weight(trainer.sched, i) * float(resid @ resid)
 
 
 # every setting a config can give the loss: horizon_encoding x condition_on
@@ -203,16 +204,16 @@ def test_td_loss_self_consistency_at_fixed_point():
     # conditioning the two outputs coincide (residual 0), while the actual
     # L2 conditioning (n vs n-1, and s vs s' in "current" mode) differs, so
     # the loss is nonzero in general
-    trainer, buf, _, _, rng = make_setup()
+    trainer, buf, g, _, rng = make_setup()
     tup = get_tuple(buf, rng, want_l1=False)
-    eps = np.array([0.1, -0.1])
-    x_i = df.forward_noise(trainer.sched, tup.x_enc, 2, eps)
-    cond = bl.conditioning(trainer, tup.s_next_enc, tup.a_next_enc, tup.n - 1)
+    eps = np.array([[0.1, -0.1]])
+    x_i = df.forward_noise(trainer.sched, m.encode_state(g, [tup.x]), 2, eps)
+    cond = bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1)
     inp = df.net_input(x_i, cond, 2)
     out_online, _ = ap.mlp_forward(trainer.online, inp)
     out_target, _ = ap.mlp_forward(trainer.target, inp)
     np.testing.assert_array_equal(out_online, out_target)
-    loss, _ = bl.td_loss(trainer, [tup], np.array([2]), eps[None, :])
+    loss, _ = bl.td_loss(trainer, [tup], np.array([2]), eps)
     assert loss > 0.0
 
 
@@ -263,13 +264,18 @@ def test_td_loss_deterministic():
 
 def test_conditioning_rejects_out_of_range_horizon():
     trainer, _, _, _, _ = make_setup(horizon=4)
-    s, a = np.zeros(2), np.zeros(4)
     for n in (0, 5):
         with pytest.raises(ValueError, match="horizon"):
-            bl.conditioning(trainer, s, a, n)
+            bl.conditioning(trainer, 0, 3, n)
     with pytest.raises(ValueError, match="horizon"):
-        bl.conditioning(trainer, np.zeros((2, 2)), np.zeros((2, 4)),
-                        np.array([1, 0]))
+        bl.conditioning(trainer, [0, 1], [3, 3], np.array([1, 0]))
+
+
+def test_conditioning_rejects_out_of_range_state_and_action():
+    trainer, _, _, _, _ = make_setup(width=4, horizon=4)
+    for s, a in ((4, 3), (-1, 3), ([0, -1], [3, 3]), (0, 4), ([0], [-1])):
+        with pytest.raises(IndexError, match="out of range"):
+            bl.conditioning(trainer, s, a, 1)
 
 
 def test_branch_fraction_matches_one_over_n():
@@ -311,7 +317,7 @@ def test_train_step_matches_td_loss():
     batch = mixed_batch(buf, rng)
     draw_rng = np.random.default_rng(23)
     rows = [(int(draw_rng.integers(1, trainer.sched.K + 1)),
-             draw_rng.standard_normal(trainer.x_dim)) for _ in batch]
+             draw_rng.standard_normal(2)) for _ in batch]
     i = np.array([r[0] for r in rows])
     eps = np.array([r[1] for r in rows])
     loss, grads = bl.td_loss(trainer, batch, i, eps)
@@ -370,7 +376,7 @@ def test_degenerate_single_state_loss_goes_to_zero():
     g = m.gridworld_new(1, 1, horizon=4)
     pol = m.policy_fixed_action(g, 0)
     sched = df.make_schedule(8, 0.01, 0.2)
-    trainer = bl.make_trainer(sched, n_max=4, hidden_sizes=(32, 32), seed=1,
+    trainer = bl.make_trainer(sched, g, hidden_sizes=(32, 32), seed=1,
                               lr=3e-3, sync_period=100)
     buf = ReplayBuffer(g, pol, 20)
     rng = np.random.default_rng(0)

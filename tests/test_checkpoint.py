@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,41 @@ def test_unreadable_file_raises(tmp_path):
                          + b"\nEND\n")
         with pytest.raises(FormatError, match="corrupt checkpoint header"):
             load_checkpoint(path)
+
+
+def rewrite_header(path, change):
+    """Apply change() to the JSON header of the checkpoint at path."""
+    version, rest = path.read_bytes().split(b"\n", 1)
+    head, body = rest.split(b"\nEND\n", 1)
+    header = json.loads(head)
+    change(header)
+    path.write_bytes(version + b"\n" + json.dumps(header).encode()
+                     + b"\nEND\n" + body)
+
+
+def test_empty_header_raises(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"ssm-diffusion-checkpoint v2\n{}\nEND\n")
+    with pytest.raises(FormatError, match="config_digest missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", "8"), ("horizon", -1), ("n_trajectories", None),
+    ("structure.layer_sizes", [18, 1.5, 2]), ("trainer.step_count", True),
+    ("opt.optimizer", "rmsprop"), ("opt.lr", "0.001"), ("rng", {}),
+    ("config_digest", 7)])
+def test_malformed_header_field_raises(tmp_path, field, value):
+    def change(header):
+        *sections, key = field.split(".")
+        for section in sections:
+            header = header[section]
+        header[key] = value
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, make_ck()[1])
+    rewrite_header(path, change)
+    with pytest.raises(FormatError, match=f"{field} missing or malformed"):
+        load_checkpoint(path)
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from ssm_diffusion import cli
 
+from test_checkpoint import rewrite_header
 from test_config import minimal_raw
 
 
@@ -84,15 +85,39 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
 
 
 def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, **tiny_overrides())
+    cfg = write_config(tmp_path, **tiny_overrides(steps=0))
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(b"ssm-diffusion-checkpoint v2\n{not json\nEND\n")
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"ssm-diffusion-checkpoint v2\n{}\nEND\n")
+    assert run(["train", "--config", str(cfg),
+                "--out", str(tmp_path / "run")]) == 0
+    str_horizon = tmp_path / "run" / "checkpoint.bin"
+    rewrite_header(str_horizon, lambda h: h.update(horizon="3"))
     for ck, says in ((tmp_path / "missing.bin", "cannot read"),
-                     (corrupt, "corrupt checkpoint header")):
+                     (corrupt, "corrupt checkpoint header"),
+                     (empty, "config_digest missing or malformed"),
+                     (str_horizon, "horizon missing or malformed")):
         assert run(["eval", "--checkpoint", str(ck), "--config", str(cfg),
                     "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and says in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "oracle"])
+def test_out_naming_a_file_exit_1_one_line(tmp_path, capsys, command):
+    cfg = str(write_config(tmp_path, **tiny_overrides(steps=0)))
+    ck = str(tmp_path / "run" / "checkpoint.bin")
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.touch()
+    argv = {"train": ["train", "--config", cfg],
+            "eval": ["eval", "--checkpoint", ck, "--config", cfg],
+            "oracle": ["oracle", "--config", cfg]}[command]
+    assert run(argv + ["--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(taken) in err
 
 
 def test_structural_mismatch_exit_3_despite_override(tmp_path, capsys):

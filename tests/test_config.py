@@ -80,9 +80,14 @@ def test_policy_spec_validation():
     ("env", {"reward": {"kind": "values", "values": ["a"] * 9}},
      "env.reward.values"),
     ("eval", {"eval_n": [True]}, "eval.eval_n"),
+    ("model", {"hidden_sizes": ["a"]}, "model.hidden_sizes"),
+    ("model", {"hidden_sizes": [None]}, "model.hidden_sizes"),
+    ("model", {"hidden_sizes": [1.5]}, "model.hidden_sizes"),
+    ("model", {"hidden_sizes": [True]}, "model.hidden_sizes"),
 ], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
         "table-out-of-range", "action-bool", "cell-str", "values-str",
-        "eval_n-bool"])
+        "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
+        "hidden-bool"])
 def test_malformed_values_rejected(section, values, named):
     with pytest.raises(ConfigurationError, match=named):
         validate_config(minimal_raw(**{section: values}))

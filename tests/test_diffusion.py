@@ -109,8 +109,8 @@ def test_reverse_step_zero_prediction():
     for w in net.weights:
         w[:] = 0.0
     cond = df.Conditioning(step_dim=8)
-    x = np.array([1.0, -2.0])
-    out = df.reverse_step(sched, net, x, 2, cond, np.zeros(2))
+    x = np.array([[1.0, -2.0], [0.5, 0.0]])
+    out = df.reverse_step(sched, net, x, 2, cond, np.zeros((2, 2)))
     np.testing.assert_allclose(out, x / np.sqrt(0.9))
 
 
@@ -118,9 +118,9 @@ def test_reverse_step_no_noise_at_step_one():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2 + 8, 4, 2], seed=0)
     cond = df.Conditioning(step_dim=8)
-    x = np.array([0.5, 0.5])
-    a = df.reverse_step(sched, net, x, 1, cond, np.zeros(2))
-    b = df.reverse_step(sched, net, x, 1, cond, np.full(2, 100.0))
+    x = np.array([[0.5, 0.5]])
+    a = df.reverse_step(sched, net, x, 1, cond, np.zeros((1, 2)))
+    b = df.reverse_step(sched, net, x, 1, cond, np.full((1, 2), 100.0))
     np.testing.assert_array_equal(a, b)
 
 
@@ -128,8 +128,8 @@ def test_reverse_step_shape_error():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2 + 8, 4, 2], seed=0)
     with pytest.raises(ShapeError):
-        df.reverse_step(sched, net, np.zeros(2), 2,
-                        df.Conditioning(step_dim=8), np.zeros(3))
+        df.reverse_step(sched, net, np.zeros((1, 2)), 2,
+                        df.Conditioning(step_dim=8), np.zeros((1, 3)))
 
 
 def test_sample_count_precondition():
@@ -159,8 +159,8 @@ def test_single_step_chain_learns_point_mass():
     state = ap.init_opt_state(net, "adam", lr=1e-2)
     cond = df.Conditioning(step_dim=8)
     for _ in range(2000):
-        eps = rng.standard_normal(2)
-        x1 = df.forward_noise(sched, c, 1, eps)
+        eps = rng.standard_normal((1, 2))
+        x1 = df.forward_noise(sched, c[None, :], 1, eps)
         out, cache = ap.mlp_forward(net, df.net_input(x1, cond, 1))
         grads = ap.mlp_backward(net, cache, 2.0 * (out - eps))
         net, state = ap.opt_step(net, grads, state)
@@ -182,14 +182,16 @@ def test_sinusoidal_embedding_shape_and_range():
 
 
 def test_net_input_concatenation():
+    # conditioning shared by every row
     cond = df.Conditioning(state_enc=np.array([0.5]),
                            action_enc=np.array([1.0, 0.0]),
                            horizon_enc=np.array([0.25]), step_dim=4)
-    v = df.net_input(np.array([9.0]), cond, 2)
-    assert v.shape == (1 + 1 + 2 + 4 + 1,)
-    assert v[0] == 9.0 and v[1] == 0.5 and v[-1] == 0.25
     batch = df.net_input(np.array([[9.0], [8.0]]), cond, 2)
-    np.testing.assert_array_equal(batch[0], v)
+    assert batch.shape == (2, 1 + 1 + 2 + 4 + 1)
+    v = batch[0]
+    assert v[0] == 9.0 and v[1] == 0.5 and v[-1] == 0.25
+    np.testing.assert_array_equal(v[4:8], df.sinusoidal_embedding(2, 4))
+    np.testing.assert_array_equal(batch[1, 1:], v[1:])
     # per-row conditioning and steps
     rows = df.Conditioning(state_enc=np.array([[0.5], [0.7]]),
                            action_enc=np.array([[1.0, 0.0], [0.0, 1.0]]),

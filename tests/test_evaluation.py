@@ -15,8 +15,7 @@ from test_config import minimal_raw
 
 def sample_from_pmf(pmf, mdp, count, rng):
     """Inverse-CDF draw of cells, returned as encoded cell centers."""
-    cells = rng.choice(mdp.n_states, size=count, p=pmf)
-    return np.array([m.encode_state(mdp, s) for s in cells])
+    return m.encode_state(mdp, rng.choice(mdp.n_states, size=count, p=pmf))
 
 
 def test_empirical_pmf_point_mass():
@@ -86,7 +85,7 @@ def make_untrained(horizon=4):
                         reward=m.goal_reward(4, 4, (3, 3)))
     pol = m.policy_toward_goal(g, (3, 3))
     sched = df.make_schedule(8, 0.01, 0.2)
-    trainer = bl.make_trainer(sched, n_max=horizon, hidden_sizes=(16,), seed=0)
+    trainer = bl.make_trainer(sched, g, hidden_sizes=(16,), seed=0)
     table = orc.exact_ssm(g, pol, horizon)
     return trainer, g, pol, table
 

@@ -110,45 +110,55 @@ def test_encode_center_and_corner():
     np.testing.assert_allclose(m.encode_state(g, 12), [0.0, 0.0])
     np.testing.assert_allclose(m.encode_state(g, 0), [-1.0, -1.0])
     np.testing.assert_allclose(m.encode_state(g, 24), [1.0, 1.0])
+    for bad in (-1, 25, [0, -1], [24, 25], 1.0):
+        with pytest.raises(IndexError):
+            m.encode_state(g, bad)
 
 
 def test_decode_nearest_center():
     g = m.gridworld_new(5, 5, horizon=2)
-    assert m.decode_state(g, np.array([-0.9, -0.95])) == 0
+    assert m.decode_states(g, np.array([[-0.9, -0.95]])) == [0]
 
 
 def test_decode_encode_identity():
     g = m.gridworld_new(4, 3, horizon=2)
     for s in range(g.n_states):
-        assert m.decode_state(g, m.encode_state(g, s)) == s
+        assert m.decode_states(g, m.encode_state(g, [s])) == [s]
 
 
 def test_decode_clamps_out_of_range():
     g = m.gridworld_new(3, 3, horizon=2)
-    assert m.decode_state(g, np.array([5.0, 5.0])) == 8
+    assert m.decode_states(g, np.array([[5.0, 5.0]])) == [8]
 
 
 def test_decode_rejects_nonfinite():
     g = m.gridworld_new(3, 3, horizon=2)
     with pytest.raises(NumericError):
-        m.decode_state(g, np.array([np.nan, 0.0]))
+        m.decode_states(g, np.array([[np.nan, 0.0]]))
 
 
 def test_decode_states_matches_scalar():
     g = m.gridworld_new(5, 4, horizon=2)
     vs = np.random.default_rng(0).uniform(-1.3, 1.3, size=(200, 2))
     batch = m.decode_states(g, vs)
+    centers = m.encode_state(g, np.arange(g.n_states))
     for r in range(len(vs)):
-        assert batch[r] == m.decode_state(g, vs[r])
+        # scalar reference: the cell whose center is nearest, which for
+        # points off the grid is the nearest border cell
+        nearest = np.argmin(np.sum((centers - vs[r]) ** 2, axis=1))
+        assert batch[r] == nearest
 
 
 def test_encode_action_one_hot():
     g = m.gridworld_new(2, 2, horizon=2)
     np.testing.assert_array_equal(m.encode_action(g, 0), [1, 0, 0, 0])
-    encs = np.array([m.encode_action(g, a) for a in range(4)])
-    np.testing.assert_array_equal(encs @ encs.T, np.eye(4))
-    with pytest.raises(IndexError):
-        m.encode_action(g, 4)
+    encs = m.encode_action(g, np.arange(4))
+    np.testing.assert_array_equal(encs, np.eye(4))
+    for a in range(4):
+        np.testing.assert_array_equal(m.encode_action(g, a), encs[a])
+    for bad in (4, -1, [4], [0, -1]):
+        with pytest.raises(IndexError):
+            m.encode_action(g, bad)
 
 
 def test_policy_toward_goal_moves_toward_goal():

@@ -1,5 +1,5 @@
-"""Property tests of the exact oracles and the state encoding on random
-tabular MDPs, beyond the gridworlds the other tests use."""
+"""Property tests of the exact oracles, replay and the state encoding on
+random tabular MDPs, beyond the gridworlds the other tests use."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
+from ssm_diffusion.replay import ReplayBuffer
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -67,5 +68,36 @@ def test_flow_identity(case):
 def test_decode_inverts_encode(width, height):
     g = m.gridworld_new(width, height, horizon=1)
     states = np.arange(g.n_states)
-    encoded = np.array([m.encode_state(g, s) for s in states])
+    encoded = m.encode_state(g, states)
+    # the vector call is the per-element scalar call, bit for bit
+    assert encoded.tobytes() == np.array(
+        [m.encode_state(g, int(s)) for s in states]).tobytes()
     np.testing.assert_array_equal(m.decode_states(g, encoded), states)
+    actions = np.arange(g.n_actions)
+    assert m.encode_action(g, actions).tobytes() == np.array(
+        [m.encode_action(g, int(a)) for a in actions]).tobytes()
+
+
+@settings(SETTINGS, max_examples=50)
+@given(random_mdps(), st.integers(0, 2 ** 32 - 1))
+def test_replay_tuples_follow_the_mdp(case, seed):
+    mdp, policy, n_max = case
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(mdp, policy, 8)
+    for e in range(8):
+        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    reach = orc.exact_ssm(mdp, policy, n_max).d
+    rows = np.array([buf.sample_tuple(rng) for _ in range(2000)])
+    s, a, s_next, a_next, x, n, is_l1 = rows.T
+    np.testing.assert_array_equal(a, policy.table[s])
+    np.testing.assert_array_equal(a_next, policy.table[s_next])
+    assert np.all(mdp.transition[s, a, s_next] > 0.0)
+    assert np.all((1 <= n) & (n <= n_max))
+    assert np.all(x[is_l1 == 1] == s_next[is_l1 == 1])
+    # x lies at most n steps after s, so the exact measure puts mass on it
+    assert np.all(reach[s, a, n - 1, x] > 0.0)
+    # the immediate-successor branch fires with probability 1/n
+    for k in np.unique(n):
+        share = is_l1[n == k].mean()
+        sigma = np.sqrt((1 / k) * (1 - 1 / k) / np.sum(n == k))
+        assert abs(share - 1 / k) <= 5 * sigma

@@ -112,12 +112,10 @@ def test_horizon_decoupled_from_time_index():
     assert seen_s == set(range(6))
 
 
-def test_tuple_encodings_match_indices():
+def test_tuple_holds_indices_with_policy_actions():
     buf, rng = make_buffer(width=5, horizon=3, n_traj=3)
-    tup = buf.sample_tuple(rng)
-    np.testing.assert_array_equal(tup.s_enc, m.encode_state(buf.mdp, tup.s))
-    np.testing.assert_array_equal(tup.x_enc, m.encode_state(buf.mdp, tup.x))
-    np.testing.assert_array_equal(tup.a_enc, m.encode_action(buf.mdp, tup.a))
-    a_next = int(buf.policy.table[tup.s_next])
-    np.testing.assert_array_equal(tup.a_next_enc,
-                                  m.encode_action(buf.mdp, a_next))
+    for _ in range(50):
+        tup = buf.sample_tuple(rng)
+        assert all(type(v) is int for v in tup[:6])
+        assert tup.a == buf.policy.table[tup.s]
+        assert tup.a_next == buf.policy.table[tup.s_next]
