@@ -94,14 +94,14 @@ def td_loss(trainer, batch, i, eps):
         targets[l2] = tgt_out
 
     etas = df.loss_weight(trainer.sched, i)
-    out, cache = ap.mlp_forward(trainer.online, inputs)
+    out, activations = ap.mlp_forward(trainer.online, inputs)
     resid = out - targets
     row_losses = etas * np.sum(resid ** 2, axis=1)
     loss = float(np.mean(row_losses))
     if not np.isfinite(loss):
         bad = int(np.argmax(~np.isfinite(row_losses)))
         raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
-    grads = ap.mlp_backward(trainer.online, cache,
+    grads = ap.mlp_backward(trainer.online, activations,
                             (2.0 / B) * etas[:, None] * resid)
     return loss, grads
 

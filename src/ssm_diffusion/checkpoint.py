@@ -1,5 +1,8 @@
 """Checkpoint persistence: a text key-value header followed by binary
-little-endian float64 parameter blocks and int64 replay-buffer blocks.
+little-endian float64 blocks and int64 replay-buffer blocks. The float64
+blocks are the online and the target parameter vectors, then Adam's first
+and second moment vectors (both empty for SGD), each in the layout of
+approximator.MlpParams.
 
 The checkpoint captures everything training touches (networks, optimizer
 moments, rng state, buffer contents), so a resumed run reproduces an
@@ -12,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximator import MlpParams, OptState
+from .approximator import MlpParams, OptState, param_count
 from .config import _ints_in
 from .errors import FormatError
 from .mdp import Trajectory
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+# the optimizer state's scalar fields: the header's opt section
+_OPT_SCALARS = ("optimizer", "lr", "beta1", "beta2", "eps", "step_count")
 
 
 @dataclass
@@ -25,24 +31,19 @@ class Checkpoint:
     config_digest: str
     structure: dict         # see runner.structure; includes layer_sizes
                             # and activation
-    trainer_meta: dict      # condition_on, sync_mode, sync_period, tau,
-                            # step_count, x_dim
-    opt_meta: dict          # optimizer, lr, beta1, beta2, eps, step_count
+    step_count: int         # training steps taken
+    opt: OptState
     rng_state: dict
     online: MlpParams
     target: MlpParams
-    opt_m: list             # [(mW, mb), ...] or []
-    opt_v: list
     trajectories: list      # of Trajectory
 
 
 def save_checkpoint(path, ck):
     """Write through a temporary file in the same directory, then rename it
     over `path`, so a failed write leaves any previous file intact."""
-    f64_blocks = (ck.online.weights + ck.online.biases + ck.target.weights
-                  + ck.target.biases
-                  + [a for moments in ck.opt_m + ck.opt_v for a in moments])
-    f64_bytes = b"".join(a.astype("<f8").tobytes() for a in f64_blocks)
+    f64_bytes = b"".join(a.astype("<f8").tobytes() for a in (
+        ck.online.theta, ck.target.theta, ck.opt.m, ck.opt.v))
     horizon = ck.trajectories[0].horizon if ck.trajectories else 0
     ints = []
     for traj in ck.trajectories:
@@ -53,13 +54,11 @@ def save_checkpoint(path, ck):
     header = {
         "config_digest": ck.config_digest,
         "structure": ck.structure,
-        "trainer": ck.trainer_meta,
-        "opt": ck.opt_meta,
+        "trainer": {"step_count": ck.step_count},
+        "opt": {key: getattr(ck.opt, key) for key in _OPT_SCALARS},
         "rng": ck.rng_state,
         "n_trajectories": len(ck.trajectories),
         "horizon": horizon,
-        "f64_bytes": len(f64_bytes),
-        "i64_bytes": len(i64_bytes),
     }
     head = (f"ssm-diffusion-checkpoint v{FORMAT_VERSION}\n"
             + json.dumps(header, sort_keys=True) + "\nEND\n").encode()
@@ -75,13 +74,13 @@ def save_checkpoint(path, ck):
             os.remove(tmp)
 
 
-def _take(buf, offset, shape, kind):
-    """The next block of little-endian float64 ("f8") or int64 ("i8")."""
-    count = int(np.prod(shape))
+def _take(buf, offset, count, kind):
+    """The next block of `count` little-endian float64 ("f8") or int64
+    ("i8") values."""
     if offset + 8 * count > len(buf):
         raise FormatError(f"truncated checkpoint at offset {offset}")
     arr = np.frombuffer(buf, dtype="<" + kind, count=count, offset=offset)
-    return arr.reshape(shape).astype(kind), offset + 8 * count
+    return arr.astype(kind), offset + 8 * count
 
 
 def _rng_state(v):
@@ -115,27 +114,6 @@ def _check_header(header):
                               f"malformed: {value!r}")
 
 
-def _read_params(buf, offset, sizes, activation):
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w, offset = _take(buf, offset, (fan_out, fan_in), "f8")
-        weights.append(w)
-    for fan_out in sizes[1:]:
-        b, offset = _take(buf, offset, (fan_out,), "f8")
-        biases.append(b)
-    return MlpParams(layer_sizes=list(sizes), weights=weights, biases=biases,
-                     activation=activation), offset
-
-
-def _read_moments(buf, offset, sizes):
-    out = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        mw, offset = _take(buf, offset, (fan_out, fan_in), "f8")
-        mb, offset = _take(buf, offset, (fan_out,), "f8")
-        out.append((mw, mb))
-    return out, offset
-
-
 def load_checkpoint(path):
     try:
         with open(path, "rb") as fh:
@@ -157,13 +135,12 @@ def load_checkpoint(path):
     offset = end + 5
     sizes = header["structure"]["layer_sizes"]
     activation = header["structure"]["activation"]
-    online, offset = _read_params(buf, offset, sizes, activation)
-    target, offset = _read_params(buf, offset, sizes, activation)
-    if header["opt"]["optimizer"] == "adam":
-        opt_m, offset = _read_moments(buf, offset, sizes)
-        opt_v, offset = _read_moments(buf, offset, sizes)
-    else:
-        opt_m, opt_v = [], []
+    n_params = param_count(sizes)
+    n_moments = n_params if header["opt"]["optimizer"] == "adam" else 0
+    online, offset = _take(buf, offset, n_params, "f8")
+    target, offset = _take(buf, offset, n_params, "f8")
+    m, offset = _take(buf, offset, n_moments, "f8")
+    v, offset = _take(buf, offset, n_moments, "f8")
     trajectories = []
     H = header["horizon"]
     for _ in range(header["n_trajectories"]):
@@ -172,15 +149,17 @@ def load_checkpoint(path):
         eid, offset = _take(buf, offset, 1, "i8")
         trajectories.append(Trajectory(states=states, actions=actions,
                                        episode_id=int(eid[0])))
-    return Checkpoint(config_digest=header["config_digest"],
-                      structure=header["structure"],
-                      trainer_meta=header["trainer"], opt_meta=header["opt"],
-                      rng_state=header["rng"], online=online, target=target,
-                      opt_m=opt_m, opt_v=opt_v, trajectories=trajectories)
-
-
-def opt_state_from_checkpoint(ck):
-    meta = ck.opt_meta
-    return OptState(optimizer=meta["optimizer"], lr=meta["lr"],
-                    beta1=meta["beta1"], beta2=meta["beta2"], eps=meta["eps"],
-                    step_count=meta["step_count"], m=ck.opt_m, v=ck.opt_v)
+    if offset != len(buf):
+        raise FormatError(f"{len(buf) - offset} bytes after the last "
+                          "checkpoint block")
+    return Checkpoint(
+        config_digest=header["config_digest"], structure=header["structure"],
+        step_count=header["trainer"]["step_count"],
+        opt=OptState(**{key: header["opt"][key] for key in _OPT_SCALARS},
+                     m=m, v=v),
+        rng_state=header["rng"],
+        online=MlpParams(layer_sizes=list(sizes), theta=online,
+                         activation=activation),
+        target=MlpParams(layer_sizes=list(sizes), theta=target,
+                         activation=activation),
+        trajectories=trajectories)

@@ -118,15 +118,16 @@ def net_input(x_i, cond, i):
                               for c in ctx])
 
 
-def reverse_step(sched, net, x_i, i, cond, z):
+def reverse_step(sched, net, x_i, i, cond, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
-    the standard posterior-mean update; no noise is added at i=1."""
+    the standard posterior-mean update; no noise is added at i=1. out is
+    passed on to mlp_forward for the network's layer outputs."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     z = np.asarray(z, dtype=float)
     if i > 1 and z.shape != x_i.shape:
         raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
-    eps_pred, _ = mlp_forward(net, net_input(x_i, cond, i))
+    eps_pred, _ = mlp_forward(net, net_input(x_i, cond, i), out=out)
     beta = sched.beta[i - 1]
     ab = sched.alpha_bar[i - 1]
     mean = (x_i - (beta / np.sqrt(1.0 - ab)) * eps_pred) / np.sqrt(sched.alpha[i - 1])
@@ -141,10 +142,12 @@ def sample(sched, net, cond, count, rng):
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     dim = net.layer_sizes[-1]
+    # one array per layer output, reused by every step of the chain
+    out = [np.empty((count, size)) for size in net.layer_sizes[1:]]
     x = rng.standard_normal((count, dim))
     for i in range(sched.K, 0, -1):
         z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
-        x = reverse_step(sched, net, x, i, cond, z)
+        x = reverse_step(sched, net, x, i, cond, z, out=out)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite sample values at reverse step {i}")
     return x

@@ -12,7 +12,7 @@ from . import diffusion as df
 from . import evaluation as ev
 from . import mdp as mdp_mod
 from . import oracle as orc
-from .checkpoint import Checkpoint, opt_state_from_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
 from .errors import NumericError
 from .replay import ReplayBuffer
@@ -84,29 +84,17 @@ def structure_mismatch(cfg, ck):
 
 def make_checkpoint(cfg, trainer, buf, rng):
     return Checkpoint(
-        config_digest=config_digest(cfg),
-        structure=structure(cfg, trainer),
-        trainer_meta={"condition_on": trainer.condition_on,
-                      "sync_mode": trainer.sync_mode,
-                      "sync_period": trainer.sync_period, "tau": trainer.tau,
-                      "step_count": trainer.step_count,
-                      "x_dim": trainer.online.layer_sizes[-1]},
-        opt_meta={"optimizer": trainer.opt.optimizer, "lr": trainer.opt.lr,
-                  "beta1": trainer.opt.beta1, "beta2": trainer.opt.beta2,
-                  "eps": trainer.opt.eps, "step_count": trainer.opt.step_count},
-        rng_state=rng.bit_generator.state,
-        online=trainer.online, target=trainer.target,
-        opt_m=trainer.opt.m, opt_v=trainer.opt.v,
-        trajectories=list(buf.trajectories))
+        config_digest=config_digest(cfg), structure=structure(cfg, trainer),
+        step_count=trainer.step_count, opt=trainer.opt,
+        rng_state=rng.bit_generator.state, online=trainer.online,
+        target=trainer.target, trajectories=list(buf.trajectories))
 
 
 def restore_trainer(cfg, ck):
     """Rebuild a Trainer and buffer from a checkpoint plus its config."""
     trainer = build_trainer(cfg)
-    trainer.online = ck.online
-    trainer.target = ck.target
-    trainer.opt = opt_state_from_checkpoint(ck)
-    trainer.step_count = ck.trainer_meta["step_count"]
+    trainer.online, trainer.target, trainer.opt = ck.online, ck.target, ck.opt
+    trainer.step_count = ck.step_count
     mdp, policy = build_env(cfg)
     buf = ReplayBuffer(mdp, policy, cfg.training["buffer_capacity"])
     for traj in ck.trajectories:

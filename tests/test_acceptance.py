@@ -100,13 +100,10 @@ def test_criterion_3_unconditional_mixture():
         eps = rng.standard_normal((batch, 1))
         # per-row diffusion steps so every index trains despite the large K
         ivals = rng.integers(1, sched.K + 1, size=batch)
-        ab = sched.alpha_bar[ivals - 1][:, None]
-        inputs = np.empty((batch, 1 + 8))
-        inputs[:, :1] = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
-        for r in range(batch):
-            inputs[r, 1:] = df.sinusoidal_embedding(int(ivals[r]), 8)
-        out, cache = ap.mlp_forward(net, inputs)
-        grads = ap.mlp_backward(net, cache, (2.0 / batch) * (out - eps))
+        inputs = df.net_input(df.forward_noise(sched, x0, ivals, eps), cond,
+                              ivals)
+        out, activations = ap.mlp_forward(net, inputs)
+        grads = ap.mlp_backward(net, activations, (2.0 / batch) * (out - eps))
         net, opt = ap.opt_step(net, grads, opt)
 
     samples = df.sample(sched, net, cond, 50_000,

@@ -9,9 +9,9 @@ def quadratic_loss(p, x, target):
     """(loss, grads) of |net(x) - target|^2 for one input vector x at the
     current values of p."""
     def loss_and_grads():
-        out, cache = ap.mlp_forward(p, x[None, :])
+        out, activations = ap.mlp_forward(p, x[None, :])
         resid = out - target
-        return float(np.sum(resid ** 2)), ap.mlp_backward(p, cache,
+        return float(np.sum(resid ** 2)), ap.mlp_backward(p, activations,
                                                           2.0 * resid)
     return loss_and_grads
 
@@ -29,6 +29,22 @@ def test_init_shapes():
     assert p.weights[1].shape == (2, 4)
     assert p.biases[0].shape == (4,)
     assert p.biases[1].shape == (2,)
+
+
+def test_weights_and_biases_are_views_of_theta():
+    p = ap.mlp_init([3, 4, 2], seed=1)
+    assert p.theta.shape == (ap.param_count([3, 4, 2]),) == (4 * 3 + 2 * 4
+                                                            + 4 + 2,)
+    # every weight matrix in layer order, then every bias
+    assert b"".join(a.tobytes() for a in p.weights + p.biases) \
+        == p.theta.tobytes()
+    p.theta[0] = 5.0
+    p.theta[4 * 3 + 2 * 4] = -7.0
+    assert p.weights[0][0, 0] == 5.0 and p.biases[0][0] == -7.0
+    p.weights[1][1, 3] = 9.0
+    assert p.theta[4 * 3 + 7] == 9.0
+    with pytest.raises(ShapeError):
+        ap.MlpParams(layer_sizes=[3, 4, 2], theta=np.zeros(5))
 
 
 def test_init_rejects_bad_sizes():
@@ -53,8 +69,8 @@ def test_forward_zero_params_zero_output():
 
 
 def test_forward_affine_1layer():
-    p = ap.MlpParams(layer_sizes=[1, 1], weights=[np.array([[2.0]])],
-                     biases=[np.array([1.0])], activation="relu")
+    p = ap.MlpParams(layer_sizes=[1, 1], theta=np.array([2.0, 1.0]),
+                     activation="relu")
     out, _ = ap.mlp_forward(p, np.array([[3.0], [-1.0]]))
     np.testing.assert_allclose(out, [[7.0], [-1.0]])
 
@@ -86,20 +102,20 @@ def test_forward_batched_matches_rows():
 
 def test_backward_zero_grad():
     p = ap.mlp_init([2, 4, 3], seed=1)
-    _, cache = ap.mlp_forward(p, np.array([[0.5, -0.5]]))
-    g = ap.mlp_backward(p, cache, np.zeros((1, 3)))
+    _, activations = ap.mlp_forward(p, np.array([[0.5, -0.5]]))
+    g = ap.mlp_backward(p, activations, np.zeros((1, 3)))
     for arr in g.weights + g.biases:
         assert np.all(arr == 0.0)
 
 
 def test_backward_affine_outer_product():
     p = ap.MlpParams(layer_sizes=[2, 2],
-                     weights=[np.array([[1.0, 2.0], [3.0, 4.0]])],
-                     biases=[np.zeros(2)], activation="relu")
+                     theta=np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0]),
+                     activation="relu")
     x = np.array([[0.3, -0.8]])
-    _, cache = ap.mlp_forward(p, x)
+    _, activations = ap.mlp_forward(p, x)
     g_out = np.array([[1.5, -2.5]])
-    g = ap.mlp_backward(p, cache, g_out)
+    g = ap.mlp_backward(p, activations, g_out)
     np.testing.assert_allclose(g.weights[0], np.outer(g_out, x))
     np.testing.assert_allclose(g.biases[0], g_out[0])
 
@@ -133,10 +149,10 @@ def test_grad_check_rejects_zero_h():
 
 
 def test_sgd_step():
-    p = ap.MlpParams(layer_sizes=[1, 1], weights=[np.array([[1.0]])],
-                     biases=[np.array([0.0])], activation="relu")
-    g = ap.MlpParams(layer_sizes=[1, 1], weights=[np.array([[2.0]])],
-                     biases=[np.array([0.0])], activation="relu")
+    p = ap.MlpParams(layer_sizes=[1, 1], theta=np.array([1.0, 0.0]),
+                     activation="relu")
+    g = ap.MlpParams(layer_sizes=[1, 1], theta=np.array([2.0, 0.0]),
+                     activation="relu")
     state = ap.init_opt_state(p, "sgd", lr=0.1)
     p2, state = ap.opt_step(p, g, state)
     assert p2.weights[0][0, 0] == pytest.approx(0.8)
@@ -147,9 +163,8 @@ def test_adam_first_step_magnitude():
     # bias-corrected adam step 1 moves each coordinate by ~lr, independent of g
     for scale in (1.0, 100.0):
         p = ap.mlp_init([2, 2], seed=0)
-        g = ap.MlpParams(layer_sizes=[2, 2],
-                         weights=[np.full((2, 2), scale)],
-                         biases=[np.full(2, scale)], activation="relu")
+        g = ap.MlpParams(layer_sizes=[2, 2], theta=np.full(6, scale),
+                         activation="relu")
         state = ap.init_opt_state(p, "adam", lr=0.01)
         p2, _ = ap.opt_step(p, g, state)
         np.testing.assert_allclose(p.weights[0] - p2.weights[0], 0.01,
@@ -159,9 +174,7 @@ def test_adam_first_step_magnitude():
 def test_zero_gradient_is_noop():
     p = ap.mlp_init([3, 4, 1], seed=9)
     zeros = ap.MlpParams(layer_sizes=p.layer_sizes,
-                         weights=[np.zeros_like(w) for w in p.weights],
-                         biases=[np.zeros_like(b) for b in p.biases],
-                         activation="relu")
+                         theta=np.zeros_like(p.theta), activation="relu")
     for opt in ("sgd", "adam"):
         state = ap.init_opt_state(p, opt, lr=0.1)
         p2, state = ap.opt_step(p, zeros, state)
@@ -172,8 +185,8 @@ def test_zero_gradient_is_noop():
 
 def test_opt_step_rejects_nonfinite():
     p = ap.mlp_init([2, 1], seed=0)
-    g = ap.MlpParams(layer_sizes=[2, 1], weights=[np.array([[np.nan, 0.0]])],
-                     biases=[np.zeros(1)], activation="relu")
+    g = ap.MlpParams(layer_sizes=[2, 1], theta=np.array([np.nan, 0.0, 0.0]),
+                     activation="relu")
     state = ap.init_opt_state(p, "sgd", lr=0.1)
     with pytest.raises(NumericError):
         ap.opt_step(p, g, state)
@@ -192,8 +205,8 @@ def test_copy_and_polyak():
     frozen = ap.polyak_update(a, b, 0.0)
     np.testing.assert_array_equal(frozen.weights[0], a.weights[0])
 
-    t = ap.MlpParams([1, 1], [np.array([[0.0]])], [np.zeros(1)], "relu")
-    o = ap.MlpParams([1, 1], [np.array([[2.0]])], [np.zeros(1)], "relu")
+    t = ap.MlpParams([1, 1], np.array([0.0, 0.0]), "relu")
+    o = ap.MlpParams([1, 1], np.array([2.0, 0.0]), "relu")
     half = ap.polyak_update(t, o, 0.5)
     assert half.weights[0][0, 0] == pytest.approx(1.0)
 
@@ -202,3 +215,56 @@ def test_polyak_shape_mismatch():
     with pytest.raises(ShapeError):
         ap.polyak_update(ap.mlp_init([2, 1], seed=0),
                          ap.mlp_init([3, 1], seed=0), 0.5)
+
+
+def per_layer_step(params, grads, state):
+    """Reference optimizer step over the per-layer arrays, one layer's
+    weights and biases at a time. Returns (weights, biases, m, v), m and v
+    as per-layer (weights, biases) pairs."""
+    new_w, new_b, ms, vs = [], [], [], []
+    t = state.step_count + 1
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    m = ap.MlpParams(params.layer_sizes, state.m) if state.m.size else None
+    v = ap.MlpParams(params.layer_sizes, state.v) if state.v.size else None
+    for l, (w, b, gw, gb) in enumerate(zip(params.weights, params.biases,
+                                           grads.weights, grads.biases)):
+        if state.optimizer == "sgd":
+            new_w.append(w - state.lr * gw)
+            new_b.append(b - state.lr * gb)
+            continue
+        mw = state.beta1 * m.weights[l] + (1 - state.beta1) * gw
+        mb = state.beta1 * m.biases[l] + (1 - state.beta1) * gb
+        vw = state.beta2 * v.weights[l] + (1 - state.beta2) * gw ** 2
+        vb = state.beta2 * v.biases[l] + (1 - state.beta2) * gb ** 2
+        ms.append((mw, mb))
+        vs.append((vw, vb))
+        new_w.append(w - state.lr * (mw / bc1) / (np.sqrt(vw / bc2) + state.eps))
+        new_b.append(b - state.lr * (mb / bc1) / (np.sqrt(vb / bc2) + state.eps))
+    return new_w, new_b, ms, vs
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_opt_step_matches_per_layer_reference(optimizer):
+    rng = np.random.default_rng(8)
+    p = ap.mlp_init([5, 7, 3], seed=2)
+    p.theta += rng.normal(size=p.theta.shape)
+    state = ap.init_opt_state(p, optimizer, lr=0.01)
+    for _ in range(3):
+        g = ap.MlpParams(p.layer_sizes, rng.normal(size=p.theta.shape))
+        p_before, g_before = p.theta.copy(), g.theta.copy()
+        ref_w, ref_b, ref_m, ref_v = per_layer_step(p, g, state)
+        p_new, state = ap.opt_step(p, g, state)
+        # the input parameters and gradients are untouched
+        np.testing.assert_array_equal(p.theta, p_before)
+        np.testing.assert_array_equal(g.theta, g_before)
+        assert p_new.theta is not p.theta
+        assert [a.tobytes() for a in p_new.weights + p_new.biases] \
+            == [a.tobytes() for a in ref_w + ref_b]
+        if optimizer == "adam":
+            for flat, ref in ((state.m, ref_m), (state.v, ref_v)):
+                moments = ap.MlpParams(p.layer_sizes, flat)
+                assert [a.tobytes() for a in moments.weights + moments.biases] \
+                    == [w.tobytes() for w, _ in ref] \
+                    + [b.tobytes() for _, b in ref]
+        p = p_new

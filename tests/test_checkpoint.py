@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ssm_diffusion import approximator as ap
 from ssm_diffusion import checkpoint
 from ssm_diffusion import mdp as m
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
@@ -13,9 +14,13 @@ from ssm_diffusion.runner import build_env, build_trainer, make_checkpoint
 
 from test_config import minimal_raw
 
+VERSION_LINE = f"ssm-diffusion-checkpoint v{checkpoint.FORMAT_VERSION}\n" \
+    .encode()
 
-def make_ck():
-    cfg = validate_config(minimal_raw())
+
+def make_ck(optimizer="adam"):
+    cfg = validate_config(minimal_raw(training={"steps": 10, "seed": 0,
+                                                "optimizer": optimizer}))
     mdp, policy = build_env(cfg)
     trainer = build_trainer(cfg)
     buf = ReplayBuffer(mdp, policy, 10)
@@ -26,22 +31,32 @@ def make_ck():
 
 
 def test_roundtrip_bit_exact(tmp_path):
-    _, ck = make_ck()
-    p1 = tmp_path / "a.bin"
-    p2 = tmp_path / "b.bin"
-    save_checkpoint(p1, ck)
-    loaded = load_checkpoint(p1)
-    save_checkpoint(p2, loaded)
-    assert p1.read_bytes() == p2.read_bytes()
-    for a, b in zip(ck.online.weights + ck.online.biases,
-                    loaded.online.weights + loaded.online.biases):
-        np.testing.assert_array_equal(a, b)
-    assert loaded.rng_state == ck.rng_state
-    assert len(loaded.trajectories) == len(ck.trajectories)
-    for ta, tb in zip(ck.trajectories, loaded.trajectories):
-        np.testing.assert_array_equal(ta.states, tb.states)
-        np.testing.assert_array_equal(ta.actions, tb.actions)
-        assert ta.episode_id == tb.episode_id
+    # online and target parameters, then Adam's two moment vectors
+    for optimizer, f64_blocks in (("sgd", 2), ("adam", 4)):
+        _, ck = make_ck(optimizer)
+        p1 = tmp_path / f"{optimizer}-a.bin"
+        p2 = tmp_path / f"{optimizer}-b.bin"
+        save_checkpoint(p1, ck)
+        loaded = load_checkpoint(p1)
+        save_checkpoint(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        body = p1.read_bytes().split(b"\nEND\n", 1)[1]
+        n_params = ap.param_count(ck.online.layer_sizes)
+        traj_ints = sum(2 * t.horizon + 2 for t in ck.trajectories)
+        assert len(body) == 8 * (f64_blocks * n_params + traj_ints)
+        for a, b in ((ck.online, loaded.online), (ck.target, loaded.target)):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert (b.layer_sizes, b.activation) == (a.layer_sizes,
+                                                     a.activation)
+        assert loaded.opt.m.size == loaded.opt.v.size == \
+            (n_params if optimizer == "adam" else 0)
+        assert loaded.step_count == ck.step_count
+        assert loaded.rng_state == ck.rng_state
+        assert len(loaded.trajectories) == len(ck.trajectories)
+        for ta, tb in zip(ck.trajectories, loaded.trajectories):
+            np.testing.assert_array_equal(ta.states, tb.states)
+            np.testing.assert_array_equal(ta.actions, tb.actions)
+            assert ta.episode_id == tb.episode_id
 
 
 def test_truncated_file_raises(tmp_path):
@@ -52,6 +67,15 @@ def test_truncated_file_raises(tmp_path):
     (tmp_path / "cut.bin").write_bytes(blob[:-100])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(tmp_path / "cut.bin")
+
+
+def test_trailing_bytes_raise(tmp_path):
+    _, ck = make_ck()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, ck)
+    path.write_bytes(path.read_bytes() + bytes(700))
+    with pytest.raises(FormatError, match="700 bytes after the last"):
+        load_checkpoint(path)
 
 
 def test_bad_version_line_raises(tmp_path):
@@ -69,8 +93,7 @@ def test_unreadable_file_raises(tmp_path):
         load_checkpoint(tmp_path / "missing.bin")
     path = tmp_path / "corrupt.bin"
     for header in (b"{not json", b"\xff\xfe", b""):
-        path.write_bytes(b"ssm-diffusion-checkpoint v2\n" + header
-                         + b"\nEND\n")
+        path.write_bytes(VERSION_LINE + header + b"\nEND\n")
         with pytest.raises(FormatError, match="corrupt checkpoint header"):
             load_checkpoint(path)
 
@@ -87,7 +110,7 @@ def rewrite_header(path, change):
 
 def test_empty_header_raises(tmp_path):
     path = tmp_path / "ck.bin"
-    path.write_bytes(b"ssm-diffusion-checkpoint v2\n{}\nEND\n")
+    path.write_bytes(VERSION_LINE + b"{}\nEND\n")
     with pytest.raises(FormatError, match="config_digest missing"):
         load_checkpoint(path)
 
@@ -151,12 +174,12 @@ def test_restores_optimizer_moments(tmp_path):
     cfg, ck = make_ck()
     path = tmp_path / "ck.bin"
     # make moments nonzero so the roundtrip is meaningful
-    for mw, mb in ck.opt_m:
-        mw += 0.25
-        mb -= 0.5
+    ck.opt.m += 0.25
+    ck.opt.v -= 0.5
+    ck.opt.step_count = 7
     save_checkpoint(path, ck)
     loaded = load_checkpoint(path)
-    for (mw, mb), (lw, lb) in zip(ck.opt_m, loaded.opt_m):
-        np.testing.assert_array_equal(mw, lw)
-        np.testing.assert_array_equal(mb, lb)
-    assert loaded.opt_meta == ck.opt_meta
+    np.testing.assert_array_equal(loaded.opt.m, ck.opt.m)
+    np.testing.assert_array_equal(loaded.opt.v, ck.opt.v)
+    for key in ("optimizer", "lr", "beta1", "beta2", "eps", "step_count"):
+        assert getattr(loaded.opt, key) == getattr(ck.opt, key)

@@ -6,7 +6,7 @@ import pytest
 
 from ssm_diffusion import cli
 
-from test_checkpoint import rewrite_header
+from test_checkpoint import VERSION_LINE, rewrite_header
 from test_config import minimal_raw
 
 
@@ -87,17 +87,25 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
 def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):
     cfg = write_config(tmp_path, **tiny_overrides(steps=0))
     corrupt = tmp_path / "corrupt.bin"
-    corrupt.write_bytes(b"ssm-diffusion-checkpoint v2\n{not json\nEND\n")
+    corrupt.write_bytes(VERSION_LINE + b"{not json\nEND\n")
     empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"ssm-diffusion-checkpoint v2\n{}\nEND\n")
+    empty.write_bytes(VERSION_LINE + b"{}\nEND\n")
     assert run(["train", "--config", str(cfg),
                 "--out", str(tmp_path / "run")]) == 0
+    good = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(good + bytes(700))
+    old_version = tmp_path / "v2.bin"
+    old_version.write_bytes(good.replace(VERSION_LINE,
+                                         b"ssm-diffusion-checkpoint v2\n", 1))
     str_horizon = tmp_path / "run" / "checkpoint.bin"
     rewrite_header(str_horizon, lambda h: h.update(horizon="3"))
     for ck, says in ((tmp_path / "missing.bin", "cannot read"),
                      (corrupt, "corrupt checkpoint header"),
                      (empty, "config_digest missing or malformed"),
-                     (str_horizon, "horizon missing or malformed")):
+                     (str_horizon, "horizon missing or malformed"),
+                     (trailing, "700 bytes after the last checkpoint block"),
+                     (old_version, "unsupported checkpoint version line")):
         assert run(["eval", "--checkpoint", str(ck), "--config", str(cfg),
                     "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err

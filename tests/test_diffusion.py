@@ -161,8 +161,8 @@ def test_single_step_chain_learns_point_mass():
     for _ in range(2000):
         eps = rng.standard_normal((1, 2))
         x1 = df.forward_noise(sched, c[None, :], 1, eps)
-        out, cache = ap.mlp_forward(net, df.net_input(x1, cond, 1))
-        grads = ap.mlp_backward(net, cache, 2.0 * (out - eps))
+        out, activations = ap.mlp_forward(net, df.net_input(x1, cond, 1))
+        grads = ap.mlp_backward(net, activations, 2.0 * (out - eps))
         net, state = ap.opt_step(net, grads, state)
     samples = df.sample(sched, net, cond, 500, np.random.default_rng(9))
     np.testing.assert_allclose(samples.mean(axis=0), c, atol=0.15)
