@@ -208,6 +208,25 @@ def copy_params(src):
                      activation=src.activation)
 
 
+def split_first_layer(params, dim):
+    """Split the first layer after its first `dim` inputs. Returns (head,
+    w_rest): head is a copy of the network that takes only those inputs,
+    and w_rest is the (layer_sizes[1], layer_sizes[0] - dim) block of
+    first-layer weights on the rest. For inputs [x | c], the first layer of
+    head with biases[0] = c @ w_rest.T + b gives params' first layer."""
+    if not 0 < dim <= params.layer_sizes[0]:
+        raise ShapeError(f"cannot split {params.layer_sizes[0]} inputs "
+                         f"after {dim}")
+    sizes = [dim] + list(params.layer_sizes[1:])
+    head = MlpParams(layer_sizes=sizes, theta=np.empty(param_count(sizes)),
+                     activation=params.activation)
+    head.weights[0][...] = params.weights[0][:, :dim]
+    for dst, src in zip(head.weights[1:] + head.biases,
+                        params.weights[1:] + params.biases):
+        dst[...] = src
+    return head, params.weights[0][:, dim:].copy()
+
+
 def polyak_update(target, online, tau):
     """target <- (1-tau)*target + tau*online, returned as a new MlpParams."""
     if target.layer_sizes != online.layer_sizes:

@@ -84,7 +84,9 @@ def cmd_eval(args):
         return EXIT_DIGEST
     trainer, _, _, _, _ = restore_trainer(cfg, ck)
     report = run_eval(cfg, trainer, args.out, seed=args.seed)
-    print(f"mean_tv={report.mean_tv:.4f} max_tv={report.max_tv:.4f} "
+    by_n = " ".join(f"tv_n{n}={tv:.4f}"
+                    for n, tv in report.mean_tv_by_n.items())
+    print(f"mean_tv={report.mean_tv:.4f} {by_n} max_tv={report.max_tv:.4f} "
           f"mean_q_err={report.mean_q_err:.4f}")
     return EXIT_OK
 

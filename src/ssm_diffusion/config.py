@@ -176,6 +176,19 @@ def validate_config(raw):
     if not _ints_in(mdl["hidden_sizes"], 1, float("inf")):
         raise ConfigurationError("model.hidden_sizes must be a non-empty list "
                                  f"of positive ints, got {mdl['hidden_sizes']}")
+    if mdl["step_embed_dim"] < 2:
+        # below 2 the sinusoidal embedding is all zeros
+        raise ConfigurationError(
+            f"model.step_embed_dim must be >= 2, got {mdl['step_embed_dim']}")
+    if not trn["lr"] > 0.0:
+        raise ConfigurationError(f"training.lr must be > 0, got {trn['lr']}")
+    if not 0.0 < trn["tau"] <= 1.0:
+        raise ConfigurationError(
+            f"training.tau must be in (0, 1], got {trn['tau']}")
+    for key in ("sync_period", "collect_every", "log_every"):
+        if trn[key] < 0:
+            raise ConfigurationError(
+                f"training.{key} must be >= 0 (0 is off), got {trn[key]}")
     if trn["condition_on"] not in ("current", "next"):
         raise ConfigurationError(f"training.condition_on: {trn['condition_on']!r}")
     if trn["optimizer"] not in ("sgd", "adam"):

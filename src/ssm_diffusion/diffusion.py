@@ -3,14 +3,17 @@ weights, and conditional reverse-process sampling.
 
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
 The denoiser is an MLP that takes [x_i | state | action | step embedding |
-horizon] concatenated and predicts the noise that was added.
+horizon] concatenated and predicts the noise that was added. The sampler's
+conditioning is shared by every sample, so it folds each step's context
+columns into the first-layer bias once per chain and feeds only x_i through
+the network.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximator import mlp_forward
+from .approximator import mlp_forward, split_first_layer
 from .errors import ConfigurationError, NumericError, ShapeError
 
 
@@ -29,8 +32,9 @@ class NoiseSchedule:
 @dataclass
 class Conditioning:
     """Context vectors the denoiser is conditioned on, or one row of them
-    per sample. Any field may be an empty array (unconditional sampling
-    uses only the step embedding)."""
+    per sample (training only: `sample` takes vectors shared by every
+    sample). Any field may be an empty array (unconditional sampling uses
+    only the step embedding)."""
     state_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     action_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     horizon_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -118,16 +122,18 @@ def net_input(x_i, cond, i):
                               for c in ctx])
 
 
-def reverse_step(sched, net, x_i, i, cond, z, out=None):
+def reverse_step(sched, net, x_i, i, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
-    the standard posterior-mean update; no noise is added at i=1. out is
-    passed on to mlp_forward for the network's layer outputs."""
+    the standard posterior-mean update; no noise is added at i=1. net takes
+    x_i alone: the caller has folded step i's conditioning into its
+    first-layer bias. out is passed on to mlp_forward for the network's
+    layer outputs."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     z = np.asarray(z, dtype=float)
     if i > 1 and z.shape != x_i.shape:
         raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
-    eps_pred, _ = mlp_forward(net, net_input(x_i, cond, i), out=out)
+    eps_pred, _ = mlp_forward(net, x_i, out=out)
     beta = sched.beta[i - 1]
     ab = sched.alpha_bar[i - 1]
     mean = (x_i - (beta / np.sqrt(1.0 - ab)) * eps_pred) / np.sqrt(sched.alpha[i - 1])
@@ -138,16 +144,33 @@ def reverse_step(sched, net, x_i, i, cond, z, out=None):
 
 def sample(sched, net, cond, count, rng):
     """Draw `count` x0 vectors by running the reverse chain from unit
-    Gaussian noise. Deterministic given the rng state."""
+    Gaussian noise. Deterministic given the rng state.
+
+    cond is shared by every sample, so the first layer's product with the
+    context is taken once per chain: one bias row per step, written into a
+    copy of the network that takes only x before that step."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
+    for name in ("state_enc", "action_enc", "horizon_enc"):
+        shape = np.shape(getattr(cond, name))
+        if len(shape) != 1:
+            raise ShapeError(f"sample needs conditioning shared by every "
+                             f"sample: {name} has shape {shape}, not 1-D")
     dim = net.layer_sizes[-1]
+    # the context columns of every step's input, one row per step
+    ctx = net_input(np.empty((sched.K, 0)), cond, np.arange(1, sched.K + 1))
+    if dim + ctx.shape[1] != net.layer_sizes[0]:
+        raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
+                         f"inputs, the network takes {net.layer_sizes[0]}")
+    head, w_ctx = split_first_layer(net, dim)
+    bias = ctx @ w_ctx.T + net.biases[0]
     # one array per layer output, reused by every step of the chain
     out = [np.empty((count, size)) for size in net.layer_sizes[1:]]
     x = rng.standard_normal((count, dim))
     for i in range(sched.K, 0, -1):
         z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
-        x = reverse_step(sched, net, x, i, cond, z, out=out)
+        head.biases[0][...] = bias[i - 1]
+        x = reverse_step(sched, head, x, i, z, out=out)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite sample values at reverse step {i}")
     return x

@@ -13,8 +13,10 @@ from .mdp import decode_states
 
 @dataclass
 class MetricsReport:
-    rows: list          # dicts with s, a, n, tv, q_est, q_exact, q_abs_err
+    rows: list          # dicts with s, a, n, tv, q_est, q_exact, q_abs_err,
+                        # clamped_frac
     mean_tv: float
+    mean_tv_by_n: dict  # n -> mean TV over the rows at horizon n
     max_tv: float
     mean_q_err: float
     max_q_err: float
@@ -24,13 +26,15 @@ class MetricsReport:
 
 
 def empirical_pmf(samples, mdp):
-    """Decode each sample vector to its nearest cell and normalize counts."""
+    """Decode each sample vector to its nearest cell and normalize counts.
+    Returns (pmf, clamped_frac), the latter the share of samples that
+    decoding moved back onto the grid."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
-    cells = decode_states(mdp, samples)
+    cells, clamped = decode_states(mdp, samples)
     counts = np.bincount(cells, minlength=mdp.n_states)
-    return counts / len(samples)
+    return counts / len(samples), float(np.mean(clamped))
 
 
 def tv_distance(p, q):
@@ -56,7 +60,7 @@ def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
     rows = []
     for s, a, n in eval_set:
         samples = sample_condition(trainer, s, a, n, num_samples, rng)
-        pmf = empirical_pmf(samples, mdp)
+        pmf, clamped_frac = empirical_pmf(samples, mdp)
         oracle_pmf = oracle_table.d[s, a, n - 1]
         q_est = float(pmf @ mdp.reward)
         q_exact = float(oracle_pmf @ mdp.reward)
@@ -65,11 +69,15 @@ def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
             "tv": tv_distance(pmf, oracle_pmf),
             "q_est": q_est, "q_exact": q_exact,
             "q_abs_err": abs(q_est - q_exact),
+            "clamped_frac": clamped_frac,
             "pmf": pmf.tolist(),
         })
     tvs = np.array([r["tv"] for r in rows])
     qerrs = np.array([r["q_abs_err"] for r in rows])
+    tv_by_n = {n: float(np.mean([r["tv"] for r in rows if r["n"] == n]))
+               for n in sorted({r["n"] for r in rows})}
     return MetricsReport(rows=rows, mean_tv=float(tvs.mean()),
+                         mean_tv_by_n=tv_by_n,
                          max_tv=float(tvs.max()), mean_q_err=float(qerrs.mean()),
                          max_q_err=float(qerrs.max()), num_samples=num_samples,
                          seed=seed, config_digest=config_digest)

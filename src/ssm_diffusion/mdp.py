@@ -154,16 +154,18 @@ def encode_state(mdp, s):
 
 def decode_states(mdp, vs):
     """Nearest cell center of each row of a (batch, 2) array of samples,
-    clamped to the grid."""
+    clamped to the grid. Returns (cells, clamped), where clamped marks the
+    rows whose nearest cell center lay off the grid."""
     vs = np.asarray(vs, dtype=float)
     if not np.all(np.isfinite(vs)):
         raise NumericError("non-finite sample values")
     # a degenerate axis scales to 0 and clamps to its one cell
-    cx = np.clip(np.rint((vs[:, 0] + 1.0) * (mdp.width - 1) / 2.0),
-                 0, mdp.width - 1).astype(int)
-    cy = np.clip(np.rint((vs[:, 1] + 1.0) * (mdp.height - 1) / 2.0),
-                 0, mdp.height - 1).astype(int)
-    return cy * mdp.width + cx
+    rx = np.rint((vs[:, 0] + 1.0) * (mdp.width - 1) / 2.0)
+    ry = np.rint((vs[:, 1] + 1.0) * (mdp.height - 1) / 2.0)
+    cx = np.clip(rx, 0, mdp.width - 1)
+    cy = np.clip(ry, 0, mdp.height - 1)
+    clamped = (cx != rx) | (cy != ry)
+    return cy.astype(int) * mdp.width + cx.astype(int), clamped
 
 
 def encode_action(mdp, a):

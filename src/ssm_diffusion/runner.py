@@ -184,6 +184,7 @@ def run_eval(cfg, trainer, out_dir, seed=None):
 
 def write_metrics(report, out_dir):
     summary = {"kind": "summary", "mean_tv": report.mean_tv,
+               "mean_tv_by_n": report.mean_tv_by_n,
                "max_tv": report.max_tv, "mean_q_err": report.mean_q_err,
                "max_q_err": report.max_q_err,
                "num_samples": report.num_samples, "seed": report.seed,
@@ -191,18 +192,19 @@ def write_metrics(report, out_dir):
     with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
         for row in report.rows:
             rec = {k: row[k] for k in
-                   ("s", "a", "n", "tv", "q_est", "q_exact", "q_abs_err")}
+                   ("s", "a", "n", "tv", "q_est", "q_exact", "q_abs_err",
+                    "clamped_frac")}
             rec["kind"] = "condition"
             rec["config_digest"] = report.config_digest
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write(f"# config_digest={report.config_digest}\n")
-        fh.write("s,a,n,tv,q_est,q_exact,q_abs_err\n")
+        fh.write("s,a,n,tv,q_est,q_exact,q_abs_err,clamped_frac\n")
         for row in report.rows:
             fh.write(f"{row['s']},{row['a']},{row['n']},{row['tv']:.17g},"
                      f"{row['q_est']:.17g},{row['q_exact']:.17g},"
-                     f"{row['q_abs_err']:.17g}\n")
+                     f"{row['q_abs_err']:.17g},{row['clamped_frac']:.17g}\n")
 
 
 def write_heatmaps(report, table, mdp, heat_dir):

@@ -192,6 +192,28 @@ def test_opt_step_rejects_nonfinite():
         ap.opt_step(p, g, state)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_split_first_layer_folds_inputs_into_bias(activation):
+    rng = np.random.default_rng(4)
+    net = ap.mlp_init([5, 4, 3, 2], activation=activation, seed=1)
+    net.theta[...] = rng.uniform(-1.0, 1.0, net.theta.size)
+    theta = net.theta.copy()
+    x, c = rng.standard_normal((6, 2)), rng.standard_normal(3)
+    head, w_rest = ap.split_first_layer(net, 2)
+    assert head.layer_sizes == [2, 4, 3, 2] and w_rest.shape == (4, 3)
+    head.biases[0][...] = c @ w_rest.T + net.biases[0]
+    full, _ = ap.mlp_forward(net, np.hstack([x, np.tile(c, (6, 1))]))
+    folded, _ = ap.mlp_forward(head, x)
+    np.testing.assert_allclose(folded, full, rtol=0, atol=1e-14)
+    # head and w_rest are copies: writing them leaves net as it was
+    head.theta[...] = 0.0
+    w_rest[...] = 0.0
+    np.testing.assert_array_equal(net.theta, theta)
+    for bad in (0, 6):
+        with pytest.raises(ShapeError):
+            ap.split_first_layer(net, bad)
+
+
 def test_copy_and_polyak():
     a = ap.mlp_init([2, 3, 1], seed=1)
     b = ap.mlp_init([2, 3, 1], seed=2)

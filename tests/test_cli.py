@@ -75,13 +75,16 @@ def test_missing_config_key_exit_2(tmp_path, capsys):
 
 
 def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, **{**tiny_overrides(),
-                                    "env": {"width": 2, "height": 2,
-                                            "horizon": 3, "start": "foo"}})
-    assert run(["train", "--config", str(cfg),
-                "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "env.start" in err
+    tiny = tiny_overrides()
+    for section, values, named in (
+            ("env", {**tiny["env"], "start": "foo"}, "env.start"),
+            # a negative rate trained by gradient ascent and exited 0
+            ("training", {**tiny["training"], "lr": -1.0}, "training.lr")):
+        cfg = write_config(tmp_path, **{**tiny, section: values})
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
 
 
 def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):

@@ -84,13 +84,34 @@ def test_policy_spec_validation():
     ("model", {"hidden_sizes": [None]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [1.5]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [True]}, "model.hidden_sizes"),
+    ("model", {"step_embed_dim": -3}, "model.step_embed_dim"),
+    ("model", {"step_embed_dim": 0}, "model.step_embed_dim"),
+    ("model", {"step_embed_dim": 1}, "model.step_embed_dim"),
+    ("training", {"lr": -1.0}, "training.lr"),
+    ("training", {"lr": 0.0}, "training.lr"),
+    ("training", {"tau": 5.0}, "training.tau"),
+    ("training", {"tau": 0.0}, "training.tau"),
+    ("training", {"sync_period": -1}, "training.sync_period"),
+    ("training", {"collect_every": -1}, "training.collect_every"),
+    ("training", {"log_every": -1}, "training.log_every"),
 ], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
         "table-out-of-range", "action-bool", "cell-str", "values-str",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
-        "hidden-bool"])
+        "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
+        "lr-negative", "lr-zero", "tau-above-one", "tau-zero",
+        "sync-period-negative", "collect-every-negative",
+        "log-every-negative"])
 def test_malformed_values_rejected(section, values, named):
     with pytest.raises(ConfigurationError, match=named):
         validate_config(minimal_raw(**{section: values}))
+
+
+def test_boundary_values_accepted():
+    cfg = validate_config(minimal_raw(
+        model={"step_embed_dim": 2},
+        training={"tau": 1.0, "sync_period": 0, "collect_every": 0,
+                  "log_every": 0}))
+    assert cfg.model["step_embed_dim"] == 2 and cfg.training["tau"] == 1.0
 
 
 def test_start_state_index_accepted():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ssm_diffusion import approximator as ap
+from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import diffusion as df
+from ssm_diffusion import mdp as m
 from ssm_diffusion.errors import ConfigurationError, ShapeError
 
 
@@ -105,31 +107,28 @@ def test_sigma_modes():
 
 def test_reverse_step_zero_prediction():
     sched = df.make_schedule(2, 0.1, 0.1)
-    net = ap.mlp_init([2 + 8, 4, 2], seed=0)
+    net = ap.mlp_init([2, 4, 2], seed=0)
     for w in net.weights:
         w[:] = 0.0
-    cond = df.Conditioning(step_dim=8)
     x = np.array([[1.0, -2.0], [0.5, 0.0]])
-    out = df.reverse_step(sched, net, x, 2, cond, np.zeros((2, 2)))
+    out = df.reverse_step(sched, net, x, 2, np.zeros((2, 2)))
     np.testing.assert_allclose(out, x / np.sqrt(0.9))
 
 
 def test_reverse_step_no_noise_at_step_one():
     sched = df.make_schedule(2, 0.1, 0.1)
-    net = ap.mlp_init([2 + 8, 4, 2], seed=0)
-    cond = df.Conditioning(step_dim=8)
+    net = ap.mlp_init([2, 4, 2], seed=0)
     x = np.array([[0.5, 0.5]])
-    a = df.reverse_step(sched, net, x, 1, cond, np.zeros((1, 2)))
-    b = df.reverse_step(sched, net, x, 1, cond, np.full((1, 2), 100.0))
+    a = df.reverse_step(sched, net, x, 1, np.zeros((1, 2)))
+    b = df.reverse_step(sched, net, x, 1, np.full((1, 2), 100.0))
     np.testing.assert_array_equal(a, b)
 
 
 def test_reverse_step_shape_error():
     sched = df.make_schedule(2, 0.1, 0.1)
-    net = ap.mlp_init([2 + 8, 4, 2], seed=0)
+    net = ap.mlp_init([2, 4, 2], seed=0)
     with pytest.raises(ShapeError):
-        df.reverse_step(sched, net, np.zeros((1, 2)), 2,
-                        df.Conditioning(step_dim=8), np.zeros((1, 3)))
+        df.reverse_step(sched, net, np.zeros((1, 2)), 2, np.zeros((1, 3)))
 
 
 def test_sample_count_precondition():
@@ -147,6 +146,65 @@ def test_sample_deterministic_given_seed():
     a = df.sample(sched, net, cond, 5, np.random.default_rng(42))
     b = df.sample(sched, net, cond, 5, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
+
+
+def reference_chain(sched, net, cond, count, rng):
+    """The reverse chain on the unfolded network: each step concatenates
+    x with the conditioning and runs the full first layer."""
+    dim = net.layer_sizes[-1]
+    x = rng.standard_normal((count, dim))
+    for i in range(sched.K, 0, -1):
+        z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
+        eps_pred, _ = ap.mlp_forward(net, df.net_input(x, cond, i))
+        beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
+        x = (x - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(sched.alpha[i - 1])
+        if i > 1:
+            x = x + sched.sigma[i - 1] * z
+    return x
+
+
+@pytest.mark.parametrize("K", [1, 8])
+@pytest.mark.parametrize("conditioned", [True, False],
+                         ids=["conditioned", "unconditional"])
+@pytest.mark.parametrize("horizon_encoding", ["onehot", "scalar"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_sample_matches_unfolded_reference(activation, horizon_encoding,
+                                           conditioned, K):
+    sched = df.make_schedule(K, 0.01, 0.2, sigma_mode="posterior")
+    if conditioned:
+        g = m.gridworld_new(3, 3, horizon=4)
+        trainer = bl.make_trainer(sched, g, hidden_sizes=(16, 16),
+                                  activation=activation,
+                                  horizon_encoding=horizon_encoding, seed=5)
+        net, cond = trainer.online, bl.conditioning(trainer, 4, 1, 3)
+    else:
+        net = ap.mlp_init([2 + 8, 16, 16, 2], activation=activation, seed=5)
+        cond = df.Conditioning(step_dim=8)
+    # non-zero biases, so the folded first-layer bias carries them too
+    for b in net.biases:
+        b[...] = np.random.default_rng(6).uniform(-0.5, 0.5, b.shape)
+    theta = net.theta.copy()
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    folded = df.sample(sched, net, cond, 300, rng_a)
+    reference = reference_chain(sched, net, cond, 300, rng_b)
+    # only the order of the first layer's sums differs
+    np.testing.assert_allclose(folded, reference, rtol=0, atol=1e-12)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    np.testing.assert_array_equal(net.theta, theta)
+
+
+def test_sample_rejects_per_row_conditioning():
+    sched = df.make_schedule(4, 0.01, 0.2)
+    g = m.gridworld_new(3, 3, horizon=4)
+    trainer = bl.make_trainer(sched, g, hidden_sizes=(8,), seed=0)
+    rows = bl.conditioning(trainer, np.array([0, 4]), np.array([1, 2]),
+                           np.array([1, 3]))
+    with pytest.raises(ShapeError, match="state_enc"):
+        df.sample(sched, trainer.online, rows, 2, np.random.default_rng(0))
+    # conditioning that does not fit the network's input width
+    with pytest.raises(ShapeError, match="inputs"):
+        df.sample(sched, trainer.online, df.Conditioning(step_dim=8), 2,
+                  np.random.default_rng(0))
 
 
 def test_single_step_chain_learns_point_mass():

@@ -8,9 +8,10 @@ from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
 from ssm_diffusion.config import validate_config
 from ssm_diffusion.errors import NumericError, ShapeError
-from ssm_diffusion.runner import eval_n_values
+from ssm_diffusion.runner import build_env, build_trainer, eval_n_values
 
 from test_config import minimal_raw
+from test_diffusion import reference_chain
 
 
 def sample_from_pmf(pmf, mdp, count, rng):
@@ -21,16 +22,26 @@ def sample_from_pmf(pmf, mdp, count, rng):
 def test_empirical_pmf_point_mass():
     g = m.gridworld_new(3, 3, horizon=2)
     samples = np.tile(m.encode_state(g, 4), (50, 1))
-    pmf = ev.empirical_pmf(samples, g)
+    pmf, clamped_frac = ev.empirical_pmf(samples, g)
     assert pmf[4] == 1.0 and pmf.sum() == pytest.approx(1.0)
+    assert clamped_frac == 0.0
 
 
 def test_empirical_pmf_normalized():
     g = m.gridworld_new(4, 4, horizon=2)
     samples = np.random.default_rng(0).uniform(-1, 1, size=(1000, 2))
-    pmf = ev.empirical_pmf(samples, g)
+    pmf, _ = ev.empirical_pmf(samples, g)
     assert pmf.sum() == pytest.approx(1.0)
     assert np.all(pmf >= 0.0)
+
+
+def test_empirical_pmf_clamped_fraction():
+    # 3x3 cell centers sit at -1, 0, 1: beyond +-1.5 a sample is clamped
+    g = m.gridworld_new(3, 3, horizon=2)
+    samples = np.array([[1.4, 0.0], [1.6, 0.0], [0.0, -2.0], [3.0, 3.0]])
+    pmf, clamped_frac = ev.empirical_pmf(samples, g)
+    assert clamped_frac == 0.75
+    np.testing.assert_array_equal(np.nonzero(pmf)[0], [1, 5, 8])
 
 
 def test_empirical_pmf_rejects_nonfinite():
@@ -45,7 +56,7 @@ def test_empirical_pmf_roundtrip_from_oracle():
     table = orc.exact_ssm(g, pol, 4)
     target = table.d[0, pol.table[0], 3]
     samples = sample_from_pmf(target, g, 10_000, np.random.default_rng(1))
-    pmf = ev.empirical_pmf(samples, g)
+    pmf, _ = ev.empirical_pmf(samples, g)
     assert ev.tv_distance(pmf, target) < 0.02
 
 
@@ -92,13 +103,18 @@ def make_untrained(horizon=4):
 
 def test_eval_model_report_structure():
     trainer, g, pol, table = make_untrained()
-    es = eval_set(g, pol, [1, 2, 4])[:6]
+    es = eval_set(g, pol, [1, 2, 4])[::8]
     report = ev.eval_model(trainer, g, table, es, 200,
                            np.random.default_rng(0), seed=0)
     assert len(report.rows) == 6
     assert 0.0 <= report.mean_tv <= report.max_tv <= 1.0
+    assert list(report.mean_tv_by_n) == [1, 2, 4]
+    for n, tv in report.mean_tv_by_n.items():
+        assert tv == pytest.approx(np.mean(
+            [r["tv"] for r in report.rows if r["n"] == n]))
     for row in report.rows:
         assert 0.0 <= row["tv"] <= 1.0
+        assert 0.0 <= row["clamped_frac"] <= 1.0
         assert row["q_abs_err"] == pytest.approx(
             abs(row["q_est"] - row["q_exact"]))
 
@@ -133,7 +149,7 @@ def test_q_from_oracle_samples_matches_exact_q():
     rng = np.random.default_rng(2)
     s, a, n = 0, int(pol.table[0]), 4
     samples = sample_from_pmf(table.d[s, a, n - 1], g, 10_000, rng)
-    pmf = ev.empirical_pmf(samples, g)
+    pmf, _ = ev.empirical_pmf(samples, g)
     q_hat = float(pmf @ g.reward)
     p = q[s, a, n - 1]
     se = np.sqrt(max(p * (1 - p), 1e-12) / 10_000)
@@ -147,3 +163,22 @@ def test_eval_deterministic_given_seed():
     r2 = ev.eval_model(trainer, g, table, es, 100, np.random.default_rng(5))
     assert r1.rows == r2.rows
     assert r1.mean_tv == r2.mean_tv
+
+
+def test_eval_model_pmfs_match_unfolded_reference():
+    # the untrained headline network on 6 headline conditions: the folded
+    # sampler decodes every sample to the cell the unfolded chain gives
+    cfg = validate_config(minimal_raw(
+        env={"width": 5, "height": 5, "horizon": 8}, diffusion={"K": 32}))
+    trainer = build_trainer(cfg, seed=999)
+    g, pol = build_env(cfg)
+    table = orc.exact_ssm(g, pol, 8)
+    es = [(s, int(pol.table[s]), n) for s, n in
+          ((0, 1), (7, 1), (12, 4), (18, 4), (3, 8), (24, 8))]
+    report = ev.eval_model(trainer, g, table, es, 2000,
+                           np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for row, (s, a, n) in zip(report.rows, es):
+        samples = reference_chain(trainer.sched, trainer.online,
+                                  bl.conditioning(trainer, s, a, n), 2000, rng)
+        assert row["pmf"] == ev.empirical_pmf(samples, g)[0].tolist()

@@ -117,18 +117,22 @@ def test_encode_center_and_corner():
 
 def test_decode_nearest_center():
     g = m.gridworld_new(5, 5, horizon=2)
-    assert m.decode_states(g, np.array([[-0.9, -0.95]])) == [0]
+    cells, clamped = m.decode_states(g, np.array([[-0.9, -0.95]]))
+    assert cells == [0] and clamped == [False]
 
 
 def test_decode_encode_identity():
     g = m.gridworld_new(4, 3, horizon=2)
     for s in range(g.n_states):
-        assert m.decode_states(g, m.encode_state(g, [s])) == [s]
+        assert m.decode_states(g, m.encode_state(g, [s]))[0] == [s]
 
 
 def test_decode_clamps_out_of_range():
     g = m.gridworld_new(3, 3, horizon=2)
-    assert m.decode_states(g, np.array([[5.0, 5.0]])) == [8]
+    cells, clamped = m.decode_states(g, np.array([[5.0, 5.0], [1.2, 0.0],
+                                                  [1.6, 0.0], [0.0, -1.6]]))
+    np.testing.assert_array_equal(cells, [8, 5, 5, 1])
+    np.testing.assert_array_equal(clamped, [True, False, True, True])
 
 
 def test_decode_rejects_nonfinite():
@@ -140,13 +144,17 @@ def test_decode_rejects_nonfinite():
 def test_decode_states_matches_scalar():
     g = m.gridworld_new(5, 4, horizon=2)
     vs = np.random.default_rng(0).uniform(-1.3, 1.3, size=(200, 2))
-    batch = m.decode_states(g, vs)
+    batch, clamped = m.decode_states(g, vs)
     centers = m.encode_state(g, np.arange(g.n_states))
     for r in range(len(vs)):
         # scalar reference: the cell whose center is nearest, which for
         # points off the grid is the nearest border cell
         nearest = np.argmin(np.sum((centers - vs[r]) ** 2, axis=1))
         assert batch[r] == nearest
+        # clamped: more than half a cell beyond the outermost centers
+        half = 1.0 / np.array([g.width - 1, g.height - 1])
+        assert clamped[r] == np.any(np.abs(vs[r]) > 1.0 + half)
+    assert 0 < clamped.sum() < len(vs)
 
 
 def test_encode_action_one_hot():

@@ -72,7 +72,9 @@ def test_decode_inverts_encode(width, height):
     # the vector call is the per-element scalar call, bit for bit
     assert encoded.tobytes() == np.array(
         [m.encode_state(g, int(s)) for s in states]).tobytes()
-    np.testing.assert_array_equal(m.decode_states(g, encoded), states)
+    cells, clamped = m.decode_states(g, encoded)
+    np.testing.assert_array_equal(cells, states)
+    assert not clamped.any()
     actions = np.arange(g.n_actions)
     assert m.encode_action(g, actions).tobytes() == np.array(
         [m.encode_action(g, int(a)) for a in actions]).tobytes()
