@@ -6,7 +6,9 @@ The denoiser is an MLP that takes [x_i | state | action | step embedding |
 horizon] concatenated and predicts the noise that was added. The sampler's
 conditioning is shared by every sample, so it folds each step's context
 columns into the first-layer bias once per chain and feeds only x_i through
-the network.
+the network. Each reverse step runs over row blocks of at most BLOCK_ROWS
+samples, so every layer's output stays in cache between its matmul, bias
+add and activation.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,10 @@ import numpy as np
 
 from .approximator import mlp_forward, split_first_layer
 from .errors import ConfigurationError, NumericError, ShapeError
+
+# rows per block of the reverse chain: a 512 x 128 float64 layer output
+# (512 KB) stays in a 2 MB L2 cache, a 2000-row one streams past it
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -148,7 +154,9 @@ def sample(sched, net, cond, count, rng):
 
     cond is shared by every sample, so the first layer's product with the
     context is taken once per chain: one bias row per step, written into a
-    copy of the network that takes only x before that step."""
+    copy of the network that takes only x before that step. Each step
+    draws its noise for all rows at once, then runs the network over blocks
+    of at most BLOCK_ROWS rows."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     for name in ("state_enc", "action_enc", "horizon_enc"):
@@ -164,13 +172,23 @@ def sample(sched, net, cond, count, rng):
                          f"inputs, the network takes {net.layer_sizes[0]}")
     head, w_ctx = split_first_layer(net, dim)
     bias = ctx @ w_ctx.T + net.biases[0]
-    # one array per layer output, reused by every step of the chain
-    out = [np.empty((count, size)) for size in net.layer_sizes[1:]]
+    # one block's array per layer output and one noise array, reused by
+    # every block and step, so no step allocates a large array
+    out = [np.empty((min(count, BLOCK_ROWS), size))
+           for size in net.layer_sizes[1:]]
+    blocks = [(slice(r, r + BLOCK_ROWS), [o[:count - r] for o in out])
+              for r in range(0, count, BLOCK_ROWS)]
     x = rng.standard_normal((count, dim))
+    z = np.empty((count, dim))
     for i in range(sched.K, 0, -1):
-        z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
+        if i > 1:
+            rng.standard_normal(out=z)
+        else:
+            z[...] = 0.0
         head.biases[0][...] = bias[i - 1]
-        x = reverse_step(sched, head, x, i, z, out=out)
+        for rows, block_out in blocks:
+            x[rows] = reverse_step(sched, head, x[rows], i, z[rows],
+                                   out=block_out)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite sample values at reverse step {i}")
     return x

@@ -14,7 +14,7 @@ from . import mdp as mdp_mod
 from . import oracle as orc
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import NumericError
+from .errors import FormatError, NumericError
 from .replay import ReplayBuffer
 
 
@@ -90,12 +90,34 @@ def make_checkpoint(cfg, trainer, buf, rng):
         target=trainer.target, trajectories=list(buf.trajectories))
 
 
+def check_replay(trajectories, mdp):
+    """Raise a one-line FormatError unless the checkpoint's replay holds at
+    least one trajectory, each of the config's horizon, with every state
+    and action in range for the config's environment."""
+    if not trajectories:
+        raise FormatError("replay holds no trajectories")
+    H = mdp.horizon
+    if any(len(t.states) != H + 1 or len(t.actions) != H
+           for t in trajectories):
+        raise FormatError("replay trajectories do not have the config's "
+                          f"horizon {H}")
+    for name, values, bound in (
+            ("state", [t.states for t in trajectories], mdp.n_states),
+            ("action", [t.actions for t in trajectories], mdp.n_actions)):
+        values = np.asarray(values)
+        bad = values[(values < 0) | (values >= bound)]
+        if bad.size:
+            raise FormatError(f"replay {name} {bad[0]} out of range "
+                              f"[0, {bound})")
+
+
 def restore_trainer(cfg, ck):
     """Rebuild a Trainer and buffer from a checkpoint plus its config."""
+    mdp, policy = build_env(cfg)
+    check_replay(ck.trajectories, mdp)
     trainer = build_trainer(cfg)
     trainer.online, trainer.target, trainer.opt = ck.online, ck.target, ck.opt
     trainer.step_count = ck.step_count
-    mdp, policy = build_env(cfg)
     buf = ReplayBuffer(mdp, policy, cfg.training["buffer_capacity"])
     for traj in ck.trajectories:
         buf.push_trajectory(traj)
@@ -107,7 +129,6 @@ def restore_trainer(cfg, ck):
 def run_training(cfg, out_dir, resume_ck=None, seed=None):
     """Collect rollouts, run the training loop, write loss.csv and the final
     checkpoint. Returns (trainer, mdp, policy, buffer)."""
-    os.makedirs(out_dir, exist_ok=True)
     trn = cfg.training
     digest = config_digest(cfg)
     if resume_ck is not None:
@@ -122,6 +143,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
             buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng, episode_id=e))
         start_step = 0
 
+    os.makedirs(out_dir, exist_ok=True)
     loss_rows = []
     try:
         for step_idx in range(start_step, trn["steps"]):

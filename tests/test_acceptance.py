@@ -78,6 +78,7 @@ def test_criterion_2_forward_marginals():
 
 # -- 3: unconditional DDPM sanity -------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_unconditional_mixture():
     # a fine schedule: components of std 0.1 need small per-step noise for
     # the reverse chain to reproduce their width
@@ -198,6 +199,7 @@ def headline_run(tmp_path_factory):
     return report_trained, baseline, table, mdp_
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_ssm(headline_run):
     trained, baseline, _, _ = headline_run
     tv1 = float(np.mean([r["tv"] for r in trained.rows if r["n"] == 1]))
@@ -209,6 +211,7 @@ def test_criterion_6_end_to_end_ssm(headline_run):
            f"({improvement:.1f}x improvement, need >=2x)")
 
 
+@pytest.mark.slow
 def test_criterion_7_q_estimation(headline_run):
     trained, _, _, _ = headline_run
     report(7, "Q-estimation", trained.mean_q_err < 0.10,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ssm_diffusion import cli
+from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
+from ssm_diffusion.mdp import Trajectory
 
 from test_checkpoint import VERSION_LINE, rewrite_header
 from test_config import minimal_raw
@@ -113,6 +115,42 @@ def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):
                     "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and says in err
+
+
+def test_replay_not_fitting_config_exit_1_one_line(tmp_path, capsys):
+    cfg = str(write_config(tmp_path, **tiny_overrides(steps=0)))
+    resumed = tiny_overrides()
+    resumed["training"]["collect_every"] = 0
+    resume_cfg = str(write_config(tmp_path, "resume.json", **resumed))
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    ck = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+    trajs = ck.trajectories
+    first, rest = trajs[0], trajs[1:]
+
+    def with_replay(name, trajectories):
+        ck.trajectories = trajectories
+        save_checkpoint(tmp_path / name, ck)
+        return tmp_path / name
+
+    probes = (
+        (with_replay("state.bin", [Trajectory(
+            np.r_[first.states[:-1], 99], first.actions)] + rest),
+         "replay state 99 out of range [0, 4)"),
+        (with_replay("action.bin", [Trajectory(
+            first.states, np.r_[7, first.actions[1:]])] + rest),
+         "replay action 7 out of range [0, 4)"),
+        (with_replay("short.bin", [Trajectory(t.states[:-1], t.actions[:-1])
+                                   for t in trajs]), "config's horizon 3"),
+        (with_replay("empty.bin", []), "replay holds no trajectories"))
+    for path, says in probes:
+        for argv in (["train", "--config", resume_cfg, "--override-digest"],
+                     ["eval", "--config", cfg]):
+            out = tmp_path / path.stem
+            assert run(argv + ["--checkpoint", str(path),
+                               "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and says in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "oracle"])

@@ -143,9 +143,10 @@ def test_sample_deterministic_given_seed():
     sched = df.make_schedule(8, 0.01, 0.2)
     net = ap.mlp_init([2 + 8, 16, 2], seed=3)
     cond = df.Conditioning(step_dim=8)
-    a = df.sample(sched, net, cond, 5, np.random.default_rng(42))
-    b = df.sample(sched, net, cond, 5, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
+    for count in (5, 2 * df.BLOCK_ROWS + 37):
+        a = df.sample(sched, net, cond, count, np.random.default_rng(42))
+        b = df.sample(sched, net, cond, count, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
 
 def reference_chain(sched, net, cond, count, rng):
@@ -184,13 +185,15 @@ def test_sample_matches_unfolded_reference(activation, horizon_encoding,
     for b in net.biases:
         b[...] = np.random.default_rng(6).uniform(-0.5, 0.5, b.shape)
     theta = net.theta.copy()
-    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    folded = df.sample(sched, net, cond, 300, rng_a)
-    reference = reference_chain(sched, net, cond, 300, rng_b)
-    # only the order of the first layer's sums differs
-    np.testing.assert_allclose(folded, reference, rtol=0, atol=1e-12)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    np.testing.assert_array_equal(net.theta, theta)
+    # one block, two blocks, and three with a ragged last block
+    for count in (300, df.BLOCK_ROWS + 1, 2 * df.BLOCK_ROWS + 37):
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        folded = df.sample(sched, net, cond, count, rng_a)
+        reference = reference_chain(sched, net, cond, count, rng_b)
+        # only the order of the first layer's sums differs
+        np.testing.assert_allclose(folded, reference, rtol=0, atol=1e-12)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        np.testing.assert_array_equal(net.theta, theta)
 
 
 def test_sample_rejects_per_row_conditioning():
