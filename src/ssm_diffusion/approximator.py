@@ -86,13 +86,6 @@ def _activate(z, kind):
     return np.tanh(z, out=z)
 
 
-def _activate_grad(a, kind):
-    """The activation's derivative, from its output a."""
-    if kind == "relu":
-        return (a > 0.0).astype(float)
-    return 1.0 - a ** 2
-
-
 def mlp_forward(params, x, out=None):
     """Forward pass over a (batch, dim) matrix. Returns (output,
     activations), where activations[l] is the input to layer l. Hidden
@@ -138,8 +131,9 @@ def mlp_backward(params, activations, output_grad):
         np.matmul(g.T, a_in, out=grads.weights[l])
         np.sum(g, axis=0, out=grads.biases[l])
         if l > 0:
-            g = (g @ params.weights[l]) * _activate_grad(a_in,
-                                                         params.activation)
+            # times the activation's derivative, in place (a mask casts)
+            g = g @ params.weights[l]
+            g *= a_in > 0.0 if params.activation == "relu" else 1.0 - a_in ** 2
     return grads
 
 
@@ -182,7 +176,7 @@ def init_opt_state(params, optimizer="sgd", lr=1e-3, beta1=0.9, beta2=0.999,
 
 def opt_step(params, grads, state):
     """One optimizer update. Returns (new_params, state). Neither params nor
-    grads is mutated; state's step count and moments are replaced."""
+    grads is mutated; state's step count and moments are updated in place."""
     g = grads.theta
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient entries; aborting step")
@@ -193,10 +187,13 @@ def opt_step(params, grads, state):
         t = state.step_count
         bc1 = 1.0 - state.beta1 ** t
         bc2 = 1.0 - state.beta2 ** t
-        state.m = state.beta1 * state.m + (1 - state.beta1) * g
-        state.v = state.beta2 * state.v + (1 - state.beta2) * g ** 2
-        theta = params.theta - state.lr * (state.m / bc1) / (
-            np.sqrt(state.v / bc2) + state.eps)
+        m, v = state.m, state.v
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g ** 2
+        theta = params.theta - state.lr * (m / bc1) / (np.sqrt(v / bc2)
+                                                       + state.eps)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite parameters after optimizer step")
     return MlpParams(layer_sizes=list(params.layer_sizes), theta=theta,

@@ -5,7 +5,8 @@ branch with probability 1/n, so the expected loss realizes
 (1/n) L1 + ((n-1)/n) L2.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,23 +30,45 @@ class Trainer:
     tau: float = 0.005
     step_count: int = 0
     horizon_encoding: str = "scalar"  # "scalar" (n / n_max) or "onehot"
+    # the encoding of each state, action, horizon n (row n-1) and diffusion
+    # step i (row i-1), built once by make_trainer with the per-call encoders
+    state_table: np.ndarray = field(default=None, repr=False)
+    action_table: np.ndarray = field(default=None, repr=False)
+    horizon_table: np.ndarray = field(default=None, repr=False)
+    step_table: np.ndarray = field(default=None, repr=False)
 
 
 def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
                  step_dim=8, optimizer="adam", lr=1e-3, condition_on="current",
                  sync_mode="hard", sync_period=500, tau=0.005,
                  horizon_encoding="onehot", seed=0):
-    horizon_dim = mdp.horizon if horizon_encoding == "onehot" else 1
+    n = np.arange(1, mdp.horizon + 1)
+    horizon_table = np.eye(mdp.horizon) if horizon_encoding == "onehot" \
+        else n[:, None] / mdp.horizon
     # input: x | state | action | step embedding | horizon encoding; x and
     # the state are 2-D cell centers
-    sizes = [2 + 2 + mdp.n_actions + step_dim + horizon_dim]
+    sizes = [2 + 2 + mdp.n_actions + step_dim + horizon_table.shape[1]]
     sizes += list(hidden_sizes) + [2]
     online = ap.mlp_init(sizes, activation=activation, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
                    opt=ap.init_opt_state(online, optimizer=optimizer, lr=lr),
                    mdp=mdp, step_dim=step_dim, condition_on=condition_on,
                    sync_mode=sync_mode, sync_period=sync_period, tau=tau,
-                   horizon_encoding=horizon_encoding)
+                   horizon_encoding=horizon_encoding,
+                   state_table=encode_state(mdp, np.arange(mdp.n_states)),
+                   action_table=encode_action(mdp, np.arange(mdp.n_actions)),
+                   horizon_table=horizon_table,
+                   step_table=df.sinusoidal_embedding(
+                       np.arange(1, sched.K + 1), step_dim))
+
+
+def _rows(table, index, name):
+    """table[index] for an integer index or vector of them, each in range."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu" or not np.all((0 <= index)
+                                                  & (index < len(table))):
+        raise IndexError(f"{name} {index} out of range")
+    return table[index]
 
 
 def conditioning(trainer, s, a, n):
@@ -54,14 +77,11 @@ def conditioning(trainer, s, a, n):
     n, n_max = np.asarray(n), trainer.mdp.horizon
     if np.any(n < 1) or np.any(n > n_max):
         raise ValueError(f"horizon {n} out of range [1, {n_max}]")
-    if trainer.horizon_encoding == "onehot":
-        horizon = np.eye(n_max)[n - 1]
-    else:
-        horizon = n[..., None] / n_max
-    return df.Conditioning(state_enc=encode_state(trainer.mdp, s),
-                           action_enc=encode_action(trainer.mdp, a),
-                           horizon_enc=horizon,
-                           step_dim=trainer.step_dim)
+    return df.Conditioning(state_enc=_rows(trainer.state_table, s, "state"),
+                           action_enc=_rows(trainer.action_table, a, "action"),
+                           horizon_enc=trainer.horizon_table[n - 1],
+                           step_dim=trainer.step_dim,
+                           step_table=trainer.step_table)
 
 
 def td_loss(trainer, batch, i, eps):
@@ -77,11 +97,13 @@ def td_loss(trainer, batch, i, eps):
         raise ValueError("batch must be non-empty")
     B = len(batch)
     i = np.asarray(i)
-    s, a, s_next, a_next, x, n, is_l1 = np.array(batch).T
+    s, a, s_next, a_next, x, n, is_l1 = np.fromiter(
+        itertools.chain.from_iterable(batch), dtype=np.int64,
+        count=B * len(batch[0])).reshape(B, -1).T
     is_l1 = is_l1.astype(bool)
     if trainer.condition_on == "next":
         s, a = s_next, a_next
-    x0 = encode_state(trainer.mdp, np.where(is_l1, s_next, x))
+    x0 = _rows(trainer.state_table, np.where(is_l1, s_next, x), "state")
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
     inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i)
 
@@ -120,10 +142,10 @@ def train_step(trainer, batch, rng):
     """Draw a diffusion step and noise per tuple, in batch order, then take
     one optimizer step on the batch's td_loss and sync the target."""
     K, dim = trainer.sched.K, trainer.online.layer_sizes[-1]
-    draws = [(int(rng.integers(1, K + 1)), rng.standard_normal(dim))
-             for _ in batch]
-    i = np.array([d[0] for d in draws])
-    eps = np.array([d[1] for d in draws])
+    i, eps = np.empty(len(batch), dtype=int), np.empty((len(batch), dim))
+    for r in range(len(batch)):
+        i[r] = rng.integers(1, K + 1)
+        rng.standard_normal(out=eps[r])
     loss, grads = td_loss(trainer, batch, i, eps)
     trainer.online, trainer.opt = ap.opt_step(trainer.online, grads, trainer.opt)
     trainer.step_count += 1

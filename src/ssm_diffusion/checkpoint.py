@@ -41,23 +41,25 @@ class Checkpoint:
 
 def save_checkpoint(path, ck):
     """Write through a temporary file in the same directory, then rename it
-    over `path`, so a failed write leaves any previous file intact."""
+    over `path`, so a failed write leaves any previous file intact. The
+    format has one horizon: a replay of mixed lengths is refused first."""
+    trajs = ck.trajectories
+    horizon = len(trajs[0].actions) if trajs else 0
+    if any(len(t.actions) != horizon or len(t.states) != horizon + 1
+           for t in trajs):
+        raise FormatError("cannot write a checkpoint whose replay "
+                          "trajectories differ in length")
     f64_bytes = b"".join(a.astype("<f8").tobytes() for a in (
         ck.online.theta, ck.target.theta, ck.opt.m, ck.opt.v))
-    horizon = ck.trajectories[0].horizon if ck.trajectories else 0
-    ints = []
-    for traj in ck.trajectories:
-        ints.append(np.asarray(traj.states, dtype="<i8"))
-        ints.append(np.asarray(traj.actions, dtype="<i8"))
-        ints.append(np.array([traj.episode_id], dtype="<i8"))
-    i64_bytes = b"".join(a.tobytes() for a in ints)
+    i64_bytes = np.array([(*t.states, *t.actions, t.episode_id)
+                          for t in trajs], dtype="<i8").tobytes()
     header = {
         "config_digest": ck.config_digest,
         "structure": ck.structure,
         "trainer": {"step_count": ck.step_count},
         "opt": {key: getattr(ck.opt, key) for key in _OPT_SCALARS},
         "rng": ck.rng_state,
-        "n_trajectories": len(ck.trajectories),
+        "n_trajectories": len(trajs),
         "horizon": horizon,
     }
     head = (f"ssm-diffusion-checkpoint v{FORMAT_VERSION}\n"
@@ -141,14 +143,13 @@ def load_checkpoint(path):
     target, offset = _take(buf, offset, n_params, "f8")
     m, offset = _take(buf, offset, n_moments, "f8")
     v, offset = _take(buf, offset, n_moments, "f8")
-    trajectories = []
     H = header["horizon"]
-    for _ in range(header["n_trajectories"]):
-        states, offset = _take(buf, offset, H + 1, "i8")
-        actions, offset = _take(buf, offset, H, "i8")
-        eid, offset = _take(buf, offset, 1, "i8")
-        trajectories.append(Trajectory(states=states, actions=actions,
-                                       episode_id=int(eid[0])))
+    rows, offset = _take(buf, offset, header["n_trajectories"] * (2 * H + 2),
+                         "i8")
+    trajectories = [Trajectory(states=tuple(row[:H + 1]),
+                               actions=tuple(row[H + 1:-1]),
+                               episode_id=row[-1])
+                    for row in rows.reshape(-1, 2 * H + 2).tolist()]
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} bytes after the last "
                           "checkpoint block")

@@ -66,6 +66,9 @@ def _load_checkpoint_checked(path, cfg, override):
 
 
 def cmd_train(args):
+    if args.checkpoint and args.seed is not None:
+        # a resumed run continues its checkpoint's generator
+        raise ConfigurationError("--seed cannot be combined with --checkpoint")
     cfg = load_config(args.config)
     resume_ck = None
     if args.checkpoint:
@@ -100,6 +103,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "oracle": cmd_oracle}
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -199,6 +199,9 @@ def validate_config(raw):
         raise ConfigurationError("training.steps must be >= 0")
     if trn["batch_size"] < 1 or trn["buffer_capacity"] < 1:
         raise ConfigurationError("training.batch_size/buffer_capacity must be >= 1")
+    for name, sec in (("training", trn), ("eval", evl)):
+        if sec["seed"] < 0:   # numpy's generators take none
+            raise ConfigurationError(f"{name}.seed must be >= 0, got {sec['seed']}")
     if trn["initial_trajectories"] < 1:
         raise ConfigurationError("training.initial_trajectories must be >= 1")
     if evl["num_samples"] < 1:

@@ -45,6 +45,8 @@ class Conditioning:
     action_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     horizon_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_dim: int = 8
+    # sinusoidal_embedding of steps 1..K, which net_input indexes if given
+    step_table: np.ndarray | None = None
 
 
 def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
@@ -122,8 +124,9 @@ def net_input(x_i, cond, i):
     step i are either shared by every row or given per row."""
     x_i = np.asarray(x_i, dtype=float)
     rows = x_i.shape[0]
-    ctx = [cond.state_enc, cond.action_enc,
-           sinusoidal_embedding(i, cond.step_dim), cond.horizon_enc]
+    step = sinusoidal_embedding(i, cond.step_dim) if cond.step_table is None \
+        else cond.step_table[np.asarray(i) - 1]
+    ctx = [cond.state_enc, cond.action_enc, step, cond.horizon_enc]
     return np.hstack([x_i] + [np.broadcast_to(c, (rows, c.shape[-1]))
                               for c in ctx])
 

@@ -37,13 +37,11 @@ class Policy:
 
 @dataclass
 class Trajectory:
-    states: np.ndarray      # s_0 .. s_H
-    actions: np.ndarray     # a_0 .. a_{H-1}
+    """One episode as tuples of Python ints, which replay indexes per row
+    without converting a NumPy scalar."""
+    states: tuple           # s_0 .. s_H
+    actions: tuple          # a_0 .. a_{H-1}
     episode_id: int = 0
-
-    @property
-    def horizon(self):
-        return len(self.actions)
 
 
 def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None,
@@ -135,8 +133,7 @@ def rollout(mdp, policy, rng, start=None, episode_id=0):
         actions.append(a)
         s = step(mdp, s, a, rng)
         states.append(s)
-    return Trajectory(states=np.array(states, dtype=int),
-                      actions=np.array(actions, dtype=int),
+    return Trajectory(states=tuple(states), actions=tuple(actions),
                       episode_id=episode_id)
 
 

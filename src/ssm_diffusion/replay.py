@@ -36,13 +36,15 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.mdp = mdp
         self.policy = policy
-        self.capacity = capacity
         self.trajectories = deque(maxlen=capacity)
 
     def __len__(self):
         return len(self.trajectories)
 
     def push_trajectory(self, traj):
+        H = self.mdp.horizon
+        if len(traj.actions) != H or len(traj.states) != H + 1:
+            raise ValueError(f"trajectory does not have the horizon {H}")
         self.trajectories.append(traj)
 
     def sample_tuple(self, rng):
@@ -50,11 +52,12 @@ class ReplayBuffer:
         among those with enough steps left, uniform future offset."""
         if not self.trajectories:
             raise RuntimeError("cannot sample from an empty replay buffer")
+        H = self.mdp.horizon
         traj = self.trajectories[int(rng.integers(len(self.trajectories)))]
-        n = int(rng.integers(1, traj.horizon + 1))
-        t = int(rng.integers(traj.horizon - n + 1))
+        n = int(rng.integers(1, H + 1))
+        t = int(rng.integers(H - n + 1))
         k = int(rng.integers(1, n + 1))
-        s_next = int(traj.states[t + 1])
-        return TrainTuple(s=int(traj.states[t]), a=int(traj.actions[t]),
-                          s_next=s_next, a_next=int(self.policy.table[s_next]),
-                          x=int(traj.states[t + k]), n=n, is_l1=(k == 1))
+        s_next = traj.states[t + 1]
+        return TrainTuple(traj.states[t], traj.actions[t], s_next,
+                          int(self.policy.table[s_next]), traj.states[t + k],
+                          n, k == 1)

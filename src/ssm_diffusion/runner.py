@@ -131,12 +131,13 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
     checkpoint. Returns (trainer, mdp, policy, buffer)."""
     trn = cfg.training
     digest = config_digest(cfg)
+    seed = trn["seed"] if seed is None else seed
     if resume_ck is not None:
         trainer, mdp, policy, buf, rng = restore_trainer(cfg, resume_ck)
         start_step = trainer.step_count
     else:
         mdp, policy = build_env(cfg)
-        rng = np.random.default_rng(trn["seed"] if seed is None else seed)
+        rng = np.random.default_rng(seed)
         trainer = build_trainer(cfg, seed=seed)
         buf = ReplayBuffer(mdp, policy, trn["buffer_capacity"])
         for e in range(trn["initial_trajectories"]):
@@ -170,7 +171,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
                     make_checkpoint(cfg, trainer, buf, rng))
     manifest = {"config_digest": digest, "format_version": 1,
-                "steps": trainer.step_count, "seed": trn["seed"],
+                "steps": trainer.step_count, "seed": seed,
                 "files": ["loss.csv", "checkpoint.bin"]}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -387,3 +387,162 @@ def test_degenerate_single_state_loss_goes_to_zero():
         batch = [buf.sample_tuple(rng) for _ in range(16)]
         losses.append(bl.train_step(trainer, batch, rng)["loss"])
     assert np.mean(losses[-100:]) < 0.02
+
+
+# -- the train step against a reference made of the per-call encoders ------
+
+def ref_conditioning(trainer, s, a, n):
+    """(state, action, horizon) encodings from the per-call encoders."""
+    n, n_max = np.asarray(n), trainer.mdp.horizon
+    if trainer.horizon_encoding == "onehot":
+        horizon = np.eye(n_max)[n - 1]
+    else:
+        horizon = n[..., None] / n_max
+    return (m.encode_state(trainer.mdp, s), m.encode_action(trainer.mdp, a),
+            horizon)
+
+
+def ref_net_input(trainer, x_i, ctx, i):
+    state, action, horizon = ctx
+    parts = [state, action, df.sinusoidal_embedding(i, trainer.step_dim),
+             horizon]
+    return np.hstack([x_i] + [np.broadcast_to(c, (len(x_i), c.shape[-1]))
+                              for c in parts])
+
+
+def ref_backward(params, activations, g):
+    """Backward pass with a float copy of the activation mask."""
+    grads = np.empty_like(params.theta)
+    view = ap.MlpParams(params.layer_sizes, grads, params.activation)
+    for l in range(len(params.weights) - 1, -1, -1):
+        view.weights[l][...] = g.T @ activations[l]
+        view.biases[l][...] = np.sum(g, axis=0)
+        if l > 0:
+            a = activations[l]
+            mask = (a > 0.0).astype(float) if params.activation == "relu" \
+                else 1.0 - a ** 2
+            g = (g @ params.weights[l]) * mask
+    return view
+
+
+def ref_td_loss(trainer, batch, i, eps):
+    s, a, s_next, a_next, x, n, is_l1 = np.array(batch).T
+    is_l1 = is_l1.astype(bool)
+    if trainer.condition_on == "next":
+        s, a = s_next, a_next
+    x0 = m.encode_state(trainer.mdp, np.where(is_l1, s_next, x))
+    x_i = df.forward_noise(trainer.sched, x0, i, eps)
+    targets = np.array(eps, dtype=float)
+    l2 = ~is_l1
+    if l2.any():
+        ctx = ref_conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
+        targets[l2], _ = ap.mlp_forward(
+            trainer.target, ref_net_input(trainer, x_i[l2], ctx, i[l2]))
+    etas = df.loss_weight(trainer.sched, i)
+    out, activations = ap.mlp_forward(trainer.online, ref_net_input(
+        trainer, x_i, ref_conditioning(trainer, s, a, n), i))
+    resid = out - targets
+    loss = float(np.mean(etas * np.sum(resid ** 2, axis=1)))
+    return loss, ref_backward(trainer.online, activations,
+                              (2.0 / len(batch)) * etas[:, None] * resid)
+
+
+def ref_opt_step(params, grads, state):
+    """The out-of-place optimizer formula, on fresh moment vectors."""
+    g = grads.theta
+    state.step_count += 1
+    if state.optimizer == "sgd":
+        theta = params.theta - state.lr * g
+    else:
+        t = state.step_count
+        bc1 = 1.0 - state.beta1 ** t
+        bc2 = 1.0 - state.beta2 ** t
+        state.m = state.beta1 * state.m + (1 - state.beta1) * g
+        state.v = state.beta2 * state.v + (1 - state.beta2) * g ** 2
+        theta = params.theta - state.lr * (state.m / bc1) / (
+            np.sqrt(state.v / bc2) + state.eps)
+    return ap.MlpParams(params.layer_sizes, theta, params.activation)
+
+
+def ref_train_step(trainer, batch, rng):
+    K = trainer.sched.K
+    draws = [(int(rng.integers(1, K + 1)), rng.standard_normal(2))
+             for _ in batch]
+    i = np.array([d[0] for d in draws])
+    eps = np.array([d[1] for d in draws])
+    loss, grads = ref_td_loss(trainer, batch, i, eps)
+    trainer.online = ref_opt_step(trainer.online, grads, trainer.opt)
+    trainer.step_count += 1
+    bl.sync_target(trainer)
+    return loss
+
+
+@pytest.mark.parametrize("settings", [
+    dict(horizon_encoding=h, condition_on=c, eta_mode=e) for h, c, e in COMBOS
+] + [dict(optimizer="sgd", lr=0.05), dict(activation="tanh")],
+    ids=[f"{h}-{c}-{e}" for h, c, e in COMBOS] + ["sgd", "tanh"])
+def test_train_step_bit_exact_against_reference(settings):
+    # a short sync period, so the target both lags and is refreshed
+    trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
+                                         seed=6, sync_period=7, **settings)
+    ref = copy.deepcopy(trainer)
+    run_rng, ref_rng = (np.random.default_rng(31) for _ in range(2))
+    for _ in range(24):
+        batch = [buf.sample_tuple(rng) for _ in range(16)]
+        loss = bl.train_step(trainer, batch, run_rng)["loss"]
+        assert np.float64(loss).tobytes() == \
+            np.float64(ref_train_step(ref, batch, ref_rng)).tobytes()
+    for net in ("online", "target"):
+        assert getattr(trainer, net).theta.tobytes() == \
+            getattr(ref, net).theta.tobytes()
+    assert trainer.opt.m.tobytes() == ref.opt.m.tobytes()
+    assert trainer.opt.v.tobytes() == ref.opt.v.tobytes()
+    assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("width, height, step_dim",
+                         [(5, 5, 8), (1, 3, 9), (4, 1, 2)])
+@pytest.mark.parametrize("horizon_encoding", ["onehot", "scalar"])
+def test_encoding_tables_equal_per_call_encoders(width, height, step_dim,
+                                                 horizon_encoding):
+    g = m.gridworld_new(width, height, horizon=6)
+    trainer = bl.make_trainer(df.make_schedule(16, 0.01, 0.2), g,
+                              hidden_sizes=(4,), step_dim=step_dim,
+                              horizon_encoding=horizon_encoding)
+    for s in range(g.n_states):
+        assert trainer.state_table[s].tobytes() == \
+            m.encode_state(g, s).tobytes()
+    for a in range(g.n_actions):
+        assert trainer.action_table[a].tobytes() == \
+            m.encode_action(g, a).tobytes()
+    for n in range(1, g.horizon + 1):
+        assert trainer.horizon_table[n - 1].tobytes() == \
+            ref_conditioning(trainer, 0, 0, n)[2].tobytes()
+    for i in range(1, trainer.sched.K + 1):
+        assert trainer.step_table[i - 1].tobytes() == \
+            df.sinusoidal_embedding(i, step_dim).tobytes()
+    # and as the per-call encoders give a batch of indices
+    rng = np.random.default_rng(2)
+    s = rng.integers(g.n_states, size=40)
+    a = rng.integers(g.n_actions, size=40)
+    n = rng.integers(1, g.horizon + 1, size=40)
+    i = rng.integers(1, trainer.sched.K + 1, size=40)
+    cond = bl.conditioning(trainer, s, a, n)
+    for got, want in zip((cond.state_enc, cond.action_enc, cond.horizon_enc),
+                         ref_conditioning(trainer, s, a, n)):
+        assert got.tobytes() == want.tobytes()
+    x = rng.standard_normal((40, 2))
+    assert df.net_input(x, cond, i).tobytes() == ref_net_input(
+        trainer, x, ref_conditioning(trainer, s, a, n), i).tobytes()
+
+
+def test_sampler_conditioning_from_tables_bit_exact():
+    # the sampler reads the step table through net_input; the embedding
+    # computed per call gives the same samples
+    trainer, _, _, _, _ = make_setup(width=3, height=3, seed=2)
+    cond = bl.conditioning(trainer, 4, 1, 3)
+    per_call = df.Conditioning(*ref_conditioning(trainer, 4, 1, 3),
+                               step_dim=trainer.step_dim)
+    got, want = (df.sample(trainer.sched, trainer.online, c, 700,
+                           np.random.default_rng(5)) for c in (cond, per_call))
+    assert got.tobytes() == want.tobytes()

@@ -42,7 +42,7 @@ def test_roundtrip_bit_exact(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
         body = p1.read_bytes().split(b"\nEND\n", 1)[1]
         n_params = ap.param_count(ck.online.layer_sizes)
-        traj_ints = sum(2 * t.horizon + 2 for t in ck.trajectories)
+        traj_ints = sum(2 * len(t.actions) + 2 for t in ck.trajectories)
         assert len(body) == 8 * (f64_blocks * n_params + traj_ints)
         for a, b in ((ck.online, loaded.online), (ck.target, loaded.target)):
             assert a.theta.tobytes() == b.theta.tobytes()
@@ -57,6 +57,25 @@ def test_roundtrip_bit_exact(tmp_path):
             np.testing.assert_array_equal(ta.states, tb.states)
             np.testing.assert_array_equal(ta.actions, tb.actions)
             assert ta.episode_id == tb.episode_id
+
+
+def test_mixed_length_replay_refused_before_writing(tmp_path):
+    # the format stores one horizon for every trajectory, so such a file
+    # would not load
+    _, ck = make_ck()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, ck)
+    before = path.read_bytes()
+    first = ck.trajectories[0]
+    for short in (m.Trajectory(first.states[:-1], first.actions[:-1]),
+                  m.Trajectory(first.states[:-1], first.actions)):
+        ck.trajectories = [first, short]
+        with pytest.raises(FormatError, match="differ in length"):
+            save_checkpoint(path, ck)
+        with pytest.raises(FormatError, match="differ in length"):
+            save_checkpoint(tmp_path / "new.bin", ck)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
 
 def test_truncated_file_raises(tmp_path):

@@ -255,6 +255,51 @@ def test_eval_seed_flag_changes_samples_only(tmp_path):
     assert r1 != r2
 
 
+def test_manifest_records_the_seed_the_run_used(tmp_path):
+    runs = {}
+    for name, seed_in_config, argv in (("default", 0, []),
+                                       ("flag", 0, ["--seed", "77"]),
+                                       ("config", 77, [])):
+        over = tiny_overrides(steps=10)
+        over["training"]["seed"] = seed_in_config
+        cfg = write_config(tmp_path, f"{name}.json", **over)
+        out = tmp_path / name
+        assert run(["train", "--config", str(cfg), "--out", str(out)]
+                   + argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the loss rows, without the digest line
+        runs[name] = (manifest["seed"],
+                      (out / "loss.csv").read_text().splitlines()[1:])
+    assert runs["default"][0] == 0
+    assert runs["flag"] == runs["config"]
+    assert runs["flag"][0] == 77 and runs["flag"][1] != runs["default"][1]
+
+
+def test_bad_seed_exit_2_one_line(tmp_path, capsys):
+    tiny = tiny_overrides(steps=0)
+    cfg = str(write_config(tmp_path, **tiny))
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    ck = str(tmp_path / "run" / "checkpoint.bin")
+    neg_train = str(write_config(tmp_path, "t.json", **{
+        **tiny, "training": {**tiny["training"], "seed": -1}}))
+    neg_eval = str(write_config(tmp_path, "e.json", **{
+        **tiny, "eval": {**tiny["eval"], "seed": -1}}))
+    for argv, says in (
+            (["train", "--config", cfg, "--seed", "-3"], "--seed must be >= 0"),
+            (["eval", "--config", cfg, "--checkpoint", ck, "--seed", "-1"],
+             "--seed must be >= 0"),
+            (["train", "--config", neg_train], "training.seed must be >= 0"),
+            (["eval", "--config", neg_eval, "--checkpoint", ck],
+             "eval.seed must be >= 0"),
+            (["train", "--config", cfg, "--checkpoint", ck, "--seed", "4"],
+             "--seed cannot be combined with --checkpoint")):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and says in err
+        assert not out.exists()
+
+
 def test_eval_digest_mismatch_exit_3(tmp_path):
     cfg = write_config(tmp_path, **tiny_overrides())
     out = tmp_path / "run"

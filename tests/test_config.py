@@ -94,13 +94,16 @@ def test_policy_spec_validation():
     ("training", {"sync_period": -1}, "training.sync_period"),
     ("training", {"collect_every": -1}, "training.collect_every"),
     ("training", {"log_every": -1}, "training.log_every"),
+    ("training", {"seed": -1}, "training.seed"),
+    ("eval", {"seed": -1}, "eval.seed"),
 ], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
         "table-out-of-range", "action-bool", "cell-str", "values-str",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
         "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
         "lr-negative", "lr-zero", "tau-above-one", "tau-zero",
         "sync-period-negative", "collect-every-negative",
-        "log-every-negative"])
+        "log-every-negative", "training-seed-negative",
+        "eval-seed-negative"])
 def test_malformed_values_rejected(section, values, named):
     with pytest.raises(ConfigurationError, match=named):
         validate_config(minimal_raw(**{section: values}))

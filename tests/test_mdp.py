@@ -79,13 +79,16 @@ def test_rollout_lengths():
     pol = m.policy_fixed_action(g, 3)
     traj = m.rollout(g, pol, np.random.default_rng(0))
     assert len(traj.states) == 2 and len(traj.actions) == 1
+    # stored once, as tuples of Python ints
+    assert type(traj.states) is tuple and type(traj.actions) is tuple
+    assert all(type(v) is int for v in traj.states + traj.actions)
 
 
 def test_rollout_one_cell_grid():
     g = m.gridworld_new(1, 1, horizon=5)
     pol = m.policy_fixed_action(g, 0)
     traj = m.rollout(g, pol, np.random.default_rng(0))
-    assert np.all(traj.states == 0)
+    assert traj.states == (0,) * 6
 
 
 def test_rollout_deterministic_env_seed_independent():
@@ -100,7 +103,7 @@ def test_rollout_transitions_have_support():
     g = m.gridworld_new(4, 4, p_move=0.6, horizon=8)
     pol = m.policy_toward_goal(g, (3, 3))
     traj = m.rollout(g, pol, np.random.default_rng(3))
-    for t in range(traj.horizon):
+    for t in range(len(traj.actions)):
         assert g.transition[traj.states[t], traj.actions[t],
                             traj.states[t + 1]] > 0.0
 

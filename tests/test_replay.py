@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ssm_diffusion import mdp as m
+from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
+from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer
+from ssm_diffusion.runner import (build_env, build_trainer, make_checkpoint,
+                                  restore_trainer)
+
+from test_config import minimal_raw
 
 
 def make_buffer(width=4, horizon=4, p_move=1.0, capacity=10, n_traj=5, seed=0):
@@ -119,3 +125,59 @@ def test_tuple_holds_indices_with_policy_actions():
         assert all(type(v) is int for v in tup[:6])
         assert tup.a == buf.policy.table[tup.s]
         assert tup.a_next == buf.policy.table[tup.s_next]
+
+
+def test_push_rejects_trajectory_of_another_horizon():
+    buf, rng = make_buffer(horizon=4, n_traj=1)
+    traj = buf.trajectories[0]
+    for bad in (m.Trajectory(traj.states[:-1], traj.actions[:-1]),
+                m.Trajectory(traj.states, traj.actions[:-1])):
+        with pytest.raises(ValueError, match="horizon 4"):
+            buf.push_trajectory(bad)
+    assert len(buf) == 1
+
+
+class RefReplay:
+    """The four draws of sample_tuple over NumPy copies of the
+    trajectories, each reading its own horizon."""
+
+    def __init__(self, trajectories, policy_table):
+        self.trajs = [(np.array(t.states), np.array(t.actions))
+                      for t in trajectories]
+        self.table = np.asarray(policy_table)
+
+    def sample(self, rng):
+        states, actions = self.trajs[int(rng.integers(len(self.trajs)))]
+        H = len(actions)
+        n = int(rng.integers(1, H + 1))
+        t = int(rng.integers(H - n + 1))
+        k = int(rng.integers(1, n + 1))
+        s_next = int(states[t + 1])
+        return (int(states[t]), int(actions[t]), s_next,
+                int(self.table[s_next]), int(states[t + k]), n, k == 1)
+
+
+def assert_same_stream(buf, ref, seed, count=3000):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(count):
+        assert tuple(buf.sample_tuple(rng)) == ref.sample(ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
+        tmp_path):
+    cfg = validate_config(minimal_raw(
+        env={"width": 4, "height": 3, "horizon": 5, "p_move": 0.7},
+        training={"buffer_capacity": 6}))
+    mdp, policy = build_env(cfg)
+    buf = ReplayBuffer(mdp, policy, 6)
+    rng = np.random.default_rng(1)
+    for e in range(15):
+        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    assert [t.episode_id for t in buf.trajectories] == list(range(9, 15))
+    assert_same_stream(buf, RefReplay(buf.trajectories, policy.table), 7)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, make_checkpoint(cfg, build_trainer(cfg), buf, rng))
+    _, _, _, restored, _ = restore_trainer(cfg, load_checkpoint(path))
+    assert restored.trajectories == buf.trajectories
+    assert_same_stream(restored, RefReplay(buf.trajectories, policy.table), 8)
