@@ -131,7 +131,8 @@ def mlp_backward(params, activations, output_grad):
         np.matmul(g.T, a_in, out=grads.weights[l])
         np.sum(g, axis=0, out=grads.biases[l])
         if l > 0:
-            # times the activation's derivative, in place (a mask casts)
+            # times the activation's derivative in place; a ReLU mask casts
+            # to 1.0 and 0.0 inside the multiply, as a float mask would
             g = g @ params.weights[l]
             g *= a_in > 0.0 if params.activation == "relu" else 1.0 - a_in ** 2
     return grads

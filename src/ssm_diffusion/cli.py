@@ -66,9 +66,6 @@ def _load_checkpoint_checked(path, cfg, override):
 
 
 def cmd_train(args):
-    if args.checkpoint and args.seed is not None:
-        # a resumed run continues its checkpoint's generator
-        raise ConfigurationError("--seed cannot be combined with --checkpoint")
     cfg = load_config(args.config)
     resume_ck = None
     if args.checkpoint:

@@ -36,6 +36,7 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.mdp = mdp
         self.policy = policy
+        self.capacity = capacity
         self.trajectories = deque(maxlen=capacity)
 
     def __len__(self):

@@ -14,7 +14,7 @@ from . import mdp as mdp_mod
 from . import oracle as orc
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import FormatError, NumericError
+from .errors import ConfigurationError, FormatError, NumericError
 from .replay import ReplayBuffer
 
 
@@ -128,7 +128,11 @@ def restore_trainer(cfg, ck):
 
 def run_training(cfg, out_dir, resume_ck=None, seed=None):
     """Collect rollouts, run the training loop, write loss.csv and the final
-    checkpoint. Returns (trainer, mdp, policy, buffer)."""
+    checkpoint. Returns (trainer, mdp, policy, buffer). seed, if given,
+    replaces the config's training seed; a resumed run takes none."""
+    if resume_ck is not None and seed is not None:
+        raise ConfigurationError("cannot override the seed of a resumed run: "
+                                 "it continues its checkpoint's generator")
     trn = cfg.training
     digest = config_digest(cfg)
     seed = trn["seed"] if seed is None else seed

@@ -292,7 +292,7 @@ def test_bad_seed_exit_2_one_line(tmp_path, capsys):
             (["eval", "--config", neg_eval, "--checkpoint", ck],
              "eval.seed must be >= 0"),
             (["train", "--config", cfg, "--checkpoint", ck, "--seed", "4"],
-             "--seed cannot be combined with --checkpoint")):
+             "cannot override the seed of a resumed run")):
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -138,13 +140,15 @@ def test_push_rejects_trajectory_of_another_horizon():
 
 
 class RefReplay:
-    """The four draws of sample_tuple over NumPy copies of the
-    trajectories, each reading its own horizon."""
+    """A FIFO of NumPy copies of the trajectories, sampled with the four
+    draws of sample_tuple, each trajectory reading its own horizon."""
 
-    def __init__(self, trajectories, policy_table):
-        self.trajs = [(np.array(t.states), np.array(t.actions))
-                      for t in trajectories]
+    def __init__(self, policy_table, capacity):
+        self.trajs = deque(maxlen=capacity)
         self.table = np.asarray(policy_table)
+
+    def push(self, traj):
+        self.trajs.append((np.array(traj.states), np.array(traj.actions)))
 
     def sample(self, rng):
         states, actions = self.trajs[int(rng.integers(len(self.trajs)))]
@@ -170,14 +174,15 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
         env={"width": 4, "height": 3, "horizon": 5, "p_move": 0.7},
         training={"buffer_capacity": 6}))
     mdp, policy = build_env(cfg)
-    buf = ReplayBuffer(mdp, policy, 6)
+    buf, ref = ReplayBuffer(mdp, policy, 6), RefReplay(policy.table, 6)
     rng = np.random.default_rng(1)
     for e in range(15):
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+        traj = m.rollout(mdp, policy, rng, episode_id=e)
+        buf.push_trajectory(traj)
+        ref.push(traj)
     assert [t.episode_id for t in buf.trajectories] == list(range(9, 15))
-    assert_same_stream(buf, RefReplay(buf.trajectories, policy.table), 7)
+    assert_same_stream(buf, ref, 7)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, make_checkpoint(cfg, build_trainer(cfg), buf, rng))
     _, _, _, restored, _ = restore_trainer(cfg, load_checkpoint(path))
-    assert restored.trajectories == buf.trajectories
-    assert_same_stream(restored, RefReplay(buf.trajectories, policy.table), 8)
+    assert_same_stream(restored, ref, 8)
