@@ -139,13 +139,11 @@ def sync_target(trainer):
 
 
 def train_step(trainer, batch, rng):
-    """Draw a diffusion step and noise per tuple, in batch order, then take
+    """Draw the batch's diffusion steps, then its noise (one row each), take
     one optimizer step on the batch's td_loss and sync the target."""
-    K, dim = trainer.sched.K, trainer.online.layer_sizes[-1]
-    i, eps = np.empty(len(batch), dtype=int), np.empty((len(batch), dim))
-    for r in range(len(batch)):
-        i[r] = rng.integers(1, K + 1)
-        rng.standard_normal(out=eps[r])
+    B, dim = len(batch), trainer.online.layer_sizes[-1]
+    i = rng.integers(1, trainer.sched.K + 1, size=B)
+    eps = rng.standard_normal((B, dim))
     loss, grads = td_loss(trainer, batch, i, eps)
     trainer.online, trainer.opt = ap.opt_step(trainer.online, grads, trainer.opt)
     trainer.step_count += 1

@@ -6,6 +6,7 @@ every output file.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -89,6 +90,8 @@ def _validate_section(name, raw):
         if typ is not None and val is not None and not isinstance(val, typ):
             raise ConfigurationError(
                 f"{name}.{key}: expected {typ.__name__}, got {type(val).__name__}")
+        if typ is float and not math.isfinite(val):   # JSON's Infinity, NaN
+            raise ConfigurationError(f"{name}.{key} must be finite, got {val}")
         out[key] = val
     return out
 
@@ -100,12 +103,22 @@ def _ints_in(values, lo, hi):
                     and lo <= v < hi for v in values))
 
 
+# the keys besides "kind" that each kind of reward or policy spec reads
+_CELLSPEC_KEYS = {"zero": set(), "goal": {"cell"}, "values": {"values"},
+                  "toward_goal": {"cell"}, "fixed_action": {"action"},
+                  "table": {"table"}}
+
+
 def _validate_cellspec(env, key, kinds):
     spec = env[key]
     kind = spec.get("kind")
     if kind not in kinds:
         raise ConfigurationError(
             f"env.{key}.kind must be one of {'|'.join(kinds)}, got {spec}")
+    unknown = set(spec) - _CELLSPEC_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in env.{key} of kind {kind}: {sorted(unknown)}")
     n_states = env["width"] * env["height"]
     if kind in ("goal", "toward_goal"):
         cell = spec.get("cell")
@@ -120,7 +133,7 @@ def _validate_cellspec(env, key, kinds):
         vals = spec.get("values")
         if (not isinstance(vals, list) or len(vals) != n_states
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in vals)):
+                       or not math.isfinite(v) for v in vals)):
             raise ConfigurationError(
                 f"env.{key}.values must be a list of {n_states} numbers")
     elif kind == "table":

@@ -53,12 +53,13 @@ class ReplayBuffer:
         among those with enough steps left, uniform future offset."""
         if not self.trajectories:
             raise RuntimeError("cannot sample from an empty replay buffer")
+        # two draws, each split into a uniform pair: (trajectory, n - 1),
+        # then (t, k - 1) with k the future offset
         H = self.mdp.horizon
-        traj = self.trajectories[int(rng.integers(len(self.trajectories)))]
-        n = int(rng.integers(1, H + 1))
-        t = int(rng.integers(H - n + 1))
-        k = int(rng.integers(1, n + 1))
+        traj, n = divmod(int(rng.integers(len(self.trajectories) * H)), H)
+        traj, n = self.trajectories[traj], n + 1
+        t, k = divmod(int(rng.integers((H - n + 1) * n)), n)
         s_next = traj.states[t + 1]
         return TrainTuple(traj.states[t], traj.actions[t], s_next,
-                          int(self.policy.table[s_next]), traj.states[t + k],
-                          n, k == 1)
+                          int(self.policy.table[s_next]),
+                          traj.states[t + k + 1], n, k == 0)

@@ -101,8 +101,10 @@ def test_td_loss_gradient_finite_differences(horizon_encoding, condition_on,
                                              eta_mode):
     trainer, batch, i, eps = combo_setup(horizon_encoding, condition_on,
                                          eta_mode)
+    # h=1e-4: at 1e-5 one ulp of the loss over 2h is ~1e-13, the size of
+    # the gap on this batch's smallest gradient entries (~2e-10)
     err = ap.grad_check(trainer.online,
-                        lambda: bl.td_loss(trainer, batch, i, eps), h=1e-5)
+                        lambda: bl.td_loss(trainer, batch, i, eps), h=1e-4)
     assert err < 1e-4
 
 
@@ -312,14 +314,10 @@ def test_branch_decomposition_expectation():
 
 
 def test_train_step_matches_td_loss():
-    # train_step draws (i, eps) row after row, integers then normals
+    # train_step draws every row's step, then every row's noise
     trainer, buf, _, _, rng = make_setup()
     batch = mixed_batch(buf, rng)
-    draw_rng = np.random.default_rng(23)
-    rows = [(int(draw_rng.integers(1, trainer.sched.K + 1)),
-             draw_rng.standard_normal(2)) for _ in batch]
-    i = np.array([r[0] for r in rows])
-    eps = np.array([r[1] for r in rows])
+    i, eps = draws(trainer, len(batch), np.random.default_rng(23))
     loss, grads = bl.td_loss(trainer, batch, i, eps)
     expected, _ = ap.opt_step(trainer.online, grads,
                               copy.deepcopy(trainer.opt))
@@ -465,11 +463,8 @@ def ref_opt_step(params, grads, state):
 
 
 def ref_train_step(trainer, batch, rng):
-    K = trainer.sched.K
-    draws = [(int(rng.integers(1, K + 1)), rng.standard_normal(2))
-             for _ in batch]
-    i = np.array([d[0] for d in draws])
-    eps = np.array([d[1] for d in draws])
+    i = rng.integers(1, trainer.sched.K + 1, size=len(batch))
+    eps = rng.standard_normal((len(batch), 2))
     loss, grads = ref_td_loss(trainer, batch, i, eps)
     trainer.online = ref_opt_step(trainer.online, grads, trainer.opt)
     trainer.step_count += 1

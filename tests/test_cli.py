@@ -81,12 +81,20 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
     for section, values, named in (
             ("env", {**tiny["env"], "start": "foo"}, "env.start"),
             # a negative rate trained by gradient ascent and exited 0
-            ("training", {**tiny["training"], "lr": -1.0}, "training.lr")):
+            ("training", {**tiny["training"], "lr": -1.0}, "training.lr"),
+            # JSON's Infinity stopped the run at step 1 with exit 1
+            ("training", {**tiny["training"], "lr": float("inf")},
+             "training.lr"),
+            # an ignored key trained with exit 0 and moved the digest
+            ("env", {**tiny["env"], "reward": {"kind": "goal",
+                                               "cell": [1, 1], "extra": 3}},
+             "env.reward")):
         cfg = write_config(tmp_path, **{**tiny, section: values})
         assert run(["train", "--config", str(cfg),
                     "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "x").exists()
 
 
 def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):

@@ -96,6 +96,22 @@ def test_policy_spec_validation():
     ("training", {"log_every": -1}, "training.log_every"),
     ("training", {"seed": -1}, "training.seed"),
     ("eval", {"seed": -1}, "eval.seed"),
+    ("training", {"lr": float("inf")}, "training.lr"),
+    ("training", {"lr": float("nan")}, "training.lr"),
+    ("diffusion", {"beta_min": float("-inf")}, "diffusion.beta_min"),
+    ("env", {"reward": {"kind": "values", "values": [float("nan")] * 9}},
+     "env.reward.values"),
+    ("env", {"reward": {"kind": "goal", "cell": [1, 1], "extra": 3}},
+     "env.reward"),
+    ("env", {"reward": {"kind": "zero", "cell": [1, 1]}}, "env.reward"),
+    ("env", {"reward": {"kind": "values", "values": [0] * 9,
+                        "cell": [0, 0]}}, "env.reward"),
+    ("env", {"policy": {"kind": "toward_goal", "cell": [1, 1],
+                        "action": 2}}, "env.policy"),
+    ("env", {"policy": {"kind": "fixed_action", "action": 2,
+                        "table": [0] * 9}}, "env.policy"),
+    ("env", {"policy": {"kind": "table", "table": [0] * 9, "extra": 1}},
+     "env.policy"),
 ], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
         "table-out-of-range", "action-bool", "cell-str", "values-str",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
@@ -103,7 +119,10 @@ def test_policy_spec_validation():
         "lr-negative", "lr-zero", "tau-above-one", "tau-zero",
         "sync-period-negative", "collect-every-negative",
         "log-every-negative", "training-seed-negative",
-        "eval-seed-negative"])
+        "eval-seed-negative", "lr-infinite", "lr-nan", "beta-min-infinite",
+        "reward-values-nan", "goal-extra-key", "zero-extra-key",
+        "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
+        "table-extra-key"])
 def test_malformed_values_rejected(section, values, named):
     with pytest.raises(ConfigurationError, match=named):
         validate_config(minimal_raw(**{section: values}))

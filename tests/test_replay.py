@@ -140,8 +140,9 @@ def test_push_rejects_trajectory_of_another_horizon():
 
 
 class RefReplay:
-    """A FIFO of NumPy copies of the trajectories, sampled with the four
-    draws of sample_tuple, each trajectory reading its own horizon."""
+    """A FIFO of NumPy copies of the trajectories, sampled with the two
+    draws of sample_tuple split by // and %, the horizon read from a stored
+    trajectory."""
 
     def __init__(self, policy_table, capacity):
         self.trajs = deque(maxlen=capacity)
@@ -151,11 +152,12 @@ class RefReplay:
         self.trajs.append((np.array(traj.states), np.array(traj.actions)))
 
     def sample(self, rng):
-        states, actions = self.trajs[int(rng.integers(len(self.trajs)))]
-        H = len(actions)
-        n = int(rng.integers(1, H + 1))
-        t = int(rng.integers(H - n + 1))
-        k = int(rng.integers(1, n + 1))
+        H = len(self.trajs[0][1])
+        u = int(rng.integers(len(self.trajs) * H))
+        states, actions = self.trajs[u // H]
+        n = u % H + 1
+        j = int(rng.integers((H - n + 1) * n))
+        t, k = j // n, j % n + 1
         s_next = int(states[t + 1])
         return (int(states[t]), int(actions[t]), s_next,
                 int(self.table[s_next]), int(states[t + k]), n, k == 1)
@@ -186,3 +188,65 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
     save_checkpoint(path, make_checkpoint(cfg, build_trainer(cfg), buf, rng))
     _, _, _, restored, _ = restore_trainer(cfg, load_checkpoint(path))
     assert_same_stream(restored, ref, 8)
+
+
+class AllDraws:
+    """A stand-in generator whose integers(high) walks every sequence of
+    draws, one sample after another: a depth-first odometer over the tree
+    of draws, so each leaf is reached exactly once."""
+
+    def __init__(self):
+        self.path, self.depth = [], 0   # [value, high] per draw of a sample
+
+    def integers(self, high):
+        if self.depth == len(self.path):
+            self.path.append([0, high])
+        value, known = self.path[self.depth]
+        assert known == high
+        self.depth += 1
+        return np.int64(value)
+
+    def next_sample(self):
+        """Move to the next leaf; False once every leaf has been reached."""
+        del self.path[self.depth:]
+        self.depth = 0
+        while self.path:
+            self.path[-1][0] += 1
+            if self.path[-1][0] < self.path[-1][1]:
+                return True
+            self.path.pop()
+        return False
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 8])
+@pytest.mark.parametrize("pushed, capacity", [(1, 1), (3, 3), (5, 3)],
+                         ids=["one", "three", "full-after-eviction"])
+def test_sample_tuple_draws_split_exactly(horizon, pushed, capacity):
+    # right-moving chains from states 10e: the state is 10e + t, so a tuple
+    # names its buffer slot, time index and future offset
+    g = m.gridworld_new(10 * pushed, 1, horizon=horizon)
+    pol = m.policy_fixed_action(g, 3)
+    buf = ReplayBuffer(g, pol, capacity)
+    for e in range(pushed):
+        buf.push_trajectory(m.rollout(g, pol, np.random.default_rng(e),
+                                       start=10 * e))
+    slot = {t.states[0] // 10: i for i, t in enumerate(buf.trajectories)}
+    rng, firsts = AllDraws(), {}
+    while True:
+        tup = buf.sample_tuple(rng)
+        assert len(rng.path) == 2
+        t, k = tup.s % 10, tup.x - tup.s
+        assert tup.s_next == tup.s + 1 and tup.is_l1 == (k == 1)
+        pair, leaves = firsts.setdefault(rng.path[0][0],
+                                         ((slot[tup.s // 10], tup.n), []))
+        assert pair == (slot[tup.s // 10], tup.n)
+        leaves.append((t, k))
+        if not rng.next_sample():
+            break
+    # each (trajectory, n) comes from one value of the first draw, and below
+    # it each (t, k) from one value of the second: both are exactly uniform
+    assert sorted(pair for pair, _ in firsts.values()) == [
+        (b, n) for b in range(capacity) for n in range(1, horizon + 1)]
+    for (_, n), leaves in firsts.values():
+        assert sorted(leaves) == [(t, k) for t in range(horizon - n + 1)
+                                  for k in range(1, n + 1)]
