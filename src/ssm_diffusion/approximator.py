@@ -109,10 +109,13 @@ def mlp_forward(params, x, out=None):
     return a, activations
 
 
-def mlp_backward(params, activations, output_grad):
+def mlp_backward(params, activations, output_grad, out=None, g_out=None):
     """Gradient of sum_rows(output . output_grad) w.r.t. every parameter.
 
-    Returns an MlpParams holding the gradients."""
+    Returns an MlpParams holding the gradients: out, if given, shaped like
+    params. g_out, if given, is laid out as mlp_forward's out, and each
+    hidden layer's array receives the gradient flowing back into that
+    layer's output in place of a new array."""
     g = np.asarray(output_grad, dtype=float)
     n_layers = len(params.weights)
     out_shape = (activations[0].shape[0], params.layer_sizes[-1])
@@ -121,9 +124,9 @@ def mlp_backward(params, activations, output_grad):
             f"output_grad shape {g.shape} != output shape {out_shape}")
     if len(activations) != n_layers:
         raise ShapeError("activations do not match network depth")
-    grads = MlpParams(layer_sizes=list(params.layer_sizes),
-                      theta=np.empty_like(params.theta),
-                      activation=params.activation)
+    grads = out if out is not None else MlpParams(
+        layer_sizes=list(params.layer_sizes),
+        theta=np.empty_like(params.theta), activation=params.activation)
     for l in range(n_layers - 1, -1, -1):
         a_in = activations[l]
         if a_in.shape[1] != params.weights[l].shape[1]:
@@ -133,7 +136,8 @@ def mlp_backward(params, activations, output_grad):
         if l > 0:
             # times the activation's derivative in place; a ReLU mask casts
             # to 1.0 and 0.0 inside the multiply, as a float mask would
-            g = g @ params.weights[l]
+            g = np.matmul(g, params.weights[l],
+                          out=None if g_out is None else g_out[l - 1])
             g *= a_in > 0.0 if params.activation == "relu" else 1.0 - a_in ** 2
     return grads
 
@@ -143,12 +147,14 @@ def grad_check(params, loss_and_grads, h):
 
     loss_and_grads() returns (loss, grads) at the current values of params,
     with grads shaped like params; each entry of params.theta is perturbed
-    in place by +-h and restored. Returns the max relative error over all
+    in place by +-h and restored. The analytic gradients are copied before
+    the first perturbation, as loss_and_grads may return them in a buffer
+    that its next call overwrites. Returns the max relative error over all
     parameters."""
     if h <= 0:
         raise ConfigurationError(f"h must be positive, got {h}")
     _, analytic = loss_and_grads()
-    theta, g = params.theta, analytic.theta
+    theta, g = params.theta, analytic.theta.copy()
     max_err = 0.0
     for k in range(theta.size):
         orig = theta[k]
@@ -175,26 +181,42 @@ def init_opt_state(params, optimizer="sgd", lr=1e-3, beta1=0.9, beta2=0.999,
     return state
 
 
-def opt_step(params, grads, state):
+def opt_step(params, grads, state, scratch=None):
     """One optimizer update. Returns (new_params, state). Neither params nor
-    grads is mutated; state's step count and moments are updated in place."""
+    grads is mutated; state's step count and moments are updated in place.
+    The new parameters are a new vector. scratch, if given, is a
+    theta-shaped array that Adam uses as its temporary in place of a new
+    one; the new vector is its second."""
     g = grads.theta
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient entries; aborting step")
     state.step_count += 1
+    theta = np.empty_like(params.theta)
     if state.optimizer == "sgd":
-        theta = params.theta - state.lr * g
+        np.multiply(g, state.lr, out=theta)
     else:
         t = state.step_count
         bc1 = 1.0 - state.beta1 ** t
         bc2 = 1.0 - state.beta2 ** t
         m, v = state.m, state.v
+        tmp = np.empty_like(g) if scratch is None else scratch
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and the step
+        # lr (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time in
+        # the order the formulas evaluate, into tmp and theta
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        np.multiply(g, 1 - state.beta1, out=tmp)
+        m += tmp
         v *= state.beta2
-        v += (1 - state.beta2) * g ** 2
-        theta = params.theta - state.lr * (m / bc1) / (np.sqrt(v / bc2)
-                                                       + state.eps)
+        np.square(g, out=tmp)
+        tmp *= 1 - state.beta2
+        v += tmp
+        np.divide(m, bc1, out=tmp)
+        tmp *= state.lr
+        np.divide(v, bc2, out=theta)
+        np.sqrt(theta, out=theta)
+        theta += state.eps
+        np.divide(tmp, theta, out=theta)
+    np.subtract(params.theta, theta, out=theta)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite parameters after optimizer step")
     return MlpParams(layer_sizes=list(params.layer_sizes), theta=theta,

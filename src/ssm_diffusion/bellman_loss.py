@@ -36,6 +36,37 @@ class Trainer:
     action_table: np.ndarray = field(default=None, repr=False)
     horizon_table: np.ndarray = field(default=None, repr=False)
     step_table: np.ndarray = field(default=None, repr=False)
+    # buffers td_loss and train_step reuse; see _work_area
+    work: "WorkArea" = field(default=None, repr=False)
+
+
+@dataclass
+class WorkArea:
+    """One train step's large arrays, kept by the trainer so that no step
+    allocates them: the online forward's layer outputs, one set of layer
+    outputs that the target forward writes and the backward then reuses
+    for its hidden-layer gradients, the gradient vector and Adam's
+    temporary."""
+    online_out: list
+    shared_out: list
+    grads: ap.MlpParams
+    scratch: np.ndarray
+
+
+def _work_area(trainer, B):
+    """The trainer's WorkArea for batches of B rows, built on first use and
+    again when B changes."""
+    work = trainer.work
+    if work is None or len(work.online_out[0]) != B:
+        online = trainer.online
+        sizes = online.layer_sizes
+        work = trainer.work = WorkArea(
+            online_out=[np.empty((B, w)) for w in sizes[1:]],
+            shared_out=[np.empty((B, w)) for w in sizes[1:]],
+            grads=ap.MlpParams(list(sizes), np.empty_like(online.theta),
+                               online.activation),
+            scratch=np.empty_like(online.theta))
+    return work
 
 
 def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
@@ -92,10 +123,14 @@ def td_loss(trainer, batch, i, eps):
     immediate-successor row (L1) x0 = s' and y = eps; on any other row (L2)
     x0 = x and y is the frozen target network at (s', pi(s'), n-1), which no
     gradient reaches. In "next" mode the online network is conditioned on
-    (s', pi(s'), n) instead of (s, a, n)."""
+    (s', pi(s'), n) instead of (s, a, n).
+
+    The gradient is written into the trainer's WorkArea, so it is valid
+    only until the next call on that trainer."""
     if not batch:
         raise ValueError("batch must be non-empty")
     B = len(batch)
+    work = _work_area(trainer, B)
     i = np.asarray(i)
     s, a, s_next, a_next, x, n, is_l1 = np.fromiter(
         itertools.chain.from_iterable(batch), dtype=np.int64,
@@ -111,20 +146,26 @@ def td_loss(trainer, batch, i, eps):
     l2 = ~is_l1
     if l2.any():
         tgt_cond = conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
+        tgt_in = df.net_input(x_i[l2], tgt_cond, i[l2])
         tgt_out, _ = ap.mlp_forward(
-            trainer.target, df.net_input(x_i[l2], tgt_cond, i[l2]))
+            trainer.target, tgt_in,
+            out=[o[:len(tgt_in)] for o in work.shared_out])
         targets[l2] = tgt_out
 
     etas = df.loss_weight(trainer.sched, i)
-    out, activations = ap.mlp_forward(trainer.online, inputs)
+    out, activations = ap.mlp_forward(trainer.online, inputs,
+                                      out=work.online_out)
     resid = out - targets
     row_losses = etas * np.sum(resid ** 2, axis=1)
     loss = float(np.mean(row_losses))
     if not np.isfinite(loss):
         bad = int(np.argmax(~np.isfinite(row_losses)))
         raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
+    # the target's outputs are copied into targets, so the backward may
+    # overwrite them
     grads = ap.mlp_backward(trainer.online, activations,
-                            (2.0 / B) * etas[:, None] * resid)
+                            (2.0 / B) * etas[:, None] * resid,
+                            out=work.grads, g_out=work.shared_out)
     return loss, grads
 
 
@@ -145,7 +186,8 @@ def train_step(trainer, batch, rng):
     i = rng.integers(1, trainer.sched.K + 1, size=B)
     eps = rng.standard_normal((B, dim))
     loss, grads = td_loss(trainer, batch, i, eps)
-    trainer.online, trainer.opt = ap.opt_step(trainer.online, grads, trainer.opt)
+    trainer.online, trainer.opt = ap.opt_step(
+        trainer.online, grads, trainer.opt, scratch=trainer.work.scratch)
     trainer.step_count += 1
     sync_target(trainer)
     l1_fraction = sum(t.is_l1 for t in batch) / len(batch)

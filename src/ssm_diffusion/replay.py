@@ -16,6 +16,19 @@ from collections import deque
 from typing import NamedTuple
 
 
+def _below(raw, m):
+    """An integer exactly uniform on {0..m-1}, from the 64-bit words raw()
+    returns: Lemire's multiply-shift, which keeps the high word of
+    raw() * m and rejects the 2**64 % m low words that would bias it
+    (Lemire, "Fast Random Integer Generation in an Interval", 2019)."""
+    while True:
+        p = raw() * m
+        low = p & 0xFFFF_FFFF_FFFF_FFFF
+        # 2**64 % m < m, so the modulus is needed only for a low word < m
+        if low >= m or low >= (1 << 64) % m:
+            return p >> 64
+
+
 class TrainTuple(NamedTuple):
     """State, action and horizon indices of one replayed row; the loss
     encodes them to vectors a batch at a time."""
@@ -53,12 +66,13 @@ class ReplayBuffer:
         among those with enough steps left, uniform future offset."""
         if not self.trajectories:
             raise RuntimeError("cannot sample from an empty replay buffer")
-        # two draws, each split into a uniform pair: (trajectory, n - 1),
-        # then (t, k - 1) with k the future offset
-        H = self.mdp.horizon
-        traj, n = divmod(int(rng.integers(len(self.trajectories) * H)), H)
+        # two draws from the bit generator's raw words, each split into a
+        # uniform pair: (trajectory, n - 1), then (t, k - 1) with k the
+        # future offset
+        H, raw = self.mdp.horizon, rng.bit_generator.random_raw
+        traj, n = divmod(_below(raw, len(self.trajectories) * H), H)
         traj, n = self.trajectories[traj], n + 1
-        t, k = divmod(int(rng.integers((H - n + 1) * n)), n)
+        t, k = divmod(_below(raw, (H - n + 1) * n), n)
         s_next = traj.states[t + 1]
         return TrainTuple(traj.states[t], traj.actions[t], s_next,
                           int(self.policy.table[s_next]),

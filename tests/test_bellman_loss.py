@@ -1,9 +1,13 @@
 import copy
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssm_diffusion
 from ssm_diffusion import approximator as ap
 from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import diffusion as df
@@ -161,6 +165,7 @@ def test_loss_l1_contract():
     batch = [get_tuple(buf, rng, want_l1=True) for _ in range(3)]
     i, eps = draws(trainer, len(batch), rng)
     loss, grads = bl.td_loss(trainer, batch, i, eps)
+    grads = ap.copy_params(grads)   # the next call overwrites td_loss's
     for a in trainer.target.weights + trainer.target.biases:
         a[:] = np.nan
     loss_nan, grads_nan = bl.td_loss(trainer, batch, i, eps)
@@ -258,10 +263,26 @@ def test_td_loss_deterministic():
     batch = mixed_batch(buf, rng)
     i, eps = draws(trainer, len(batch), rng)
     l1, g1 = bl.td_loss(trainer, batch, i, eps)
+    g1 = ap.copy_params(g1)         # the next call overwrites td_loss's
     l2, g2 = bl.td_loss(trainer, batch, i, eps)
     assert l1 == l2
     for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def test_td_loss_work_area_follows_batch_size():
+    # one trainer's work area, rebuilt as B changes, gives what a new
+    # trainer gives on each batch
+    trainer, buf, _, _, rng = make_setup()
+    fresh = copy.deepcopy(trainer)
+    for size in (8, 3, 8):
+        batch = mixed_batch(buf, rng, size=max(size, 4))[:size]
+        i, eps = draws(trainer, size, rng)
+        loss, grads = bl.td_loss(trainer, batch, i, eps)
+        ref_loss, ref_grads = bl.td_loss(copy.deepcopy(fresh), batch, i, eps)
+        assert loss == ref_loss
+        assert grads.theta.tobytes() == ref_grads.theta.tobytes()
+        assert grads is trainer.work.grads
 
 
 def test_conditioning_rejects_out_of_range_horizon():
@@ -541,3 +562,47 @@ def test_sampler_conditioning_from_tables_bit_exact():
     got, want = (df.sample(trainer.sched, trainer.online, c, 700,
                            np.random.default_rng(5)) for c in (cond, per_call))
     assert got.tobytes() == want.tobytes()
+
+
+# 100 warm-up and 200 counted steps of the headline shape (5x5 grid, H=8,
+# K=32, [128, 128], B=128, Adam), each as runner.run_training takes it
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from ssm_diffusion import bellman_loss as bl, mdp as m, runner
+from ssm_diffusion.config import validate_config
+from ssm_diffusion.replay import ReplayBuffer
+cfg = validate_config({
+    "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8},
+    "model": {"hidden_sizes": [128, 128]},
+    "training": {"steps": 0, "seed": 0, "batch_size": 128,
+                 "optimizer": "adam", "initial_trajectories": 100}})
+mdp, policy = runner.build_env(cfg)
+trainer = runner.build_trainer(cfg)
+buf = ReplayBuffer(mdp, policy, 1000)
+rng = np.random.default_rng(0)
+for e in range(100):
+    buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+def step(k):
+    if k % 10 == 0:
+        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=k))
+    bl.train_step(trainer, [buf.sample_tuple(rng) for _ in range(128)], rng)
+for k in range(100):
+    step(k)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(100, 300):
+    step(k)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+def test_train_step_page_faults_per_step():
+    # a fresh process: one that has freed large arrays has raised glibc's
+    # mmap and trim thresholds, and a step's temporaries would then stay
+    # mapped whether or not the step allocates them
+    src = os.path.dirname(os.path.dirname(ssm_diffusion.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10

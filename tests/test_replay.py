@@ -1,12 +1,14 @@
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ssm_diffusion import mdp as m
+from ssm_diffusion import replay
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import validate_config
-from ssm_diffusion.replay import ReplayBuffer
+from ssm_diffusion.replay import ReplayBuffer, _below
 from ssm_diffusion.runner import (build_env, build_trainer, make_checkpoint,
                                   restore_trainer)
 
@@ -139,6 +141,16 @@ def test_push_rejects_trajectory_of_another_horizon():
     assert len(buf) == 1
 
 
+def ref_below(rng, m):
+    """Lemire's draw with its threshold 2**64 % m computed up front: the
+    high word of word * m, redrawn while the low word is below it."""
+    threshold = (2 ** 64 - m) % m
+    while True:
+        p = int(rng.bit_generator.random_raw()) * m
+        if p % 2 ** 64 >= threshold:
+            return p // 2 ** 64
+
+
 class RefReplay:
     """A FIFO of NumPy copies of the trajectories, sampled with the two
     draws of sample_tuple split by // and %, the horizon read from a stored
@@ -153,10 +165,10 @@ class RefReplay:
 
     def sample(self, rng):
         H = len(self.trajs[0][1])
-        u = int(rng.integers(len(self.trajs) * H))
+        u = ref_below(rng, len(self.trajs) * H)
         states, actions = self.trajs[u // H]
         n = u % H + 1
-        j = int(rng.integers((H - n + 1) * n))
+        j = ref_below(rng, (H - n + 1) * n)
         t, k = j // n, j % n + 1
         s_next = int(states[t + 1])
         return (int(states[t]), int(actions[t]), s_next,
@@ -191,20 +203,23 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
 
 
 class AllDraws:
-    """A stand-in generator whose integers(high) walks every sequence of
-    draws, one sample after another: a depth-first odometer over the tree
-    of draws, so each leaf is reached exactly once."""
+    """A stand-in generator whose draw(high) walks every sequence of draws,
+    one sample after another: a depth-first odometer over the tree of
+    draws, so each leaf is reached exactly once. sample_tuple reaches it
+    as rng.bit_generator.random_raw, through a _below that passes on its
+    bound."""
 
     def __init__(self):
         self.path, self.depth = [], 0   # [value, high] per draw of a sample
+        self.bit_generator = SimpleNamespace(random_raw=self.draw)
 
-    def integers(self, high):
+    def draw(self, high):
         if self.depth == len(self.path):
             self.path.append([0, high])
         value, known = self.path[self.depth]
         assert known == high
         self.depth += 1
-        return np.int64(value)
+        return value
 
     def next_sample(self):
         """Move to the next leaf; False once every leaf has been reached."""
@@ -221,7 +236,9 @@ class AllDraws:
 @pytest.mark.parametrize("horizon", [1, 2, 5, 8])
 @pytest.mark.parametrize("pushed, capacity", [(1, 1), (3, 3), (5, 3)],
                          ids=["one", "three", "full-after-eviction"])
-def test_sample_tuple_draws_split_exactly(horizon, pushed, capacity):
+def test_sample_tuple_draws_split_exactly(horizon, pushed, capacity,
+                                          monkeypatch):
+    monkeypatch.setattr(replay, "_below", lambda raw, bound: raw(bound))
     # right-moving chains from states 10e: the state is 10e + t, so a tuple
     # names its buffer slot, time index and future offset
     g = m.gridworld_new(10 * pushed, 1, horizon=horizon)
@@ -250,3 +267,40 @@ def test_sample_tuple_draws_split_exactly(horizon, pushed, capacity):
     for (_, n), leaves in firsts.values():
         assert sorted(leaves) == [(t, k) for t in range(horizon - n + 1)
                                   for k in range(1, n + 1)]
+
+
+def words(*values):
+    """A word source that returns values in order and fails past them."""
+    it = iter(values)
+    return lambda: next(it)
+
+
+@pytest.mark.parametrize("bound", [3, 7, 2 ** 63 + 1])
+def test_below_rejects_low_words_under_threshold(bound):
+    threshold = 2 ** 64 % bound
+    inverse = pow(bound, -1, 2 ** 64)    # bound is odd
+    # the word whose product has low word `low`
+    word = lambda low: low * inverse % 2 ** 64
+    accepted = word(threshold)
+    for rejected in {word(0), word(threshold - 1)}:
+        assert _below(words(rejected, accepted), bound) == \
+            (accepted * bound) >> 64
+    # a low word at or above the threshold is kept at the first draw
+    for w in (accepted, word(bound), 2 ** 64 - 1, 2 ** 63):
+        assert _below(words(w), bound) == (w * bound) >> 64 < bound
+
+
+@pytest.mark.parametrize("bound, critical", [(1, None), (3, 13.816),
+                                             (7, 22.458), (40, 72.055)])
+def test_below_uniform_chi_square(bound, critical):
+    # critical: the chi-square 0.999 quantile with bound - 1 degrees of
+    # freedom; the words come from a fixed seed, so the test is exact
+    raw = np.random.default_rng(2024).bit_generator.random_raw
+    draws = 100_000
+    counts = np.bincount([_below(raw, bound) for _ in range(draws)],
+                         minlength=bound)
+    assert len(counts) == bound
+    if critical is None:
+        return
+    expected = draws / bound
+    assert np.sum((counts - expected) ** 2 / expected) < critical
