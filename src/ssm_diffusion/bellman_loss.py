@@ -59,13 +59,18 @@ def _work_area(trainer, B):
     work = trainer.work
     if work is None or len(work.online_out[0]) != B:
         online = trainer.online
-        sizes = online.layer_sizes
+        widths = online.layer_sizes[1:]
+        # Adam runs after the backward, when shared_out is dead, so its
+        # temporary takes the same memory
+        shared = np.empty(max(B * sum(widths), online.theta.size))
+        ends = B * np.cumsum([0] + widths)
         work = trainer.work = WorkArea(
-            online_out=[np.empty((B, w)) for w in sizes[1:]],
-            shared_out=[np.empty((B, w)) for w in sizes[1:]],
-            grads=ap.MlpParams(list(sizes), np.empty_like(online.theta),
-                               online.activation),
-            scratch=np.empty_like(online.theta))
+            online_out=[np.empty((B, w)) for w in widths],
+            shared_out=[shared[a:b].reshape(B, -1)
+                        for a, b in zip(ends[:-1], ends[1:])],
+            grads=ap.MlpParams(list(online.layer_sizes),
+                               np.empty_like(online.theta), online.activation),
+            scratch=shared[:online.theta.size])
     return work
 
 
