@@ -141,12 +141,12 @@ def test_push_rejects_trajectory_of_another_horizon():
     assert len(buf) == 1
 
 
-def ref_below(rng, m):
-    """Lemire's draw with its threshold 2**64 % m computed up front: the
-    high word of word * m, redrawn while the low word is below it."""
-    threshold = (2 ** 64 - m) % m
+def ref_below(rng, bound):
+    """Lemire's draw with its threshold 2**64 % bound computed up front: the
+    high word of word * bound, redrawn while the low word is below it."""
+    threshold = (2 ** 64 - bound) % bound
     while True:
-        p = int(rng.bit_generator.random_raw()) * m
+        p = int(rng.bit_generator.random_raw()) * bound
         if p % 2 ** 64 >= threshold:
             return p // 2 ** 64
 
