@@ -43,10 +43,12 @@ class Trainer:
 @dataclass
 class WorkArea:
     """One train step's large arrays, kept by the trainer so that no step
-    allocates them: the online forward's layer outputs, one set of layer
-    outputs that the target forward writes and the backward then reuses
-    for its hidden-layer gradients, the gradient vector and Adam's
-    temporary."""
+    allocates them: the online and the target network's inputs, the online
+    forward's layer outputs, one set of layer outputs that the target
+    forward writes and the backward then reuses for its hidden-layer
+    gradients, the gradient vector and Adam's temporary."""
+    online_in: np.ndarray
+    target_in: np.ndarray
     online_out: list
     shared_out: list
     grads: ap.MlpParams
@@ -65,6 +67,8 @@ def _work_area(trainer, B):
         shared = np.empty(max(B * sum(widths), online.theta.size))
         ends = B * np.cumsum([0] + widths)
         work = trainer.work = WorkArea(
+            online_in=np.empty((B, online.layer_sizes[0])),
+            target_in=np.empty((B, online.layer_sizes[0])),
             online_out=[np.empty((B, w)) for w in widths],
             shared_out=[shared[a:b].reshape(B, -1)
                         for a, b in zip(ends[:-1], ends[1:])],
@@ -101,17 +105,19 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
 def _rows(table, index, name):
     """table[index] for an integer index or vector of them, each in range."""
     index = np.asarray(index)
-    if index.dtype.kind not in "iu" or not np.all((0 <= index)
-                                                  & (index < len(table))):
+    if index.dtype.kind not in "iu" or index.size and (
+            index.min() < 0 or index.max() >= len(table)):
         raise IndexError(f"{name} {index} out of range")
-    return table[index]
+    # take gathers rows faster than table[index], with the same result for
+    # the integer index checked above (it would truncate a float one)
+    return table.take(index, axis=0)
 
 
 def conditioning(trainer, s, a, n):
     """Denoiser context for state s, action a and horizon n, each one index
     or a vector of them (one row each)."""
     n, n_max = np.asarray(n), trainer.mdp.horizon
-    if np.any(n < 1) or np.any(n > n_max):
+    if n.size and (n.min() < 1 or n.max() > n_max):
         raise ValueError(f"horizon {n} out of range [1, {n_max}]")
     return df.Conditioning(state_enc=_rows(trainer.state_table, s, "state"),
                            action_enc=_rows(trainer.action_table, a, "action"),
@@ -145,31 +151,35 @@ def td_loss(trainer, batch, i, eps):
         s, a = s_next, a_next
     x0 = _rows(trainer.state_table, np.where(is_l1, s_next, x), "state")
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
-    inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i)
+    inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i,
+                          out=work.online_in)
 
     targets = np.array(eps, dtype=float)
-    l2 = ~is_l1
-    if l2.any():
+    l2 = np.flatnonzero(~is_l1)
+    if l2.size:
         tgt_cond = conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
-        tgt_in = df.net_input(x_i[l2], tgt_cond, i[l2])
+        tgt_in = df.net_input(x_i.take(l2, axis=0), tgt_cond, i[l2],
+                              out=work.target_in[:l2.size])
         tgt_out, _ = ap.mlp_forward(
             trainer.target, tgt_in,
-            out=[o[:len(tgt_in)] for o in work.shared_out])
+            out=[o[:l2.size] for o in work.shared_out])
         targets[l2] = tgt_out
 
     etas = df.loss_weight(trainer.sched, i)
     out, activations = ap.mlp_forward(trainer.online, inputs,
                                       out=work.online_out)
-    resid = out - targets
+    # the residual, then the loss's gradient with respect to the output,
+    # each written over the last
+    resid = np.subtract(out, targets, out=targets)
     row_losses = etas * np.sum(resid ** 2, axis=1)
     loss = float(np.mean(row_losses))
     if not np.isfinite(loss):
         bad = int(np.argmax(~np.isfinite(row_losses)))
         raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
+    resid *= (2.0 / B) * etas[:, None]
     # the target's outputs are copied into targets, so the backward may
     # overwrite them
-    grads = ap.mlp_backward(trainer.online, activations,
-                            (2.0 / B) * etas[:, None] * resid,
+    grads = ap.mlp_backward(trainer.online, activations, resid,
                             out=work.grads, g_out=work.shared_out)
     return loss, grads
 

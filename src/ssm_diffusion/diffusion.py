@@ -31,6 +31,9 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     sigma: np.ndarray       # reverse-step noise scale (see sigma_mode)
     eta: np.ndarray         # per-step loss weight for the stored eta_mode
+    # sqrt(alpha_bar) and sqrt(1 - alpha_bar), which forward_noise reads
+    sqrt_alpha_bar: np.ndarray
+    sqrt_one_minus_alpha_bar: np.ndarray
     eta_mode: str = "simple"
     sigma_mode: str = "beta"
 
@@ -76,12 +79,15 @@ def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
         var = np.where(sigma ** 2 > 0, sigma ** 2, beta)
         eta = (beta ** 2 / (2.0 * var)) * alpha * (1.0 - alpha_bar)
     return NoiseSchedule(K=K, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=sigma, eta=eta, eta_mode=eta_mode,
-                         sigma_mode=sigma_mode)
+                         sigma=sigma, eta=eta,
+                         sqrt_alpha_bar=np.sqrt(alpha_bar),
+                         sqrt_one_minus_alpha_bar=np.sqrt(1.0 - alpha_bar),
+                         eta_mode=eta_mode, sigma_mode=sigma_mode)
 
 
 def _check_step(sched, i):
-    if np.any(np.less(i, 1)) or np.any(np.greater(i, sched.K)):
+    steps = np.asarray(i)
+    if steps.size and (steps.min() < 1 or steps.max() > sched.K):
         raise IndexError(f"diffusion step {i} out of range [1, {sched.K}]")
 
 
@@ -94,8 +100,9 @@ def forward_noise(sched, x0, i, epsilon):
     epsilon = np.asarray(epsilon, dtype=float)
     if x0.shape != epsilon.shape:
         raise ShapeError(f"x0 shape {x0.shape} != epsilon shape {epsilon.shape}")
-    ab = sched.alpha_bar[np.asarray(i) - 1][..., None]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * epsilon
+    row = np.asarray(i) - 1
+    return (sched.sqrt_alpha_bar[row][..., None] * x0
+            + sched.sqrt_one_minus_alpha_bar[row][..., None] * epsilon)
 
 
 def loss_weight(sched, i):
@@ -118,17 +125,29 @@ def sinusoidal_embedding(i, dim):
     return emb
 
 
-def net_input(x_i, cond, i):
+def net_input(x_i, cond, i, out=None):
     """Concatenate a (batch, dim) matrix of noised points and their
     conditioning into the denoiser input. Each conditioning field and the
-    step i are either shared by every row or given per row."""
+    step i are either shared by every row or given per row. out, if given,
+    is the (batch, width) array that receives the input in place of a new
+    one."""
     x_i = np.asarray(x_i, dtype=float)
-    rows = x_i.shape[0]
+    if x_i.ndim != 2:
+        raise ShapeError(f"x_i shape {x_i.shape} is not (batch, dim)")
     step = sinusoidal_embedding(i, cond.step_dim) if cond.step_table is None \
         else cond.step_table[np.asarray(i) - 1]
-    ctx = [cond.state_enc, cond.action_enc, step, cond.horizon_enc]
-    return np.hstack([x_i] + [np.broadcast_to(c, (rows, c.shape[-1]))
-                              for c in ctx])
+    parts = (x_i, cond.state_enc, cond.action_enc, step, cond.horizon_enc)
+    shape = (x_i.shape[0], sum(p.shape[-1] for p in parts))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ShapeError(f"out shape {out.shape} is not the input's {shape}")
+    col = 0
+    for p in parts:
+        # a shared field's vector broadcasts over the rows
+        out[:, col:col + p.shape[-1]] = p
+        col += p.shape[-1]
+    return out
 
 
 def reverse_step(sched, net, x_i, i, z, out=None):

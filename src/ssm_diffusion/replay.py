@@ -49,6 +49,8 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.mdp = mdp
         self.policy = policy
+        # the policy's action in each state, as Python ints
+        self.policy_actions = tuple(map(int, policy.table))
         self.capacity = capacity
         self.trajectories = deque(maxlen=capacity)
 
@@ -73,7 +75,8 @@ class ReplayBuffer:
         traj, n = divmod(_below(raw, len(self.trajectories) * H), H)
         traj, n = self.trajectories[traj], n + 1
         t, k = divmod(_below(raw, (H - n + 1) * n), n)
-        s_next = traj.states[t + 1]
-        return TrainTuple(traj.states[t], traj.actions[t], s_next,
-                          int(self.policy.table[s_next]),
-                          traj.states[t + k + 1], n, k == 0)
+        states = traj.states
+        s_next = states[t + 1]
+        return TrainTuple._make((states[t], traj.actions[t], s_next,
+                                 self.policy_actions[s_next],
+                                 states[t + k + 1], n, k == 0))

@@ -12,6 +12,8 @@ from ssm_diffusion import approximator as ap
 from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import diffusion as df
 from ssm_diffusion import mdp as m
+from ssm_diffusion import runner
+from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer
 
 
@@ -301,6 +303,65 @@ def test_conditioning_rejects_out_of_range_state_and_action():
             bl.conditioning(trainer, s, a, 1)
 
 
+def test_float_indices_are_refused_not_truncated():
+    trainer, _, _, _, _ = make_setup(horizon=4)
+    for s, a, n in ((1.0, 3, 1), (0, 3.0, 1), (0, 3, 2.0), (0, 3, [1.0, 2.0])):
+        with pytest.raises(IndexError):
+            bl.conditioning(trainer, s, a, n)
+    with pytest.raises(IndexError):
+        df.net_input(np.zeros((2, 2)), bl.conditioning(trainer, 0, 3, 1), 2.0)
+
+
+# one bad field in one row of a mixed batch on make_setup's 4-state,
+# 4-action, H=4 chain: (field, bad value, branch of the row). a_next and x
+# are read only on L2 rows in "current" mode.
+BAD_ROWS = [(f, v, l1) for f in ("s", "a", "s_next") for v in (-1, 4)
+            for l1 in (True, False)] + \
+    [(f, v, False) for f in ("a_next", "x") for v in (-1, 4)]
+
+
+@pytest.mark.parametrize("field, value, is_l1", BAD_ROWS)
+def test_td_loss_rejects_out_of_range_index(field, value, is_l1):
+    trainer, buf, _, _, rng = make_setup()
+    batch = mixed_batch(buf, rng)
+    r = next(r for r, t in enumerate(batch) if t.is_l1 == is_l1)
+    batch[r] = batch[r]._replace(**{field: value})
+    with pytest.raises(IndexError, match="out of range"):
+        bl.td_loss(trainer, batch, *draws(trainer, len(batch), rng))
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("is_l1", [True, False])
+def test_td_loss_rejects_out_of_range_horizon(n, is_l1):
+    trainer, buf, _, _, rng = make_setup(horizon=4)
+    batch = mixed_batch(buf, rng)
+    r = next(r for r, t in enumerate(batch) if t.is_l1 == is_l1)
+    batch[r] = batch[r]._replace(n=n)
+    with pytest.raises(ValueError, match="horizon"):
+        bl.td_loss(trainer, batch, *draws(trainer, len(batch), rng))
+
+
+@pytest.mark.parametrize("step", [0, 9])
+def test_td_loss_rejects_out_of_range_diffusion_step(step):
+    trainer, buf, _, _, rng = make_setup()    # K = 8
+    batch = mixed_batch(buf, rng)
+    i, eps = draws(trainer, len(batch), rng)
+    i[3] = step
+    with pytest.raises(IndexError, match="diffusion step"):
+        bl.td_loss(trainer, batch, i, eps)
+
+
+def test_empty_index_vectors_give_empty_encodings():
+    trainer, _, _, _, _ = make_setup(horizon=4)
+    empty = np.zeros(0, dtype=np.int64)
+    cond = bl.conditioning(trainer, empty, empty, empty)
+    assert cond.state_enc.shape == (0, 2)
+    assert cond.action_enc.shape == (0, trainer.mdp.n_actions)
+    assert cond.horizon_enc.shape == (0, 4)
+    inputs = df.net_input(np.zeros((0, 2)), cond, empty)
+    assert inputs.shape == (0, trainer.online.layer_sizes[0])
+
+
 def test_branch_fraction_matches_one_over_n():
     trainer, buf, _, _, rng = make_setup(width=8, horizon=4)
     hits = total = 0
@@ -493,18 +554,13 @@ def ref_train_step(trainer, batch, rng):
     return loss
 
 
-@pytest.mark.parametrize("settings", [
-    dict(horizon_encoding=h, condition_on=c, eta_mode=e) for h, c, e in COMBOS
-] + [dict(optimizer="sgd", lr=0.05), dict(activation="tanh")],
-    ids=[f"{h}-{c}-{e}" for h, c, e in COMBOS] + ["sgd", "tanh"])
-def test_train_step_bit_exact_against_reference(settings):
-    # a short sync period, so the target both lags and is refreshed
-    trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
-                                         seed=6, sync_period=7, **settings)
+def assert_train_steps_bit_exact(trainer, batches, seed=31):
+    """train_step and ref_train_step on a deep copy of trainer, over the
+    same batches and equal generators: every loss, both networks, Adam's
+    moments and the generators' end states agree byte for byte."""
     ref = copy.deepcopy(trainer)
-    run_rng, ref_rng = (np.random.default_rng(31) for _ in range(2))
-    for _ in range(24):
-        batch = [buf.sample_tuple(rng) for _ in range(16)]
+    run_rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    for batch in batches:
         loss = bl.train_step(trainer, batch, run_rng)["loss"]
         assert np.float64(loss).tobytes() == \
             np.float64(ref_train_step(ref, batch, ref_rng)).tobytes()
@@ -514,6 +570,56 @@ def test_train_step_bit_exact_against_reference(settings):
     assert trainer.opt.m.tobytes() == ref.opt.m.tobytes()
     assert trainer.opt.v.tobytes() == ref.opt.v.tobytes()
     assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("settings", [
+    dict(horizon_encoding=h, condition_on=c, eta_mode=e) for h, c, e in COMBOS
+] + [dict(optimizer="sgd", lr=0.05), dict(activation="tanh")],
+    ids=[f"{h}-{c}-{e}" for h, c, e in COMBOS] + ["sgd", "tanh"])
+def test_train_step_bit_exact_against_reference(settings):
+    # a short sync period, so the target both lags and is refreshed
+    trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
+                                         seed=6, sync_period=7, **settings)
+    assert_train_steps_bit_exact(
+        trainer, [[buf.sample_tuple(rng) for _ in range(16)]
+                  for _ in range(24)])
+
+
+def shape_batches(buf, rng, case):
+    """The batches of one bit-exact case: rows of one branch only (the
+    target's input slice empty or full), one row, or a batch size that
+    changes from step to step."""
+    if case in ("all-l1", "all-l2"):
+        return [[get_tuple(buf, rng, want_l1=case == "all-l1")
+                 for _ in range(16)] for _ in range(12)]
+    sizes = [1] * 12 if case == "b1" else [16, 3, 1, 16, 7, 2, 16, 5] * 2
+    return [[buf.sample_tuple(rng) for _ in range(size)] for size in sizes]
+
+
+@pytest.mark.parametrize("case", ["all-l1", "all-l2", "b1", "b-varies"])
+def test_train_step_bit_exact_batch_shapes(case):
+    trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
+                                         seed=6, sync_period=7)
+    assert_train_steps_bit_exact(trainer, shape_batches(buf, rng, case))
+
+
+def test_train_step_bit_exact_headline_shape():
+    # 10 steps of the headline shape: 5x5 grid, H=8, K=32, [128, 128],
+    # B=128, Adam
+    cfg = validate_config({
+        "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8},
+        "model": {"hidden_sizes": [128, 128]},
+        "training": {"steps": 0, "seed": 1, "batch_size": 128,
+                     "optimizer": "adam"}})
+    mdp, policy = runner.build_env(cfg)
+    trainer = runner.build_trainer(cfg)
+    buf = ReplayBuffer(mdp, policy, 100)
+    rng = np.random.default_rng(1)
+    for e in range(100):
+        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    assert_train_steps_bit_exact(
+        trainer, [[buf.sample_tuple(rng) for _ in range(128)]
+                  for _ in range(10)])
 
 
 @pytest.mark.parametrize("width, height, step_dim",

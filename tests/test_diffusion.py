@@ -48,6 +48,18 @@ def test_forward_noise_formula():
     np.testing.assert_allclose(out, [0.9, np.sqrt(0.19)])
 
 
+def test_forward_noise_tables_bit_exact_against_formula():
+    # the schedule's square-root tables give the bits of the square roots
+    # taken per call
+    sched = df.make_schedule(32, 1e-4, 0.2)
+    rng = np.random.default_rng(5)
+    x0, eps = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    i = rng.integers(1, 33, size=64)
+    ab = sched.alpha_bar[i - 1][:, None]
+    assert df.forward_noise(sched, x0, i, eps).tobytes() == \
+        (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).tobytes()
+
+
 def test_forward_noise_step_out_of_range():
     sched = df.make_schedule(2, 0.1, 0.1)
     with pytest.raises(IndexError):
@@ -261,3 +273,28 @@ def test_net_input_concatenation():
     np.testing.assert_array_equal(batch[0], v)
     assert batch[1, 1] == 0.7 and batch[1, -1] == 0.5
     np.testing.assert_array_equal(batch[1, 4:8], df.sinusoidal_embedding(3, 4))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+def test_net_input_into_out_equals_new_array(per_row):
+    rng = np.random.default_rng(4)
+    lead = (5,) if per_row else ()
+    cond = df.Conditioning(
+        state_enc=rng.standard_normal(lead + (2,)),
+        action_enc=rng.standard_normal(lead + (4,)),
+        horizon_enc=rng.standard_normal(lead + (3,)), step_dim=6,
+        step_table=df.sinusoidal_embedding(np.arange(1, 9), 6))
+    x = rng.standard_normal((5, 2))
+    i = rng.integers(1, 9, size=5) if per_row else 7
+    buf = np.full((5, 2 + 2 + 4 + 6 + 3), np.nan)
+    got = df.net_input(x, cond, i, out=buf)
+    assert got is buf
+    assert buf.tobytes() == df.net_input(x, cond, i).tobytes()
+
+
+def test_net_input_rejects_misshapen_x_and_out():
+    cond = df.Conditioning(state_enc=np.array([0.5]), step_dim=4)
+    with pytest.raises(ShapeError, match="out shape"):
+        df.net_input(np.zeros((3, 2)), cond, 1, out=np.empty((3, 8)))
+    with pytest.raises(ShapeError, match="x_i shape"):
+        df.net_input(np.zeros(2), cond, 1)

@@ -131,6 +131,29 @@ def test_tuple_holds_indices_with_policy_actions():
         assert tup.a_next == buf.policy.table[tup.s_next]
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "toward_goal", "cell": [1, 2]},
+    {"kind": "fixed_action", "action": 2},
+    {"kind": "table", "table": [0, 1, 2, 3, 0, 1, 2, 3, 1]}],
+    ids=["toward_goal", "fixed_action", "table"])
+def test_tuple_types_and_next_action_under_each_policy_kind(policy):
+    # perfbench's hooks read .is_l1 and the loss reads the rows as ints
+    cfg = validate_config(minimal_raw(env={"policy": policy}))
+    mdp, pol = build_env(cfg)
+    buf, rng = ReplayBuffer(mdp, pol, 40), np.random.default_rng(3)
+    for e in range(40):
+        buf.push_trajectory(m.rollout(mdp, pol, rng, episode_id=e))
+    seen = set()
+    for _ in range(2000):
+        tup = buf.sample_tuple(rng)
+        assert type(tup) is replay.TrainTuple
+        assert [type(v) for v in tup] == [int] * 6 + [bool]
+        assert tup.a_next == int(pol.table[tup.s_next])
+        seen.add(tup.s_next)
+    # every state that follows a step of some stored trajectory
+    assert seen == {s for t in buf.trajectories for s in t.states[1:]}
+
+
 def test_push_rejects_trajectory_of_another_horizon():
     buf, rng = make_buffer(horizon=4, n_traj=1)
     traj = buf.trajectories[0]
