@@ -228,23 +228,82 @@ def copy_params(src):
                      activation=src.activation)
 
 
-def split_first_layer(params, dim):
-    """Split the first layer after its first `dim` inputs. Returns (head,
-    w_rest): head is a copy of the network that takes only those inputs,
-    and w_rest is the (layer_sizes[1], layer_sizes[0] - dim) block of
-    first-layer weights on the rest. For inputs [x | c], the first layer of
-    head with biases[0] = c @ w_rest.T + b gives params' first layer."""
+@dataclass
+class FoldedMlp:
+    """A copy of a network for inputs [x | c] with c shared by every row,
+    laid out so that each hidden layer is one matmul and no bias add.
+
+    Hidden layer l's weights are [W_l | b_l], read on [h | 1]. A hidden
+    layer whose next layer is also hidden has one more row [0 ... 0 1], so
+    its matmul writes the next layer's ones column. The first layer keeps
+    only x's weights, and its bias, `context_bias`, stands for
+    c @ W_c.T + b_0: the caller writes it. The output layer keeps its bias
+    add, which costs little on its few columns; folded into so narrow a
+    product, the bias would move output bits, as OpenBLAS then takes
+    another kernel."""
+    dim: int            # the width of x
+    activation: str
+    weights: list       # each hidden layer's augmented weights, then the output layer's
+    bias: np.ndarray    # the output layer's
+    context_bias: np.ndarray    # a view of the first layer's bias
+
+
+def fold_biases(params, dim):
+    """Fold the network for inputs whose first `dim` columns are x and the
+    rest a context c. Returns (folded, w_rest): w_rest is the
+    (layer_sizes[1], layer_sizes[0] - dim) block of first-layer weights on
+    c. With folded.context_bias = c @ w_rest.T + params.biases[0],
+    folded_forward(folded, x) gives mlp_forward(params, [x | c]). Both are
+    copies: params is not changed."""
     if not 0 < dim <= params.layer_sizes[0]:
         raise ShapeError(f"cannot split {params.layer_sizes[0]} inputs "
                          f"after {dim}")
-    sizes = [dim] + list(params.layer_sizes[1:])
-    head = MlpParams(layer_sizes=sizes, theta=np.empty(param_count(sizes)),
-                     activation=params.activation)
-    head.weights[0][...] = params.weights[0][:, :dim]
-    for dst, src in zip(head.weights[1:] + head.biases,
-                        params.weights[1:] + params.biases):
-        dst[...] = src
-    return head, params.weights[0][:, dim:].copy()
+    ws = [params.weights[0][:, :dim]] + params.weights[1:]
+    n_hidden = len(ws) - 1
+    weights = []
+    for l, (w, b) in enumerate(zip(ws[:-1], params.biases)):
+        fan_out, fan_in = w.shape
+        # [W | b], over [0 ... 0 1] if the next layer is hidden too
+        aug = np.zeros((fan_out + (l + 1 < n_hidden), fan_in + 1))
+        aug[:fan_out, :fan_in] = w
+        aug[:fan_out, fan_in] = b
+        aug[fan_out:, fan_in] = 1.0
+        weights.append(aug)
+    weights.append(ws[-1].copy())
+    bias = params.biases[-1].copy()
+    context_bias = weights[0][:params.layer_sizes[1], -1] if n_hidden else bias
+    folded = FoldedMlp(dim=dim, activation=params.activation, weights=weights,
+                       bias=bias, context_bias=context_bias)
+    return folded, params.weights[0][:, dim:].copy()
+
+
+def folded_buffers(folded, rows):
+    """The arrays folded_forward writes for up to `rows` rows: the input
+    [x | 1] with its ones column set, each hidden layer's output and the
+    network's output."""
+    widths = [w.shape[1] for w in folded.weights] + [len(folded.bias)]
+    out = [np.empty((rows, width)) for width in widths]
+    out[0][:, folded.dim:] = 1.0
+    return out
+
+
+def folded_forward(folded, x, out):
+    """The folded network's output for a (batch, dim) matrix x. out is
+    folded_buffers' list, each array cut to the batch's leading rows."""
+    if x.ndim != 2 or x.shape[1] != folded.dim:
+        raise ShapeError(f"input shape {x.shape} is not (batch, {folded.dim})")
+    a = out[0]
+    a[:, :folded.dim] = x
+    n_hidden = len(folded.weights) - 1
+    for l in range(n_hidden):
+        a = np.matmul(a, folded.weights[l].T, out=out[l + 1])
+        _activate(a, folded.activation)
+        if l + 1 < n_hidden:
+            # the next layer's ones column, which tanh would have moved
+            a[:, -1] = 1.0
+    y = np.matmul(a, folded.weights[n_hidden].T, out=out[-1])
+    y += folded.bias
+    return y
 
 
 def polyak_update(target, online, tau):

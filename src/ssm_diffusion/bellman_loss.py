@@ -105,12 +105,9 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
 def _rows(table, index, name):
     """table[index] for an integer index or vector of them, each in range."""
     index = np.asarray(index)
-    if index.dtype.kind not in "iu" or index.size and (
-            index.min() < 0 or index.max() >= len(table)):
+    if index.size and (index.min() < 0 or index.max() >= len(table)):
         raise IndexError(f"{name} {index} out of range")
-    # take gathers rows faster than table[index], with the same result for
-    # the integer index checked above (it would truncate a float one)
-    return table.take(index, axis=0)
+    return df.take_rows(table, index)
 
 
 def conditioning(trainer, s, a, n):
@@ -121,7 +118,8 @@ def conditioning(trainer, s, a, n):
         raise ValueError(f"horizon {n} out of range [1, {n_max}]")
     return df.Conditioning(state_enc=_rows(trainer.state_table, s, "state"),
                            action_enc=_rows(trainer.action_table, a, "action"),
-                           horizon_enc=trainer.horizon_table[n - 1],
+                           horizon_enc=df.take_rows(trainer.horizon_table,
+                                                    n - 1),
                            step_dim=trainer.step_dim,
                            step_table=trainer.step_table)
 

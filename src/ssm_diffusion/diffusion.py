@@ -4,22 +4,26 @@ weights, and conditional reverse-process sampling.
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
 The denoiser is an MLP that takes [x_i | state | action | step embedding |
 horizon] concatenated and predicts the noise that was added. The sampler's
-conditioning is shared by every sample, so it folds each step's context
-columns into the first-layer bias once per chain and feeds only x_i through
-the network. Each reverse step runs over row blocks of at most BLOCK_ROWS
-samples, so every layer's output stays in cache between its matmul, bias
-add and activation.
+conditioning is shared by every sample, so once per chain it builds a
+folded copy of the network (approximator.fold_biases): each step's context
+columns go into the first layer's bias, and every hidden layer's bias into
+its weights, read on a ones column that the layer before writes. Each
+hidden layer is then one matmul and its activation, with no bias pass, and
+only x_i goes through the network. Each reverse step runs over row blocks
+of at most BLOCK_ROWS samples, so every layer's output stays in cache
+between its matmul and its activation.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximator import mlp_forward, split_first_layer
+from .approximator import (FoldedMlp, fold_biases, folded_buffers,
+                           folded_forward, mlp_forward)
 from .errors import ConfigurationError, NumericError, ShapeError
 
-# rows per block of the reverse chain: a 512 x 128 float64 layer output
-# (512 KB) stays in a 2 MB L2 cache, a 2000-row one streams past it
+# rows per block of the reverse chain: a 512 x 129 float64 layer output
+# (516 KB) stays in a 2 MB L2 cache, a 2000-row one streams past it
 BLOCK_ROWS = 512
 
 
@@ -31,9 +35,11 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     sigma: np.ndarray       # reverse-step noise scale (see sigma_mode)
     eta: np.ndarray         # per-step loss weight for the stored eta_mode
-    # sqrt(alpha_bar) and sqrt(1 - alpha_bar), which forward_noise reads
+    # sqrt(alpha_bar), sqrt(1 - alpha_bar) and sqrt(alpha), which
+    # forward_noise and reverse_step read
     sqrt_alpha_bar: np.ndarray
     sqrt_one_minus_alpha_bar: np.ndarray
+    sqrt_alpha: np.ndarray
     eta_mode: str = "simple"
     sigma_mode: str = "beta"
 
@@ -82,6 +88,7 @@ def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
                          sigma=sigma, eta=eta,
                          sqrt_alpha_bar=np.sqrt(alpha_bar),
                          sqrt_one_minus_alpha_bar=np.sqrt(1.0 - alpha_bar),
+                         sqrt_alpha=np.sqrt(alpha),
                          eta_mode=eta_mode, sigma_mode=sigma_mode)
 
 
@@ -89,6 +96,16 @@ def _check_step(sched, i):
     steps = np.asarray(i)
     if steps.size and (steps.min() < 1 or steps.max() > sched.K):
         raise IndexError(f"diffusion step {i} out of range [1, {sched.K}]")
+
+
+def take_rows(table, index):
+    """table[index] for an integer index or vector of them. take gathers
+    rows faster than indexing but would truncate a float index, so one
+    that is not of integer dtype raises the IndexError indexing raises."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise IndexError(f"index {index} is not an integer")
+    return table.take(index, axis=0)
 
 
 def forward_noise(sched, x0, i, epsilon):
@@ -135,7 +152,7 @@ def net_input(x_i, cond, i, out=None):
     if x_i.ndim != 2:
         raise ShapeError(f"x_i shape {x_i.shape} is not (batch, dim)")
     step = sinusoidal_embedding(i, cond.step_dim) if cond.step_table is None \
-        else cond.step_table[np.asarray(i) - 1]
+        else take_rows(cond.step_table, np.asarray(i) - 1)
     parts = (x_i, cond.state_enc, cond.action_enc, step, cond.horizon_enc)
     shape = (x_i.shape[0], sum(p.shape[-1] for p in parts))
     if out is None:
@@ -153,18 +170,20 @@ def net_input(x_i, cond, i, out=None):
 def reverse_step(sched, net, x_i, i, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
     the standard posterior-mean update; no noise is added at i=1. net takes
-    x_i alone: the caller has folded step i's conditioning into its
-    first-layer bias. out is passed on to mlp_forward for the network's
-    layer outputs."""
+    x_i alone: an MlpParams, or a FoldedMlp whose context bias the caller
+    has set to step i's conditioning. out is passed on to the forward for
+    the network's layer outputs (folded_buffers' arrays for a FoldedMlp)."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     z = np.asarray(z, dtype=float)
     if i > 1 and z.shape != x_i.shape:
         raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
-    eps_pred, _ = mlp_forward(net, x_i, out=out)
-    beta = sched.beta[i - 1]
-    ab = sched.alpha_bar[i - 1]
-    mean = (x_i - (beta / np.sqrt(1.0 - ab)) * eps_pred) / np.sqrt(sched.alpha[i - 1])
+    if isinstance(net, FoldedMlp):
+        eps_pred = folded_forward(net, x_i, out)
+    else:
+        eps_pred, _ = mlp_forward(net, x_i, out=out)
+    mean = (x_i - (sched.beta[i - 1] / sched.sqrt_one_minus_alpha_bar[i - 1])
+            * eps_pred) / sched.sqrt_alpha[i - 1]
     if i == 1:
         return mean
     return mean + sched.sigma[i - 1] * z
@@ -175,10 +194,11 @@ def sample(sched, net, cond, count, rng):
     Gaussian noise. Deterministic given the rng state.
 
     cond is shared by every sample, so the first layer's product with the
-    context is taken once per chain: one bias row per step, written into a
-    copy of the network that takes only x before that step. Each step
-    draws its noise for all rows at once, then runs the network over blocks
-    of at most BLOCK_ROWS rows."""
+    context is taken once per chain: one bias row per step, written before
+    that step into the context bias of a folded copy of the network that
+    takes only x (see approximator.fold_biases). Each step draws its noise
+    for all rows at once, then runs the network over blocks of at most
+    BLOCK_ROWS rows."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     for name in ("state_enc", "action_enc", "horizon_enc"):
@@ -192,12 +212,11 @@ def sample(sched, net, cond, count, rng):
     if dim + ctx.shape[1] != net.layer_sizes[0]:
         raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
                          f"inputs, the network takes {net.layer_sizes[0]}")
-    head, w_ctx = split_first_layer(net, dim)
+    folded, w_ctx = fold_biases(net, dim)
     bias = ctx @ w_ctx.T + net.biases[0]
-    # one block's array per layer output and one noise array, reused by
+    # one block's input and layer outputs and one noise array, reused by
     # every block and step, so no step allocates a large array
-    out = [np.empty((min(count, BLOCK_ROWS), size))
-           for size in net.layer_sizes[1:]]
+    out = folded_buffers(folded, min(count, BLOCK_ROWS))
     blocks = [(slice(r, r + BLOCK_ROWS), [o[:count - r] for o in out])
               for r in range(0, count, BLOCK_ROWS)]
     x = rng.standard_normal((count, dim))
@@ -207,9 +226,9 @@ def sample(sched, net, cond, count, rng):
             rng.standard_normal(out=z)
         else:
             z[...] = 0.0
-        head.biases[0][...] = bias[i - 1]
+        folded.context_bias[...] = bias[i - 1]
         for rows, block_out in blocks:
-            x[rows] = reverse_step(sched, head, x[rows], i, z[rows],
+            x[rows] = reverse_step(sched, folded, x[rows], i, z[rows],
                                    out=block_out)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite sample values at reverse step {i}")

@@ -192,26 +192,35 @@ def test_opt_step_rejects_nonfinite():
         ap.opt_step(p, g, state)
 
 
+@pytest.mark.parametrize("sizes", [[5, 2], [5, 4, 2], [5, 4, 3, 2],
+                                   [5, 4, 3, 3, 2]],
+                         ids=["no-hidden", "one-hidden", "two-hidden",
+                              "three-hidden"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_split_first_layer_folds_inputs_into_bias(activation):
+def test_fold_biases_folds_inputs_into_bias(activation, sizes):
     rng = np.random.default_rng(4)
-    net = ap.mlp_init([5, 4, 3, 2], activation=activation, seed=1)
+    net = ap.mlp_init(sizes, activation=activation, seed=1)
     net.theta[...] = rng.uniform(-1.0, 1.0, net.theta.size)
     theta = net.theta.copy()
     x, c = rng.standard_normal((6, 2)), rng.standard_normal(3)
-    head, w_rest = ap.split_first_layer(net, 2)
-    assert head.layer_sizes == [2, 4, 3, 2] and w_rest.shape == (4, 3)
-    head.biases[0][...] = c @ w_rest.T + net.biases[0]
+    folded, w_rest = ap.fold_biases(net, 2)
+    assert w_rest.shape == (sizes[1], 3)
+    folded.context_bias[...] = c @ w_rest.T + net.biases[0]
     full, _ = ap.mlp_forward(net, np.hstack([x, np.tile(c, (6, 1))]))
-    folded, _ = ap.mlp_forward(head, x)
-    np.testing.assert_allclose(folded, full, rtol=0, atol=1e-14)
-    # head and w_rest are copies: writing them leaves net as it was
-    head.theta[...] = 0.0
+    out = ap.folded_buffers(folded, 6)
+    got = ap.folded_forward(folded, x, out)
+    np.testing.assert_allclose(got, full, rtol=0, atol=1e-14)
+    with pytest.raises(ShapeError):
+        ap.folded_forward(folded, np.hstack([x, x]), out)
+    # the folded net and w_rest are copies: writing them leaves net as it was
+    for w in folded.weights:
+        w[...] = 0.0
+    folded.bias[...] = 0.0
     w_rest[...] = 0.0
     np.testing.assert_array_equal(net.theta, theta)
     for bad in (0, 6):
         with pytest.raises(ShapeError):
-            ap.split_first_layer(net, bad)
+            ap.fold_biases(net, bad)
 
 
 def test_copy_and_polyak():

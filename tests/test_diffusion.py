@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ssm_diffusion
 from ssm_diffusion import approximator as ap
 from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import diffusion as df
@@ -206,6 +211,155 @@ def test_sample_matches_unfolded_reference(activation, horizon_encoding,
         np.testing.assert_allclose(folded, reference, rtol=0, atol=1e-12)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         np.testing.assert_array_equal(net.theta, theta)
+
+
+def block_chain_reference(sched, net, cond, count, rng):
+    """The row-blocked chain with each layer's bias added after its matmul:
+    the first layer split after x, its bias carrying each step's context
+    product, then mlp_forward over blocks of at most BLOCK_ROWS rows."""
+    dim = net.layer_sizes[-1]
+    ctx = df.net_input(np.empty((sched.K, 0)), cond, np.arange(1, sched.K + 1))
+    sizes = [dim] + net.layer_sizes[1:]
+    head = ap.MlpParams(sizes, np.empty(ap.param_count(sizes)), net.activation)
+    head.weights[0][...] = net.weights[0][:, :dim]
+    for dst, src in zip(head.weights[1:] + head.biases,
+                        net.weights[1:] + net.biases):
+        dst[...] = src
+    bias = ctx @ net.weights[0][:, dim:].T + net.biases[0]
+    x = rng.standard_normal((count, dim))
+    for i in range(sched.K, 0, -1):
+        z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
+        head.biases[0][...] = bias[i - 1]
+        for r in range(0, count, df.BLOCK_ROWS):
+            rows = slice(r, r + df.BLOCK_ROWS)
+            eps_pred, _ = ap.mlp_forward(head, x[rows])
+            beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
+            x[rows] = (x[rows] - beta / np.sqrt(1.0 - ab) * eps_pred) \
+                / np.sqrt(sched.alpha[i - 1])
+            if i > 1:
+                x[rows] += sched.sigma[i - 1] * z[rows]
+    return x
+
+
+def headline_trainer(hidden_sizes=(128, 128), activation="relu",
+                     horizon_encoding="onehot", K=32, seed=999):
+    """A trainer of the headline shape (5x5 grid, H=8), with every bias
+    non-zero so that the folded biases carry values."""
+    sched = df.make_schedule(K, 1e-4, 0.2)
+    g = m.gridworld_new(5, 5, horizon=8)
+    trainer = bl.make_trainer(sched, g, hidden_sizes=hidden_sizes,
+                              activation=activation,
+                              horizon_encoding=horizon_encoding, seed=seed)
+    rng = np.random.default_rng(6)
+    for b in trainer.online.biases:
+        b[...] = rng.uniform(-0.5, 0.5, b.shape)
+    return trainer
+
+
+def test_sample_bit_exact_against_block_chain_headline():
+    trainer = headline_trainer()
+    cond = bl.conditioning(trainer, 12, 1, 5)
+    for count in (2000, 2 * df.BLOCK_ROWS + 37):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        got = df.sample(trainer.sched, trainer.online, cond, count, rng_a)
+        want = block_chain_reference(trainer.sched, trainer.online, cond,
+                                     count, rng_b)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [1, df.BLOCK_ROWS + 1, 2 * df.BLOCK_ROWS + 37])
+@pytest.mark.parametrize("hidden_sizes, activation, horizon_encoding, K", [
+    ((128, 128), "tanh", "onehot", 32),
+    ((64,), "relu", "onehot", 32),
+    ((32, 32, 32), "relu", "onehot", 8),
+    ((32, 32), "tanh", "scalar", 8),
+    ((32, 32, 32), "tanh", "onehot", 1),
+], ids=["tanh", "one-hidden", "three-hidden", "tanh-scalar", "K1"])
+def test_sample_close_to_block_chain(hidden_sizes, activation,
+                                     horizon_encoding, K, count):
+    # the two-hidden-layer tanh case fails if the ones column is activated:
+    # tanh(1) would scale the second layer's bias
+    trainer = headline_trainer(hidden_sizes, activation, horizon_encoding, K)
+    net, cond = trainer.online, bl.conditioning(trainer, 7, 2, 3)
+    theta = net.theta.copy()
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    got = df.sample(trainer.sched, net, cond, count, rng_a)
+    want = block_chain_reference(trainer.sched, net, cond, count, rng_b)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(m.decode_states(trainer.mdp, got)[0],
+                                  m.decode_states(trainer.mdp, want)[0])
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    np.testing.assert_array_equal(net.theta, theta)
+
+
+def test_reverse_step_tables_bit_exact_against_formula():
+    # the schedule's sqrt(1 - alpha_bar) and sqrt(alpha) tables give the
+    # bits of the square roots taken per call
+    rng = np.random.default_rng(2)
+    net = ap.mlp_init([2, 16, 2], seed=4)
+    x, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    for sigma_mode in ("beta", "posterior"):
+        sched = df.make_schedule(32, 1e-4, 0.2, sigma_mode=sigma_mode)
+        eps_pred, _ = ap.mlp_forward(net, x)
+        for i in range(1, 33):
+            beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
+            want = (x - (beta / np.sqrt(1.0 - ab)) * eps_pred) \
+                / np.sqrt(sched.alpha[i - 1])
+            if i > 1:
+                want = want + sched.sigma[i - 1] * z
+            got = df.reverse_step(sched, net, x, i, z)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_take_rows_refuses_a_float_index():
+    table = np.arange(12.0).reshape(4, 3)
+    # take alone truncates a float index where indexing refuses it
+    np.testing.assert_array_equal(table.take(1.7, axis=0), table[1])
+    for bad in (1.0, np.float64(2.0), np.array([0.0, 1.0])):
+        with pytest.raises(IndexError):
+            table[bad]
+        with pytest.raises(IndexError, match="not an integer"):
+            df.take_rows(table, bad)
+    with pytest.raises(IndexError):
+        df.take_rows(table, np.array([1, 4]))
+    for index in (2, -1, np.array([3, 0, 3]), np.array([], dtype=int)):
+        assert df.take_rows(table, index).tobytes() == table[index].tobytes()
+
+
+# the reverse chain of 10 headline conditions at 2000 samples, after two
+# warm-up conditions; prints the minor page faults per condition
+EVAL_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from ssm_diffusion import evaluation as ev, runner
+from ssm_diffusion.config import validate_config
+cfg = validate_config({
+    "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8},
+    "training": {"steps": 0, "seed": 0}})
+mdp, policy = runner.build_env(cfg)
+trainer = runner.build_trainer(cfg, seed=999)
+conds = [(s, int(policy.table[s]), n) for n in (1, 8) for s in range(0, 25, 5)]
+rng = np.random.default_rng(11)
+for s, a, n in conds[:2]:
+    ev.sample_condition(trainer, s, a, n, 2000, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for s, a, n in conds:
+    ev.sample_condition(trainer, s, a, n, 2000, rng)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(conds))
+"""
+
+
+def test_sample_page_faults_per_condition():
+    # a fresh process, as in test_train_step_page_faults_per_step. A chain
+    # maps its block buffers once, about 270 faults (1.1 MB); buffers
+    # allocated at every block-step would take about 29k
+    src = os.path.dirname(os.path.dirname(ssm_diffusion.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", EVAL_FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 400
 
 
 def test_sample_rejects_per_row_conditioning():
