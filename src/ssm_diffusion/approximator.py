@@ -248,33 +248,42 @@ class FoldedMlp:
     context_bias: np.ndarray    # a view of the first layer's bias
 
 
-def fold_biases(params, dim):
+def fold_biases(params, dim, out=None):
     """Fold the network for inputs whose first `dim` columns are x and the
     rest a context c. Returns (folded, w_rest): w_rest is the
     (layer_sizes[1], layer_sizes[0] - dim) block of first-layer weights on
     c. With folded.context_bias = c @ w_rest.T + params.biases[0],
     folded_forward(folded, x) gives mlp_forward(params, [x | c]). Both are
-    copies: params is not changed."""
+    copies: params is not changed. out, if given, is the folded network of
+    an earlier fold with the same layer sizes and dim, whose arrays receive
+    this fold in place of new ones."""
     if not 0 < dim <= params.layer_sizes[0]:
         raise ShapeError(f"cannot split {params.layer_sizes[0]} inputs "
                          f"after {dim}")
     ws = [params.weights[0][:, :dim]] + params.weights[1:]
     n_hidden = len(ws) - 1
-    weights = []
-    for l, (w, b) in enumerate(zip(ws[:-1], params.biases)):
+    # [W | b], over [0 ... 0 1] if the next layer is hidden too; the zeros
+    # are set once, when the arrays are made
+    shapes = [(w.shape[0] + (l + 1 < n_hidden), w.shape[1] + 1)
+              for l, w in enumerate(ws[:-1])] + [ws[-1].shape]
+    if out is None:
+        weights = [np.zeros(shape) for shape in shapes]
+        bias = np.empty_like(params.biases[-1])
+        context_bias = weights[0][:params.layer_sizes[1], -1] if n_hidden \
+            else bias
+        out = FoldedMlp(dim=dim, activation=params.activation,
+                        weights=weights, bias=bias, context_bias=context_bias)
+    elif out.dim != dim or [w.shape for w in out.weights] != shapes:
+        raise ShapeError("out is not the fold of a network of this shape")
+    for w, b, aug in zip(ws[:-1], params.biases, out.weights):
         fan_out, fan_in = w.shape
-        # [W | b], over [0 ... 0 1] if the next layer is hidden too
-        aug = np.zeros((fan_out + (l + 1 < n_hidden), fan_in + 1))
         aug[:fan_out, :fan_in] = w
         aug[:fan_out, fan_in] = b
         aug[fan_out:, fan_in] = 1.0
-        weights.append(aug)
-    weights.append(ws[-1].copy())
-    bias = params.biases[-1].copy()
-    context_bias = weights[0][:params.layer_sizes[1], -1] if n_hidden else bias
-    folded = FoldedMlp(dim=dim, activation=params.activation, weights=weights,
-                       bias=bias, context_bias=context_bias)
-    return folded, params.weights[0][:, dim:].copy()
+    out.weights[-1][...] = ws[-1]
+    out.bias[...] = params.biases[-1]
+    out.activation = params.activation
+    return out, params.weights[0][:, dim:].copy()
 
 
 def folded_buffers(folded, rows):

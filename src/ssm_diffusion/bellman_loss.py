@@ -38,6 +38,8 @@ class Trainer:
     step_table: np.ndarray = field(default=None, repr=False)
     # buffers td_loss and train_step reuse; see _work_area
     work: "WorkArea" = field(default=None, repr=False)
+    # buffers the reverse chains of evaluation.sample_condition reuse
+    chain_work: df.ChainWork = field(default_factory=df.ChainWork, repr=False)
 
 
 @dataclass

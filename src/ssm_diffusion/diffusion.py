@@ -11,9 +11,14 @@ its weights, read on a ones column that the layer before writes. Each
 hidden layer is then one matmul and its activation, with no bias pass, and
 only x_i goes through the network. Each reverse step runs over row blocks
 of at most BLOCK_ROWS samples, so every layer's output stays in cache
-between its matmul and its activation.
+between its matmul and its activation, and the blocks are shared among
+WORKERS threads, one for each CPU that BLAS's own threads leave free.
 """
 
+import contextvars
+import os
+import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +30,28 @@ from .errors import ConfigurationError, NumericError, ShapeError
 # rows per block of the reverse chain: a 512 x 129 float64 layer output
 # (516 KB) stays in a 2 MB L2 cache, a 2000-row one streams past it
 BLOCK_ROWS = 512
+# the most noise a chain draws ahead, unless one step takes more
+NOISE_BYTES = 128 * 1024
+
+
+def worker_count(environ):
+    """Threads to run a chain's row blocks on: the usable CPUs divided by
+    the BLAS thread count, at least one. The count is read as OpenBLAS
+    reads it: the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS whose value C's atoi reads as a positive number, and
+    one thread per CPU if there is none."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*\+?(\d+)", environ.get(name, ""))
+        if digits and int(digits.group(1)) > 0:
+            return max(1, cpus // int(digits.group(1)))
+    return 1
+
+
+# one BLAS thread per CPU, the default, keeps the chain on one thread
+WORKERS = worker_count(os.environ)
 
 
 @dataclass
@@ -169,15 +196,17 @@ def net_input(x_i, cond, i, out=None):
 
 def reverse_step(sched, net, x_i, i, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
-    the standard posterior-mean update; no noise is added at i=1. net takes
+    the standard posterior-mean update; no noise is added at i=1, where z
+    is not read and may be None. net takes
     x_i alone: an MlpParams, or a FoldedMlp whose context bias the caller
     has set to step i's conditioning. out is passed on to the forward for
     the network's layer outputs (folded_buffers' arrays for a FoldedMlp)."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if i > 1 and z.shape != x_i.shape:
-        raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
+    if i > 1:
+        z = np.asarray(z, dtype=float)
+        if z.shape != x_i.shape:
+            raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
     if isinstance(net, FoldedMlp):
         eps_pred = folded_forward(net, x_i, out)
     else:
@@ -189,16 +218,92 @@ def reverse_step(sched, net, x_i, i, z, out=None):
     return mean + sched.sigma[i - 1] * z
 
 
-def sample(sched, net, cond, count, rng):
+@dataclass
+class ChainWork:
+    """A reverse chain's large arrays: each worker's folded copy of the
+    network (each writes its own context bias) and block buffers
+    (folded_buffers), and the noise drawn ahead of the steps. A caller that
+    passes the same one to every sample call, as a trainer does, lets its
+    chains of more than one block allocate none of them."""
+    key: tuple = ()     # the layer sizes, dim, block rows and workers it fits
+    folded: list = field(default_factory=list)
+    out: list = field(default_factory=list)
+    noise: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+
+def _fit_work(work, net, dim, rows, workers, noise_size):
+    """Build work's arrays again where they do not fit a chain of this
+    shape; the noise array only grows."""
+    key = (tuple(net.layer_sizes), dim, rows, workers)
+    if work.key != key:
+        work.key = key
+        work.folded = [fold_biases(net, dim)[0] for _ in range(workers)]
+        work.out = [folded_buffers(f, rows) for f in work.folded]
+    if work.noise.size < noise_size:
+        work.noise = np.empty(noise_size)
+
+
+def _run_blocks(sched, folded, bias, x, z, steps, blocks):
+    """Run one worker's blocks of x through `steps` (descending), in place.
+    z[j] is step steps[j]'s noise for every row; step 1 has none. Returns
+    the first step at which one of the blocks went non-finite, or None."""
+    for j, i in enumerate(steps):
+        folded.context_bias[...] = bias[i - 1]
+        for rows, out in blocks:
+            x_next = reverse_step(sched, folded, x[rows], i,
+                                  z[j, rows] if i > 1 else None, out=out)
+            x[rows] = x_next
+            if not np.isfinite(x_next).all():
+                return i
+    return None
+
+
+def _run_all(fn, arg_lists):
+    """fn(*args) for each args of arg_lists: the first on this thread, each
+    other on a thread of its own that runs in a copy of this thread's
+    context, so NumPy's errstate holds there too. Returns the results in
+    order; an exception raised in any call is raised here once all have
+    ended."""
+    results = [None] * len(arg_lists)
+    errors = [None] * len(arg_lists)
+
+    def run(k):
+        try:
+            results[k] = fn(*arg_lists[k])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, k))
+               for k in range(1, len(arg_lists))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def sample(sched, net, cond, count, rng, work=None):
     """Draw `count` x0 vectors by running the reverse chain from unit
-    Gaussian noise. Deterministic given the rng state.
+    Gaussian noise. Deterministic given the rng state, and bit for bit the
+    same whatever the worker count.
 
     cond is shared by every sample, so the first layer's product with the
     context is taken once per chain: one bias row per step, written before
     that step into the context bias of a folded copy of the network that
-    takes only x (see approximator.fold_biases). Each step draws its noise
-    for all rows at once, then runs the network over blocks of at most
-    BLOCK_ROWS rows."""
+    takes only x (see approximator.fold_biases). The rows run in blocks of
+    at most BLOCK_ROWS, dealt round-robin to up to WORKERS workers, each
+    with its own folded copy: this thread is the first and a new thread
+    each other one. This thread draws the noise ahead for a group of whole
+    steps, at most NOISE_BYTES unless one step takes more, and every worker
+    runs its blocks through the group's steps before the next draw.
+
+    work, if given, is a ChainWork that chains of more than one block reuse
+    in place of new arrays; a chain of one block leaves it untouched."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     for name in ("state_enc", "action_enc", "horizon_enc"):
@@ -212,24 +317,30 @@ def sample(sched, net, cond, count, rng):
     if dim + ctx.shape[1] != net.layer_sizes[0]:
         raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
                          f"inputs, the network takes {net.layer_sizes[0]}")
-    folded, w_ctx = fold_biases(net, dim)
+    starts = range(0, count, BLOCK_ROWS)
+    group = min(sched.K, max(1, NOISE_BYTES // (8 * count * dim)))
+    if work is None or len(starts) == 1:
+        work = ChainWork()
+    _fit_work(work, net, dim, min(count, BLOCK_ROWS),
+              min(WORKERS, len(starts)), group * count * dim)
+    for folded in work.folded:
+        _, w_ctx = fold_biases(net, dim, out=folded)
     bias = ctx @ w_ctx.T + net.biases[0]
-    # one block's input and layer outputs and one noise array, reused by
-    # every block and step, so no step allocates a large array
-    out = folded_buffers(folded, min(count, BLOCK_ROWS))
-    blocks = [(slice(r, r + BLOCK_ROWS), [o[:count - r] for o in out])
-              for r in range(0, count, BLOCK_ROWS)]
+    workers = len(work.folded)
+    # each worker's blocks, with its buffers cut to the block's rows
+    blocks = [[(slice(r, r + BLOCK_ROWS), [o[:count - r] for o in out])
+               for r in starts[w::workers]] for w, out in enumerate(work.out)]
+    noise = work.noise[:group * count * dim].reshape(group, count, dim)
     x = rng.standard_normal((count, dim))
-    z = np.empty((count, dim))
-    for i in range(sched.K, 0, -1):
-        if i > 1:
-            rng.standard_normal(out=z)
-        else:
-            z[...] = 0.0
-        folded.context_bias[...] = bias[i - 1]
-        for rows, block_out in blocks:
-            x[rows] = reverse_step(sched, folded, x[rows], i, z[rows],
-                                   out=block_out)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite sample values at reverse step {i}")
+    for top in range(sched.K, 0, -group):
+        steps = range(top, max(top - group, 0), -1)
+        # the noise of the steps above 1
+        z = noise[:len(steps) - (steps[-1] == 1)]
+        rng.standard_normal(out=z)
+        failed = [i for i in _run_all(_run_blocks, [
+            (sched, folded, bias, x, z, steps, b)
+            for folded, b in zip(work.folded, blocks)]) if i is not None]
+        if failed:
+            raise NumericError(
+                f"non-finite sample values at reverse step {max(failed)}")
     return x

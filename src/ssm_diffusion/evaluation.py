@@ -50,7 +50,8 @@ def tv_distance(p, q):
 def sample_condition(trainer, s, a, n, num_samples, rng):
     """Draw decoded-space samples from the learned model at (s, a, n)."""
     return df.sample(trainer.sched, trainer.online,
-                     conditioning(trainer, s, a, n), num_samples, rng)
+                     conditioning(trainer, s, a, n), num_samples, rng,
+                     trainer.chain_work)
 
 
 def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +245,32 @@ def test_eval_outputs_and_determinism(tmp_path):
     assert ppms and all(p.endswith(".ppm") for p in ppms)
     first = (e1 / "heatmaps" / sorted(ppms)[0]).read_text().splitlines()
     assert first[0] == "P3"
+
+
+def test_eval_same_bytes_on_one_or_two_blas_threads(tmp_path):
+    # one BLAS thread on two CPUs gives two chain workers, two give one;
+    # 1100 samples make three row blocks per chain
+    overrides = tiny_overrides()
+    overrides["eval"] = {"num_samples": 1100}
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = []
+    for threads in ("1", "2"):
+        e = tmp_path / f"eval{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ssm_diffusion import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "eval", "--checkpoint",
+             str(out / "checkpoint.bin"), "--config", str(cfg), "--out", str(e)],
+            env=dict(base, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(e / name).read_bytes()
+                        for name in ("metrics.jsonl", "metrics.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_seed_flag_changes_samples_only(tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ssm_diffusion import approximator as ap
 from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import diffusion as df
 from ssm_diffusion import mdp as m
-from ssm_diffusion.errors import ConfigurationError, ShapeError
+from ssm_diffusion.errors import ConfigurationError, NumericError, ShapeError
 
 
 def test_schedule_basic_products():
@@ -293,6 +294,201 @@ def test_sample_close_to_block_chain(hidden_sizes, activation,
     np.testing.assert_array_equal(net.theta, theta)
 
 
+def test_one_draw_over_steps_equals_per_step_draws():
+    # sample draws the noise of several steps at once, into an array
+    for steps, count in ((1, 5), (4, 2000), (7, 1061)):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        ahead = np.empty((steps, count, 2))
+        rng_a.standard_normal(out=ahead)
+        for step in ahead:
+            assert rng_b.standard_normal((count, 2)).tobytes() == step.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def sample_with_workers(monkeypatch, workers, trainer, cond, count, seed,
+                        work=None):
+    """sample's output bytes and generator end state with the worker count
+    forced to `workers`."""
+    monkeypatch.setattr(df, "WORKERS", workers)
+    rng = np.random.default_rng(seed)
+    x = df.sample(trainer.sched, trainer.online, cond, count, rng, work)
+    return x.tobytes(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("K", [1, 2, 32])
+@pytest.mark.parametrize("hidden_sizes", [(16,), (16, 16), (16, 16, 16)],
+                         ids=["one-hidden", "two-hidden", "three-hidden"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_sample_parallel_equals_serial(monkeypatch, activation, hidden_sizes,
+                                       K):
+    # one block (1 and BLOCK_ROWS rows), two, three with a ragged last
+    # one, and 20: the noise is drawn for several steps at once but at
+    # 10000 samples, whose one step's noise (160 KB) is more than
+    # NOISE_BYTES. The parallel chains share the trainer's work area
+    trainer = headline_trainer(hidden_sizes, activation, K=K)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    for count in (1, df.BLOCK_ROWS, df.BLOCK_ROWS + 1,
+                  2 * df.BLOCK_ROWS + 37, 10000):
+        serial = sample_with_workers(monkeypatch, 1, trainer, cond, count, 9)
+        parallel = sample_with_workers(monkeypatch, 2, trainer, cond, count,
+                                       9, trainer.chain_work)
+        assert serial == parallel
+
+
+def test_sample_more_workers_than_cores(monkeypatch):
+    # 5 workers over 20 blocks, with the interpreter switching threads
+    # every microsecond: a block written by two workers, or a result or
+    # error slot lost, would change the bytes
+    trainer = headline_trainer((16, 16), "tanh", K=8)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_with_workers(monkeypatch, 5, trainer, cond, 10000, 2,
+                                  trainer.chain_work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(trainer.chain_work.folded) == 5
+
+
+def test_sample_reuses_the_work_area(monkeypatch):
+    monkeypatch.setattr(df, "WORKERS", 2)
+    trainer = headline_trainer((16, 16), K=4)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    work = df.ChainWork()
+    arrays = []
+    for count in (2000, 2 * df.BLOCK_ROWS + 37, 300, 2000):
+        want = df.sample(trainer.sched, trainer.online, cond, count,
+                         np.random.default_rng(3))
+        got = df.sample(trainer.sched, trainer.online, cond, count,
+                        np.random.default_rng(3), work)
+        assert got.tobytes() == want.tobytes()
+        arrays.append([a for out in work.out for a in out]
+                      + [f.weights[0] for f in work.folded] + [work.noise])
+    # the 300-row chain, a single block, leaves it untouched
+    assert len(work.folded) == 2
+    assert all(a is b for later in arrays[1:] for a, b in zip(arrays[0], later))
+
+
+def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):
+    # output weights so large that the chain overflows part-way, inside
+    # a group of noise steps
+    trainer = headline_trainer((16,), K=32)
+    trainer.online.weights[-1][...] *= 1e20
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(df, "WORKERS", workers)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            df.sample(trainer.sched, trainer.online, cond,
+                      2 * df.BLOCK_ROWS + 37, np.random.default_rng(1))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    step = int(messages[0].rsplit(" ", 1)[1])
+    assert messages[0] == f"non-finite sample values at reverse step {step}"
+    assert 1 < step < 26
+
+
+@pytest.mark.parametrize("main_step, worker_step", [(24, 22), (22, 24)])
+def test_sample_raises_for_the_earliest_non_finite_step(
+        monkeypatch, main_step, worker_step):
+    # each worker's rows go non-finite at another step of one noise group
+    # (25 to 19 at 1061 rows): the chain reports the earlier in its order
+    trainer = headline_trainer((16,), K=32)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    step = df.reverse_step
+
+    def poisoned(sched, net, x_i, i, z, out=None):
+        x = step(sched, net, x_i, i, z, out=out)
+        on_main = threading.current_thread() is threading.main_thread()
+        if i == (main_step if on_main else worker_step):
+            x[0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(df, "reverse_step", poisoned)
+    earliest = max(main_step, worker_step)
+    with pytest.raises(NumericError, match=f"reverse step {earliest}$"):
+        sample_with_workers(monkeypatch, 2, trainer, cond,
+                            2 * df.BLOCK_ROWS + 37, 1)
+
+
+def test_sample_workers_keep_the_callers_errstate(monkeypatch):
+    trainer = headline_trainer((16,), K=8)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    step, seen = df.reverse_step, set()
+
+    def recording(*args, **kwargs):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(df, "reverse_step", recording)
+    with np.errstate(over="raise"):
+        sample_with_workers(monkeypatch, 2, trainer, cond,
+                            2 * df.BLOCK_ROWS + 37, 4)
+    assert len(seen) == 2 and {over for _, over in seen} == {"raise"}
+
+
+def test_sample_worker_exception_reaches_caller(monkeypatch):
+    trainer = headline_trainer((16,), K=8)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    count = 2 * df.BLOCK_ROWS + 37
+    want = sample_with_workers(monkeypatch, 1, trainer, cond, count, 4)
+    step, threads = df.reverse_step, set()
+
+    def failing_off_the_main_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(df, "reverse_step", failing_off_the_main_thread)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        sample_with_workers(monkeypatch, 2, trainer, cond, count, 4)
+    assert len(threads) == 2
+    monkeypatch.setattr(df, "reverse_step", step)
+    assert sample_with_workers(monkeypatch, 2, trainer, cond, count, 4) == want
+
+
+# prints diffusion.WORKERS on two of the CPUs the test may use
+WORKERS_SCRIPT = """
+import os
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from ssm_diffusion import diffusion
+print(diffusion.WORKERS)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+@pytest.mark.parametrize("env, workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 1),
+    ({"GOTO_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    # read as C's atoi reads them
+    ({"OPENBLAS_NUM_THREADS": " 1x"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "-1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 1),
+], ids=["one", "unset", "two", "more-than-cpus", "goto", "omp", "precedence",
+        "atoi-prefix", "malformed-ignored", "non-positive-ignored", "empty"])
+def test_worker_count_rule(env, workers):
+    src = os.path.dirname(os.path.dirname(ssm_diffusion.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", WORKERS_SCRIPT],
+                          env=dict(base, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == workers
+
+
 def test_reverse_step_tables_bit_exact_against_formula():
     # the schedule's sqrt(1 - alpha_bar) and sqrt(alpha) tables give the
     # bits of the square roots taken per call
@@ -327,10 +523,11 @@ def test_take_rows_refuses_a_float_index():
         assert df.take_rows(table, index).tobytes() == table[index].tobytes()
 
 
-# the reverse chain of 10 headline conditions at 2000 samples, after two
-# warm-up conditions; prints the minor page faults per condition
+# the reverse chain of 10 headline conditions at argv[1] samples, after
+# two warm-up conditions; prints the minor page faults per condition
 EVAL_FAULTS_SCRIPT = """
 import resource
+import sys
 import numpy as np
 from ssm_diffusion import evaluation as ev, runner
 from ssm_diffusion.config import validate_config
@@ -341,25 +538,30 @@ mdp, policy = runner.build_env(cfg)
 trainer = runner.build_trainer(cfg, seed=999)
 conds = [(s, int(policy.table[s]), n) for n in (1, 8) for s in range(0, 25, 5)]
 rng = np.random.default_rng(11)
+count = int(sys.argv[1])
 for s, a, n in conds[:2]:
-    ev.sample_condition(trainer, s, a, n, 2000, rng)
+    ev.sample_condition(trainer, s, a, n, count, rng)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for s, a, n in conds:
-    ev.sample_condition(trainer, s, a, n, 2000, rng)
+    ev.sample_condition(trainer, s, a, n, count, rng)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(conds))
 """
 
 
 def test_sample_page_faults_per_condition():
-    # a fresh process, as in test_train_step_page_faults_per_step. A chain
-    # maps its block buffers once, about 270 faults (1.1 MB); buffers
-    # allocated at every block-step would take about 29k
+    # a fresh process, as in test_train_step_page_faults_per_step. Chains
+    # of several blocks reuse the trainer's work area and take about 16
+    # faults at 2000 samples and 64 at 10k (the CLI's default count), from
+    # the stacks of the worker threads. A work area allocated per chain
+    # takes about 570 and 660, buffers allocated at every block-step 29k
     src = os.path.dirname(os.path.dirname(ssm_diffusion.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", EVAL_FAULTS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 400
+    for count in (2000, 10000):
+        proc = subprocess.run(
+            [sys.executable, "-c", EVAL_FAULTS_SCRIPT, str(count)], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 400
 
 
 def test_sample_rejects_per_row_conditioning():
