@@ -9,10 +9,10 @@ folded copy of the network (approximator.fold_biases): each step's context
 columns go into the first layer's bias, and every hidden layer's bias into
 its weights, read on a ones column that the layer before writes. Each
 hidden layer is then one matmul and its activation, with no bias pass, and
-only x_i goes through the network. Each reverse step runs over row blocks
-of at most BLOCK_ROWS samples, so every layer's output stays in cache
-between its matmul and its activation, and the blocks are shared among
-WORKERS threads, one for each CPU that BLAS's own threads leave free.
+only x_i goes through the network. The chain runs blocks of at most
+BLOCK_ROWS samples through all its steps, so every layer's output stays in
+cache between its matmul and its activation, and WORKERS threads, one for
+each CPU that BLAS's own threads leave free, share the blocks.
 """
 
 import contextvars
@@ -30,8 +30,6 @@ from .errors import ConfigurationError, NumericError, ShapeError
 # rows per block of the reverse chain: a 512 x 129 float64 layer output
 # (516 KB) stays in a 2 MB L2 cache, a 2000-row one streams past it
 BLOCK_ROWS = 512
-# the most noise a chain draws ahead, unless one step takes more
-NOISE_BYTES = 128 * 1024
 
 
 def worker_count(environ):
@@ -222,9 +220,10 @@ def reverse_step(sched, net, x_i, i, z, out=None):
 class ChainWork:
     """A reverse chain's large arrays: each worker's folded copy of the
     network (each writes its own context bias) and block buffers
-    (folded_buffers), and the noise drawn ahead of the steps. A caller that
-    passes the same one to every sample call, as a trainer does, lets its
-    chains of more than one block allocate none of them."""
+    (folded_buffers), and every step's noise, 1 MB at 2000 headline samples
+    and 5 MB at 10k. A caller that passes the same one to every sample
+    call, as a trainer does, lets its chains of more than one block
+    allocate none of them."""
     key: tuple = ()     # the layer sizes, dim, block rows and workers it fits
     folded: list = field(default_factory=list)
     out: list = field(default_factory=list)
@@ -243,19 +242,28 @@ def _fit_work(work, net, dim, rows, workers, noise_size):
         work.noise = np.empty(noise_size)
 
 
-def _run_blocks(sched, folded, bias, x, z, steps, blocks):
-    """Run one worker's blocks of x through `steps` (descending), in place.
-    z[j] is step steps[j]'s noise for every row; step 1 has none. Returns
-    the first step at which one of the blocks went non-finite, or None."""
-    for j, i in enumerate(steps):
-        folded.context_bias[...] = bias[i - 1]
-        for rows, out in blocks:
-            x_next = reverse_step(sched, folded, x[rows], i,
-                                  z[j, rows] if i > 1 else None, out=out)
-            x[rows] = x_next
-            if not np.isfinite(x_next).all():
-                return i
-    return None
+def _run_blocks(sched, folded, out, bias, x, z, blocks):
+    """Run blocks of x through steps K..1 in place on `folded` and its
+    buffers `out`, taking each block's offset from `blocks`, a range
+    iterator that every worker shares: its next is one C call, so under the
+    interpreter lock no two take one block. z[K - i] is step i's noise;
+    step 1 has none. Returns the earliest (largest) step at which one of
+    the blocks went non-finite, or 0; later blocks stop above it."""
+    failed = 0
+    for r in blocks:
+        rows = slice(r, r + BLOCK_ROWS)
+        x_i = x[rows]
+        block_out = [o[:len(x_i)] for o in out]
+        for i in range(sched.K, failed, -1):
+            folded.context_bias[...] = bias[i - 1]
+            x_i = reverse_step(sched, folded, x_i, i,
+                               z[sched.K - i, rows] if i > 1 else None,
+                               out=block_out)
+            if not np.isfinite(x_i).all():
+                failed = i
+                break
+        x[rows] = x_i
+    return failed
 
 
 def _run_all(fn, arg_lists):
@@ -295,12 +303,12 @@ def sample(sched, net, cond, count, rng, work=None):
     cond is shared by every sample, so the first layer's product with the
     context is taken once per chain: one bias row per step, written before
     that step into the context bias of a folded copy of the network that
-    takes only x (see approximator.fold_biases). The rows run in blocks of
-    at most BLOCK_ROWS, dealt round-robin to up to WORKERS workers, each
-    with its own folded copy: this thread is the first and a new thread
-    each other one. This thread draws the noise ahead for a group of whole
-    steps, at most NOISE_BYTES unless one step takes more, and every worker
-    runs its blocks through the group's steps before the next draw.
+    takes only x (see approximator.fold_biases). This thread draws x, then
+    every step's noise, (K - 1) x count x dim floats, in one call. Up to
+    WORKERS workers, each with its own folded copy, take blocks of at most
+    BLOCK_ROWS rows from a queue they share and run each through every
+    step: this thread is the first and a new thread each other one, and
+    they meet once, when the queue is empty.
 
     work, if given, is a ChainWork that chains of more than one block reuse
     in place of new arrays; a chain of one block leaves it untouched."""
@@ -318,29 +326,21 @@ def sample(sched, net, cond, count, rng, work=None):
         raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
                          f"inputs, the network takes {net.layer_sizes[0]}")
     starts = range(0, count, BLOCK_ROWS)
-    group = min(sched.K, max(1, NOISE_BYTES // (8 * count * dim)))
     if work is None or len(starts) == 1:
         work = ChainWork()
     _fit_work(work, net, dim, min(count, BLOCK_ROWS),
-              min(WORKERS, len(starts)), group * count * dim)
+              min(WORKERS, len(starts)), (sched.K - 1) * count * dim)
     for folded in work.folded:
         _, w_ctx = fold_biases(net, dim, out=folded)
     bias = ctx @ w_ctx.T + net.biases[0]
-    workers = len(work.folded)
-    # each worker's blocks, with its buffers cut to the block's rows
-    blocks = [[(slice(r, r + BLOCK_ROWS), [o[:count - r] for o in out])
-               for r in starts[w::workers]] for w, out in enumerate(work.out)]
-    noise = work.noise[:group * count * dim].reshape(group, count, dim)
     x = rng.standard_normal((count, dim))
-    for top in range(sched.K, 0, -group):
-        steps = range(top, max(top - group, 0), -1)
-        # the noise of the steps above 1
-        z = noise[:len(steps) - (steps[-1] == 1)]
-        rng.standard_normal(out=z)
-        failed = [i for i in _run_all(_run_blocks, [
-            (sched, folded, bias, x, z, steps, b)
-            for folded, b in zip(work.folded, blocks)]) if i is not None]
-        if failed:
-            raise NumericError(
-                f"non-finite sample values at reverse step {max(failed)}")
+    z = work.noise[:(sched.K - 1) * x.size].reshape(sched.K - 1, count, dim)
+    rng.standard_normal(out=z)
+    blocks = iter(starts)
+    failed = max(_run_all(_run_blocks, [
+        (sched, folded, out, bias, x, z, blocks)
+        for folded, out in zip(work.folded, work.out)]))
+    if failed:
+        raise NumericError(
+            f"non-finite sample values at reverse step {failed}")
     return x

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -295,8 +296,8 @@ def test_sample_close_to_block_chain(hidden_sizes, activation,
 
 
 def test_one_draw_over_steps_equals_per_step_draws():
-    # sample draws the noise of several steps at once, into an array
-    for steps, count in ((1, 5), (4, 2000), (7, 1061)):
+    # sample draws the noise of every step at once, into an array
+    for steps, count in ((1, 5), (4, 2000), (7, 1061), (31, 2000)):
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         ahead = np.empty((steps, count, 2))
         rng_a.standard_normal(out=ahead)
@@ -322,9 +323,7 @@ def sample_with_workers(monkeypatch, workers, trainer, cond, count, seed,
 def test_sample_parallel_equals_serial(monkeypatch, activation, hidden_sizes,
                                        K):
     # one block (1 and BLOCK_ROWS rows), two, three with a ragged last
-    # one, and 20: the noise is drawn for several steps at once but at
-    # 10000 samples, whose one step's noise (160 KB) is more than
-    # NOISE_BYTES. The parallel chains share the trainer's work area
+    # one, and 20. The parallel chains share the trainer's work area
     trainer = headline_trainer(hidden_sizes, activation, K=K)
     cond = bl.conditioning(trainer, 7, 2, 3)
     for count in (1, df.BLOCK_ROWS, df.BLOCK_ROWS + 1,
@@ -337,11 +336,20 @@ def test_sample_parallel_equals_serial(monkeypatch, activation, hidden_sizes,
 
 def test_sample_more_workers_than_cores(monkeypatch):
     # 5 workers over 20 blocks, with the interpreter switching threads
-    # every microsecond: a block written by two workers, or a result or
-    # error slot lost, would change the bytes
+    # every microsecond: a block taken by two workers or by none, or a
+    # result or error slot lost, would change the bytes or the count of
+    # blocks run
     trainer = headline_trainer((16, 16), "tanh", K=8)
     cond = bl.conditioning(trainer, 7, 2, 3)
     want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 2)
+    step, first_steps = df.reverse_step, []
+
+    def counting(sched, net, x_i, i, z, out=None):
+        if i == sched.K:
+            first_steps.append(x_i.shape[0])
+        return step(sched, net, x_i, i, z, out=out)
+
+    monkeypatch.setattr(df, "reverse_step", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -351,6 +359,8 @@ def test_sample_more_workers_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == want
     assert len(trainer.chain_work.folded) == 5
+    full, ragged = divmod(10000, df.BLOCK_ROWS)
+    assert sorted(first_steps) == [ragged] + [df.BLOCK_ROWS] * full
 
 
 def test_sample_reuses_the_work_area(monkeypatch):
@@ -373,8 +383,7 @@ def test_sample_reuses_the_work_area(monkeypatch):
 
 
 def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):
-    # output weights so large that the chain overflows part-way, inside
-    # a group of noise steps
+    # output weights so large that the chain overflows part-way
     trainer = headline_trainer((16,), K=32)
     trainer.online.weights[-1][...] *= 1e20
     cond = bl.conditioning(trainer, 7, 2, 3)
@@ -391,24 +400,25 @@ def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):
     assert 1 < step < 26
 
 
-@pytest.mark.parametrize("main_step, worker_step", [(24, 22), (22, 24)])
+@pytest.mark.parametrize("full_step, ragged_step", [(24, 22), (22, 24)])
 def test_sample_raises_for_the_earliest_non_finite_step(
-        monkeypatch, main_step, worker_step):
-    # each worker's rows go non-finite at another step of one noise group
-    # (25 to 19 at 1061 rows): the chain reports the earlier in its order
+        monkeypatch, full_step, ragged_step):
+    # at 1061 rows the two full blocks go non-finite at one step and the
+    # ragged last block at another, whichever worker takes them: the
+    # chain reports the earlier in its order
     trainer = headline_trainer((16,), K=32)
     cond = bl.conditioning(trainer, 7, 2, 3)
     step = df.reverse_step
 
     def poisoned(sched, net, x_i, i, z, out=None):
         x = step(sched, net, x_i, i, z, out=out)
-        on_main = threading.current_thread() is threading.main_thread()
-        if i == (main_step if on_main else worker_step):
+        full = x_i.shape[0] == df.BLOCK_ROWS
+        if i == (full_step if full else ragged_step):
             x[0, 0] = np.nan
         return x
 
     monkeypatch.setattr(df, "reverse_step", poisoned)
-    earliest = max(main_step, worker_step)
+    earliest = max(full_step, ragged_step)
     with pytest.raises(NumericError, match=f"reverse step {earliest}$"):
         sample_with_workers(monkeypatch, 2, trainer, cond,
                             2 * df.BLOCK_ROWS + 37, 1)
@@ -449,6 +459,55 @@ def test_sample_worker_exception_reaches_caller(monkeypatch):
     assert len(threads) == 2
     monkeypatch.setattr(df, "reverse_step", step)
     assert sample_with_workers(monkeypatch, 2, trainer, cond, count, 4) == want
+
+
+def test_sample_workers_meet_once_per_chain(monkeypatch):
+    # one queue of blocks for the whole chain: the workers start and meet
+    # once, whether one step's noise is 32 KB or 160 KB
+    trainer = headline_trainer((16,), K=32)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    run_all, calls, started = df._run_all, [], []
+
+    def counting_run_all(fn, arg_lists):
+        calls.append(len(arg_lists))
+        return run_all(fn, arg_lists)
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(df, "_run_all", counting_run_all)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    for chains, count in enumerate((2 * df.BLOCK_ROWS + 37, 2000, 10000), 1):
+        sample_with_workers(monkeypatch, 2, trainer, cond, count, 5,
+                            trainer.chain_work)
+        assert calls == [2] * chains
+        assert len(started) == chains
+
+
+def test_sample_slowed_worker_gives_serial_bytes(monkeypatch):
+    # this thread sleeps at the first step of its first block, as when
+    # another tenant holds its core, so the other worker takes the rest
+    # of the queue; which worker runs a block moves no bit
+    trainer = headline_trainer((16, 16), K=8)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 6)
+    step, on_main = df.reverse_step, []
+
+    def slowed(sched, net, x_i, i, z, out=None):
+        if i == sched.K:
+            main = threading.current_thread() is threading.main_thread()
+            if main and True not in on_main:
+                time.sleep(0.2)
+            on_main.append(main)
+        return step(sched, net, x_i, i, z, out=out)
+
+    monkeypatch.setattr(df, "reverse_step", slowed)
+    got = sample_with_workers(monkeypatch, 2, trainer, cond, 10000, 6,
+                              trainer.chain_work)
+    assert got == want
+    assert len(on_main) == 20 and on_main.count(False) > 10
 
 
 # prints diffusion.WORKERS on two of the CPUs the test may use
@@ -550,10 +609,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(conds)
 
 def test_sample_page_faults_per_condition():
     # a fresh process, as in test_train_step_page_faults_per_step. Chains
-    # of several blocks reuse the trainer's work area and take about 16
-    # faults at 2000 samples and 64 at 10k (the CLI's default count), from
-    # the stacks of the worker threads. A work area allocated per chain
-    # takes about 570 and 660, buffers allocated at every block-step 29k
+    # of several blocks reuse the trainer's work area and take about 2.6
+    # faults at 2000 samples and 2.1 at 10k (the CLI's default count), from
+    # the stack of the one worker thread a chain starts. A work area
+    # allocated per chain takes about 450-740 and 120, buffers allocated at
+    # every block-step 29k
     src = os.path.dirname(os.path.dirname(ssm_diffusion.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     for count in (2000, 10000):
