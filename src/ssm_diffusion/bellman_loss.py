@@ -38,6 +38,8 @@ class Trainer:
     step_table: np.ndarray = field(default=None, repr=False)
     # buffers td_loss and train_step reuse; see _work_area
     work: "WorkArea" = field(default=None, repr=False)
+    # the schedule evaluation.sample_condition's reverse chains run over
+    sample_sched: df.NoiseSchedule = field(default=None, repr=False)
     # buffers the reverse chains of evaluation.sample_condition reuse
     chain_work: df.ChainWork = field(default_factory=df.ChainWork, repr=False)
 
@@ -83,7 +85,9 @@ def _work_area(trainer, B):
 def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
                  step_dim=8, optimizer="adam", lr=1e-3, condition_on="current",
                  sync_mode="hard", sync_period=500, tau=0.005,
-                 horizon_encoding="onehot", seed=0):
+                 horizon_encoding="onehot", seed=0, sample_sched=None):
+    """A trainer whose samplers run over sample_sched (a respace of sched),
+    or over sched itself if it is None."""
     n = np.arange(1, mdp.horizon + 1)
     horizon_table = np.eye(mdp.horizon) if horizon_encoding == "onehot" \
         else n[:, None] / mdp.horizon
@@ -97,6 +101,7 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
                    mdp=mdp, step_dim=step_dim, condition_on=condition_on,
                    sync_mode=sync_mode, sync_period=sync_period, tau=tau,
                    horizon_encoding=horizon_encoding,
+                   sample_sched=sched if sample_sched is None else sample_sched,
                    state_table=encode_state(mdp, np.arange(mdp.n_states)),
                    action_table=encode_action(mdp, np.arange(mdp.n_actions)),
                    horizon_table=horizon_table,

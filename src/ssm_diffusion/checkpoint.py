@@ -88,7 +88,7 @@ def _take(buf, offset, count, kind):
 def _rng_state(v):
     try:
         np.random.default_rng().bit_generator.state = v
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return False
     return True
 

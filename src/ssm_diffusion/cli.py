@@ -87,7 +87,7 @@ def cmd_eval(args):
     by_n = " ".join(f"tv_n{n}={tv:.4f}"
                     for n, tv in report.mean_tv_by_n.items())
     print(f"mean_tv={report.mean_tv:.4f} {by_n} max_tv={report.max_tv:.4f} "
-          f"mean_q_err={report.mean_q_err:.4f}")
+          f"mean_q_err={report.mean_q_err:.4f} steps={report.steps}")
     return EXIT_OK
 
 

@@ -66,11 +66,15 @@ _SECTIONS = {
         "num_samples": (10000, int),
         "eval_n": (None, None),   # None -> {1, horizon/2, horizon}
         "seed": (0, int),
+        "steps": (None, int),     # reverse-chain steps; None -> ceil(K/2)
     },
 }
 
 
 def _validate_section(name, raw):
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"section '{name}' must be a JSON object, "
+                                 f"got {type(raw).__name__}")
     spec = _SECTIONS[name]
     unknown = set(raw) - set(spec)
     if unknown:
@@ -81,13 +85,16 @@ def _validate_section(name, raw):
         if key not in raw and default is _REQUIRED:
             raise ConfigurationError(f"missing required key '{name}.{key}'")
         val = raw.get(key, default)
+        if val is None and default is None:   # null only where it is the default
+            out[key] = val
+            continue
         if typ is int and isinstance(val, bool):
             raise ConfigurationError(f"{name}.{key}: expected int, got bool")
         if typ is int and isinstance(val, float) and val.is_integer():
             val = int(val)
         if typ is float and isinstance(val, int):
             val = float(val)
-        if typ is not None and val is not None and not isinstance(val, typ):
+        if typ is not None and not isinstance(val, typ):
             raise ConfigurationError(
                 f"{name}.{key}: expected {typ.__name__}, got {type(val).__name__}")
         if typ is float and not math.isfinite(val):   # JSON's Infinity, NaN
@@ -223,6 +230,9 @@ def validate_config(raw):
                                                   env["horizon"] + 1):
         raise ConfigurationError(
             f"eval.eval_n must be ints in [1, horizon], got {evl['eval_n']}")
+    if evl["steps"] is not None and not 1 <= evl["steps"] <= dif["K"]:
+        raise ConfigurationError(f"eval.steps must be null or an int in "
+                                 f"[1, diffusion.K], got {evl['steps']}")
     return ExperimentConfig(env=env, diffusion=dif, model=mdl, training=trn,
                             eval=evl)
 

@@ -12,7 +12,8 @@ hidden layer is then one matmul and its activation, with no bias pass, and
 only x_i goes through the network. The chain runs blocks of at most
 BLOCK_ROWS samples through all its steps, so every layer's output stays in
 cache between its matmul and its activation, and WORKERS threads, one for
-each CPU that BLAS's own threads leave free, share the blocks.
+each CPU that BLAS's own threads leave free, share the blocks. A chain may
+run on a subsequence of the K steps (respace), with the same update.
 """
 
 import contextvars
@@ -54,19 +55,27 @@ WORKERS = worker_count(os.environ)
 
 @dataclass
 class NoiseSchedule:
-    K: int
+    K: int                  # its number of steps
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray       # reverse-step noise scale (see sigma_mode)
     eta: np.ndarray         # per-step loss weight for the stored eta_mode
-    # sqrt(alpha_bar), sqrt(1 - alpha_bar) and sqrt(alpha), which
-    # forward_noise and reverse_step read
-    sqrt_alpha_bar: np.ndarray
-    sqrt_one_minus_alpha_bar: np.ndarray
-    sqrt_alpha: np.ndarray
+    # the diffusion step each step stands for: 1..K, or a respaced
+    # schedule's subsequence, on which the network stays conditioned
+    tau: np.ndarray
     eta_mode: str = "simple"
     sigma_mode: str = "beta"
+    # sqrt(alpha_bar), sqrt(1 - alpha_bar) and sqrt(alpha), which
+    # forward_noise and reverse_step read
+    sqrt_alpha_bar: np.ndarray = field(init=False, repr=False)
+    sqrt_one_minus_alpha_bar: np.ndarray = field(init=False, repr=False)
+    sqrt_alpha: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sqrt_alpha_bar = np.sqrt(self.alpha_bar)
+        self.sqrt_one_minus_alpha_bar = np.sqrt(1.0 - self.alpha_bar)
+        self.sqrt_alpha = np.sqrt(self.alpha)
 
 
 @dataclass
@@ -96,13 +105,8 @@ def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
     beta = np.linspace(beta_min, beta_max, K)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    if sigma_mode == "beta":
-        sigma = np.sqrt(beta)
-    else:
-        # true posterior variance beta_tilde_i = (1-abar_{i-1})/(1-abar_i) b_i;
-        # sigma_1 = 0 (no noise is added at the final reverse step anyway)
-        alpha_bar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
-        sigma = np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar) * beta)
+    sigma = np.sqrt(beta) if sigma_mode == "beta" \
+        else _posterior_sigma(alpha_bar, beta)
     if eta_mode == "simple":
         eta = np.ones(K)
     else:
@@ -110,11 +114,41 @@ def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
         var = np.where(sigma ** 2 > 0, sigma ** 2, beta)
         eta = (beta ** 2 / (2.0 * var)) * alpha * (1.0 - alpha_bar)
     return NoiseSchedule(K=K, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=sigma, eta=eta,
-                         sqrt_alpha_bar=np.sqrt(alpha_bar),
-                         sqrt_one_minus_alpha_bar=np.sqrt(1.0 - alpha_bar),
-                         sqrt_alpha=np.sqrt(alpha),
+                         sigma=sigma, eta=eta, tau=np.arange(1, K + 1),
                          eta_mode=eta_mode, sigma_mode=sigma_mode)
+
+
+def _posterior_sigma(alpha_bar, beta):
+    """sqrt of the true posterior variance (1-abar_{i-1})/(1-abar_i) b_i,
+    with abar_0 = 1, so sigma_1 = 0 (no noise is added at the final
+    reverse step anyway)."""
+    alpha_bar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
+    return np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar) * beta)
+
+
+def respace(sched, steps):
+    """The schedule of a reverse chain over `steps` of sched's K steps,
+    tau = round(linspace(1, K, steps)), or [K] for one step. Its step j
+    stands for diffusion step tau_j and goes to tau_{j-1} (to x0 at j = 1):
+    abar_j = abar(tau_j), beta_j = 1 - abar_j / abar_{j-1} with abar_0 = 1,
+    and always the posterior variance, which makes reverse_step's update
+    DDIM at eta = 1 (Song et al., 2020). At steps = K it is sched itself,
+    so the full chain keeps sched's variance bit for bit."""
+    K = sched.K
+    if not 1 <= steps <= K:
+        raise ConfigurationError(f"steps must be in [1, {K}], got {steps}")
+    if steps == K:
+        return sched
+    tau = np.rint(np.linspace(1, K, steps)).astype(int) if steps > 1 \
+        else np.array([K])
+    alpha_bar = sched.alpha_bar[tau - 1]
+    alpha = alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
+    beta = 1.0 - alpha
+    # eta is not read by a sampler; it keeps each step's loss weight
+    return NoiseSchedule(K=steps, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
+                         sigma=_posterior_sigma(alpha_bar, beta),
+                         eta=sched.eta[tau - 1], tau=tau,
+                         eta_mode=sched.eta_mode, sigma_mode="posterior")
 
 
 def _check_step(sched, i):
@@ -194,8 +228,9 @@ def net_input(x_i, cond, i, out=None):
 
 def reverse_step(sched, net, x_i, i, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
-    the standard posterior-mean update; no noise is added at i=1, where z
-    is not read and may be None. net takes
+    the standard posterior-mean update over sched's step i (of a respaced
+    schedule too); no noise is added at i=1, where z is not read and may be
+    None. net takes
     x_i alone: an MlpParams, or a FoldedMlp whose context bias the caller
     has set to step i's conditioning. out is passed on to the forward for
     the network's layer outputs (folded_buffers' arrays for a FoldedMlp)."""
@@ -218,26 +253,28 @@ def reverse_step(sched, net, x_i, i, z, out=None):
 
 @dataclass
 class ChainWork:
-    """A reverse chain's large arrays: each worker's folded copy of the
-    network (each writes its own context bias) and block buffers
-    (folded_buffers), and every step's noise, 1 MB at 2000 headline samples
-    and 5 MB at 10k. A caller that passes the same one to every sample
-    call, as a trainer does, lets its chains of more than one block
-    allocate none of them."""
-    key: tuple = ()     # the layer sizes, dim, block rows and workers it fits
+    """A reverse chain's large arrays: folded copies of the network, one per
+    worker (each writes its own context bias), each with buffers for a
+    block of BLOCK_ROWS rows (folded_buffers), and every step's noise, 1 MB
+    at 2000 headline samples and 5 MB at 10k. A chain takes as many copies
+    as it has workers and a shorter block takes the buffers' leading rows,
+    so a caller that passes the same one to every sample call, as a trainer
+    does, lets its chains allocate none of them."""
+    key: tuple = ()     # the layer sizes and dim its copies fit
     folded: list = field(default_factory=list)
     out: list = field(default_factory=list)
     noise: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _fit_work(work, net, dim, rows, workers, noise_size):
-    """Build work's arrays again where they do not fit a chain of this
-    shape; the noise array only grows."""
-    key = (tuple(net.layer_sizes), dim, rows, workers)
+def _fit_work(work, net, dim, workers, noise_size):
+    """Build work's arrays again where they do not fit a network of this
+    shape; the copies and the noise array only grow."""
+    key = (tuple(net.layer_sizes), dim)
     if work.key != key:
-        work.key = key
-        work.folded = [fold_biases(net, dim)[0] for _ in range(workers)]
-        work.out = [folded_buffers(f, rows) for f in work.folded]
+        work.key, work.folded, work.out = key, [], []
+    while len(work.folded) < workers:
+        work.folded.append(fold_biases(net, dim)[0])
+        work.out.append(folded_buffers(work.folded[-1], BLOCK_ROWS))
     if work.noise.size < noise_size:
         work.noise = np.empty(noise_size)
 
@@ -297,21 +334,23 @@ def _run_all(fn, arg_lists):
 
 def sample(sched, net, cond, count, rng, work=None):
     """Draw `count` x0 vectors by running the reverse chain from unit
-    Gaussian noise. Deterministic given the rng state, and bit for bit the
-    same whatever the worker count.
+    Gaussian noise over sched's steps: a make_schedule schedule, or a
+    respace of one, whose step j conditions the network on diffusion step
+    sched.tau[j - 1]. Deterministic given the rng state, and bit for bit
+    the same whatever the worker count.
 
     cond is shared by every sample, so the first layer's product with the
     context is taken once per chain: one bias row per step, written before
     that step into the context bias of a folded copy of the network that
     takes only x (see approximator.fold_biases). This thread draws x, then
-    every step's noise, (K - 1) x count x dim floats, in one call. Up to
-    WORKERS workers, each with its own folded copy, take blocks of at most
-    BLOCK_ROWS rows from a queue they share and run each through every
+    every step's noise, (sched.K - 1) x count x dim floats, in one call. Up
+    to WORKERS workers, each with its own folded copy, take blocks of at
+    most BLOCK_ROWS rows from a queue they share and run each through every
     step: this thread is the first and a new thread each other one, and
     they meet once, when the queue is empty.
 
-    work, if given, is a ChainWork that chains of more than one block reuse
-    in place of new arrays; a chain of one block leaves it untouched."""
+    work, if given, is a ChainWork that the chain reuses in place of new
+    arrays."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     for name in ("state_enc", "action_enc", "horizon_enc"):
@@ -321,16 +360,15 @@ def sample(sched, net, cond, count, rng, work=None):
                              f"sample: {name} has shape {shape}, not 1-D")
     dim = net.layer_sizes[-1]
     # the context columns of every step's input, one row per step
-    ctx = net_input(np.empty((sched.K, 0)), cond, np.arange(1, sched.K + 1))
+    ctx = net_input(np.empty((sched.K, 0)), cond, sched.tau)
     if dim + ctx.shape[1] != net.layer_sizes[0]:
         raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
                          f"inputs, the network takes {net.layer_sizes[0]}")
     starts = range(0, count, BLOCK_ROWS)
-    if work is None or len(starts) == 1:
-        work = ChainWork()
-    _fit_work(work, net, dim, min(count, BLOCK_ROWS),
-              min(WORKERS, len(starts)), (sched.K - 1) * count * dim)
-    for folded in work.folded:
+    workers = min(WORKERS, len(starts))
+    work = ChainWork() if work is None else work
+    _fit_work(work, net, dim, workers, (sched.K - 1) * count * dim)
+    for folded in work.folded[:workers]:
         _, w_ctx = fold_biases(net, dim, out=folded)
     bias = ctx @ w_ctx.T + net.biases[0]
     x = rng.standard_normal((count, dim))
@@ -339,8 +377,8 @@ def sample(sched, net, cond, count, rng, work=None):
     blocks = iter(starts)
     failed = max(_run_all(_run_blocks, [
         (sched, folded, out, bias, x, z, blocks)
-        for folded, out in zip(work.folded, work.out)]))
+        for folded, out in zip(work.folded[:workers], work.out)]))
     if failed:
-        raise NumericError(
-            f"non-finite sample values at reverse step {failed}")
+        raise NumericError(f"non-finite sample values at reverse step "
+                           f"{sched.tau[failed - 1]}")
     return x

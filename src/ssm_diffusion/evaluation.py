@@ -22,6 +22,7 @@ class MetricsReport:
     max_q_err: float
     num_samples: int
     seed: int
+    steps: int          # the reverse chain's step count
     config_digest: str = ""
 
 
@@ -49,7 +50,7 @@ def tv_distance(p, q):
 
 def sample_condition(trainer, s, a, n, num_samples, rng):
     """Draw decoded-space samples from the learned model at (s, a, n)."""
-    return df.sample(trainer.sched, trainer.online,
+    return df.sample(trainer.sample_sched, trainer.online,
                      conditioning(trainer, s, a, n), num_samples, rng,
                      trainer.chain_work)
 
@@ -81,4 +82,5 @@ def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
                          mean_tv_by_n=tv_by_n,
                          max_tv=float(tvs.max()), mean_q_err=float(qerrs.mean()),
                          max_q_err=float(qerrs.max()), num_samples=num_samples,
-                         seed=seed, config_digest=config_digest)
+                         seed=seed, steps=trainer.sample_sched.K,
+                         config_digest=config_digest)

@@ -54,7 +54,8 @@ def build_trainer(cfg, seed=None):
         condition_on=trn["condition_on"], sync_mode=trn["sync_mode"],
         sync_period=trn["sync_period"], tau=trn["tau"],
         horizon_encoding=mdl["horizon_encoding"],
-        seed=trn["seed"] if seed is None else seed)
+        seed=trn["seed"] if seed is None else seed,
+        sample_sched=df.respace(sched, eval_steps(cfg)))
 
 
 def structure(cfg, trainer):
@@ -190,6 +191,13 @@ def eval_n_values(cfg):
     return sorted({1, max(1, H // 2), H})
 
 
+def eval_steps(cfg):
+    """The eval chain's step count: eval.steps, or ceil(K / 2) if null."""
+    if cfg.eval["steps"] is not None:
+        return cfg.eval["steps"]
+    return (cfg.diffusion["K"] + 1) // 2
+
+
 def run_eval(cfg, trainer, out_dir, seed=None):
     """Evaluate a trainer against the exact table; write metrics + heatmaps."""
     os.makedirs(out_dir, exist_ok=True)
@@ -215,7 +223,7 @@ def write_metrics(report, out_dir):
                "max_tv": report.max_tv, "mean_q_err": report.mean_q_err,
                "max_q_err": report.max_q_err,
                "num_samples": report.num_samples, "seed": report.seed,
-               "config_digest": report.config_digest}
+               "steps": report.steps, "config_digest": report.config_digest}
     with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
         for row in report.rows:
             rec = {k: row[k] for k in

@@ -8,6 +8,7 @@ import pytest
 
 from ssm_diffusion import cli
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
+from ssm_diffusion.config import _SECTIONS
 from ssm_diffusion.mdp import Trajectory
 
 from test_checkpoint import VERSION_LINE, rewrite_header
@@ -97,6 +98,89 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
         assert not (tmp_path / "x").exists()
+
+
+def null_or_non_object_configs():
+    """(config, what its error names) for null in each typed key whose
+    default is not null, and for each section set to a non-object."""
+    for section, spec in _SECTIONS.items():
+        for key, (default, typ) in spec.items():
+            if typ is not None and default is not None:
+                raw = minimal_raw(**tiny_overrides())
+                raw[section][key] = None
+                yield raw, f"{section}.{key}"
+        for value in (None, 0.5, [], ""):
+            raw = minimal_raw(**tiny_overrides())
+            raw[section] = value
+            yield raw, f"'{section}'"
+
+
+def test_null_value_or_section_exit_2_one_line(tmp_path, capsys):
+    # each of these ended in a TypeError or AttributeError traceback
+    cases = list(null_or_non_object_configs())
+    assert len(cases) == 48
+    for raw, named in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run(["train", "--config", str(path),
+                    "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "x").exists()
+
+
+def test_bad_eval_steps_exit_2_one_line(tmp_path, capsys):
+    tiny = tiny_overrides()
+    for steps in (0, 5, True, 2.5):     # K is 4
+        cfg = write_config(tmp_path, **{**tiny, "eval": {"steps": steps}})
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eval.steps" in err
+        assert not (tmp_path / "x").exists()
+
+
+def test_eval_reports_its_step_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, **tiny_overrides())
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    ck = str(out / "checkpoint.bin")
+    # null runs ceil(4 / 2) = 2 steps; the digest covers eval.steps
+    for steps, ran in ((None, 2), (1, 1), (3, 3), (4, 4)):
+        tiny = tiny_overrides()
+        tiny["eval"]["steps"] = steps
+        other = write_config(tmp_path, "other.json", **tiny)
+        argv = ["eval", "--checkpoint", ck, "--config", str(other),
+                "--out", str(tmp_path / f"e{steps}")]
+        if steps is not None:
+            assert run(argv) == 3
+            argv.append("--override-digest")
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f" steps={ran}")
+        lines = (tmp_path / f"e{steps}" / "metrics.jsonl").read_text()
+        summary = json.loads(lines.splitlines()[-1])
+        assert summary["kind"] == "summary" and summary["steps"] == ran
+
+
+def test_out_of_range_generator_state_exit_1_one_line(tmp_path, capsys):
+    # PCG64's state setter raised an OverflowError traceback
+    cfg = str(write_config(tmp_path, **tiny_overrides(steps=0)))
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    good = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+    ck = tmp_path / "ck.bin"
+    for change in (lambda rng: rng["state"].update(inc=-1),
+                   lambda rng: rng.update(has_uint32=float("inf")),
+                   lambda rng: rng.update(uinteger=1e30)):
+        ck.write_bytes(good)
+        rewrite_header(ck, lambda header: change(header["rng"]))
+        for argv in (["train", "--config", cfg], ["eval", "--config", cfg]):
+            out = tmp_path / "out"
+            assert run(argv + ["--checkpoint", str(ck),
+                               "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "field rng" in err
+            assert not out.exists()
 
 
 def test_unreadable_checkpoint_exit_1_one_line(tmp_path, capsys):

@@ -136,6 +136,15 @@ def test_boundary_values_accepted():
     assert cfg.model["step_embed_dim"] == 2 and cfg.training["tau"] == 1.0
 
 
+def test_null_accepted_where_the_default_is_null():
+    cfg = validate_config(minimal_raw(
+        env={"reward": None, "policy": None},
+        eval={"eval_n": None, "steps": None}))
+    assert cfg.env["reward"]["kind"] == "goal"
+    assert cfg.eval["eval_n"] is None and cfg.eval["steps"] is None
+    assert validate_config(minimal_raw(eval={"steps": 32})).eval["steps"] == 32
+
+
 def test_start_state_index_accepted():
     assert validate_config(minimal_raw(env={"start": 8})).env["start"] == 8
 

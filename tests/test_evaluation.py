@@ -11,7 +11,7 @@ from ssm_diffusion.errors import NumericError, ShapeError
 from ssm_diffusion.runner import build_env, build_trainer, eval_n_values
 
 from test_config import minimal_raw
-from test_diffusion import reference_chain
+from test_diffusion import reference_chain, strided_reference_chain
 
 
 def sample_from_pmf(pmf, mdp, count, rng):
@@ -165,11 +165,13 @@ def test_eval_deterministic_given_seed():
     assert r1.mean_tv == r2.mean_tv
 
 
-def test_eval_model_pmfs_match_unfolded_reference():
-    # the untrained headline network on 6 headline conditions: the folded
-    # sampler decodes every sample to the cell the unfolded chain gives
+def headline_eval(steps):
+    """eval_model's report on the untrained headline network at 6 headline
+    conditions, 2000 samples each, with eval.steps = `steps`; returns the
+    trainer, the environment and the eval set with it."""
     cfg = validate_config(minimal_raw(
-        env={"width": 5, "height": 5, "horizon": 8}, diffusion={"K": 32}))
+        env={"width": 5, "height": 5, "horizon": 8}, diffusion={"K": 32},
+        eval={"steps": steps}))
     trainer = build_trainer(cfg, seed=999)
     g, pol = build_env(cfg)
     table = orc.exact_ssm(g, pol, 8)
@@ -177,8 +179,27 @@ def test_eval_model_pmfs_match_unfolded_reference():
           ((0, 1), (7, 1), (12, 4), (18, 4), (3, 8), (24, 8))]
     report = ev.eval_model(trainer, g, table, es, 2000,
                            np.random.default_rng(11))
+    return trainer, g, es, report
+
+
+def test_eval_model_pmfs_match_unfolded_reference():
+    # the folded sampler decodes every sample to the cell the unfolded
+    # chain gives; eval.steps = K runs all 32 steps
+    trainer, g, es, report = headline_eval(32)
     rng = np.random.default_rng(11)
     for row, (s, a, n) in zip(report.rows, es):
         samples = reference_chain(trainer.sched, trainer.online,
                                   bl.conditioning(trainer, s, a, n), 2000, rng)
+        assert row["pmf"] == ev.empirical_pmf(samples, g)[0].tolist()
+
+
+def test_eval_model_default_chain_matches_strided_reference():
+    # the default eval.steps, null, runs ceil(32 / 2) = 16 of the 32 steps
+    trainer, g, es, report = headline_eval(None)
+    assert report.steps == 16
+    rng = np.random.default_rng(11)
+    for row, (s, a, n) in zip(report.rows, es):
+        samples = strided_reference_chain(
+            trainer.sched, trainer.online, bl.conditioning(trainer, s, a, n),
+            2000, 16, rng)
         assert row["pmf"] == ev.empirical_pmf(samples, g)[0].tolist()
