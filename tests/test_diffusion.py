@@ -503,6 +503,25 @@ def test_sample_reuses_the_work_area(monkeypatch):
     assert all(a is b for later in arrays[1:] for a, b in zip(arrays[0], later))
 
 
+def test_sample_refolds_every_copy_it_uses(monkeypatch):
+    # a trainer's network changes between its chains: every copy a chain
+    # takes from the work area must fold the network of that chain
+    monkeypatch.setattr(df, "WORKERS", 2)
+    trainer = headline_trainer((16, 16), K=4)
+    cond = bl.conditioning(trainer, 7, 2, 3)
+    work = df.ChainWork()
+    count = 2 * df.BLOCK_ROWS + 37
+    df.sample(trainer.sched, trainer.online, cond, count,
+              np.random.default_rng(3), work)
+    trainer.online.theta[...] *= 1.5
+    for count in (300, count):
+        want = df.sample(trainer.sched, trainer.online, cond, count,
+                         np.random.default_rng(3))
+        got = df.sample(trainer.sched, trainer.online, cond, count,
+                        np.random.default_rng(3), work)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):
     # output weights so large that the chain overflows part-way
     trainer = headline_trainer((16,), K=32)
@@ -548,10 +567,16 @@ def test_sample_raises_for_the_earliest_non_finite_step(
 def test_sample_workers_keep_the_callers_errstate(monkeypatch):
     trainer = headline_trainer((16,), K=8)
     cond = bl.conditioning(trainer, 7, 2, 3)
-    step, seen = df.reverse_step, set()
+    step, seen, other_ran = df.reverse_step, set(), threading.Event()
 
     def recording(*args, **kwargs):
         seen.add((threading.get_ident(), np.geterr()["over"]))
+        # this thread holds its first block until the other worker has
+        # taken one, so that the 3 blocks cannot all go to this thread
+        if threading.current_thread() is threading.main_thread():
+            other_ran.wait(timeout=10)
+        else:
+            other_ran.set()
         return step(*args, **kwargs)
 
     monkeypatch.setattr(df, "reverse_step", recording)
