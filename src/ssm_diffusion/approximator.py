@@ -313,13 +313,3 @@ def folded_forward(folded, x, out):
     y = np.matmul(a, folded.weights[n_hidden].T, out=out[-1])
     y += folded.bias
     return y
-
-
-def polyak_update(target, online, tau):
-    """target <- (1-tau)*target + tau*online, returned as a new MlpParams."""
-    if target.layer_sizes != online.layer_sizes:
-        raise ShapeError(
-            f"layer sizes differ: {target.layer_sizes} vs {online.layer_sizes}")
-    return MlpParams(layer_sizes=list(target.layer_sizes),
-                     theta=(1 - tau) * target.theta + tau * online.theta,
-                     activation=target.activation)

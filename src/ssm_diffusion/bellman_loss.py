@@ -24,14 +24,11 @@ class Trainer:
     opt: ap.OptState
     mdp: TabularMdp                 # its horizon is the largest n
     step_dim: int = 8
-    condition_on: str = "current"   # "current" (loss display) or "next" (alg. listing)
-    sync_mode: str = "hard"         # "hard" or "polyak"
-    sync_period: int = 500
-    tau: float = 0.005
+    sync_period: int = 500          # steps between hard target copies; 0 is off
     step_count: int = 0
-    horizon_encoding: str = "scalar"  # "scalar" (n / n_max) or "onehot"
-    # the encoding of each state, action, horizon n (row n-1) and diffusion
-    # step i (row i-1), built once by make_trainer with the per-call encoders
+    # the encoding of each state, action, horizon n (row n-1, one-hot) and
+    # diffusion step i (row i-1), built once by make_trainer with the
+    # per-call encoders
     state_table: np.ndarray = field(default=None, repr=False)
     action_table: np.ndarray = field(default=None, repr=False)
     horizon_table: np.ndarray = field(default=None, repr=False)
@@ -83,28 +80,22 @@ def _work_area(trainer, B):
 
 
 def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
-                 step_dim=8, optimizer="adam", lr=1e-3, condition_on="current",
-                 sync_mode="hard", sync_period=500, tau=0.005,
-                 horizon_encoding="onehot", seed=0, sample_sched=None):
+                 step_dim=8, optimizer="adam", lr=1e-3, sync_period=500,
+                 seed=0, sample_sched=None):
     """A trainer whose samplers run over sample_sched (a respace of sched),
     or over sched itself if it is None."""
-    n = np.arange(1, mdp.horizon + 1)
-    horizon_table = np.eye(mdp.horizon) if horizon_encoding == "onehot" \
-        else n[:, None] / mdp.horizon
-    # input: x | state | action | step embedding | horizon encoding; x and
+    # input: x | state | action | step embedding | one-hot horizon; x and
     # the state are 2-D cell centers
-    sizes = [2 + 2 + mdp.n_actions + step_dim + horizon_table.shape[1]]
+    sizes = [2 + 2 + mdp.n_actions + step_dim + mdp.horizon]
     sizes += list(hidden_sizes) + [2]
     online = ap.mlp_init(sizes, activation=activation, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
                    opt=ap.init_opt_state(online, optimizer=optimizer, lr=lr),
-                   mdp=mdp, step_dim=step_dim, condition_on=condition_on,
-                   sync_mode=sync_mode, sync_period=sync_period, tau=tau,
-                   horizon_encoding=horizon_encoding,
+                   mdp=mdp, step_dim=step_dim, sync_period=sync_period,
                    sample_sched=sched if sample_sched is None else sample_sched,
                    state_table=encode_state(mdp, np.arange(mdp.n_states)),
                    action_table=encode_action(mdp, np.arange(mdp.n_actions)),
-                   horizon_table=horizon_table,
+                   horizon_table=np.eye(mdp.horizon),
                    step_table=df.sinusoidal_embedding(
                        np.arange(1, sched.K + 1), step_dim))
 
@@ -138,8 +129,7 @@ def td_loss(trainer, batch, i, eps):
     Row r noises x0 with its diffusion step i[r] and noise eps[r]. On an
     immediate-successor row (L1) x0 = s' and y = eps; on any other row (L2)
     x0 = x and y is the frozen target network at (s', pi(s'), n-1), which no
-    gradient reaches. In "next" mode the online network is conditioned on
-    (s', pi(s'), n) instead of (s, a, n).
+    gradient reaches.
 
     The gradient is written into the trainer's WorkArea, so it is valid
     only until the next call on that trainer."""
@@ -152,8 +142,6 @@ def td_loss(trainer, batch, i, eps):
         itertools.chain.from_iterable(batch), dtype=np.int64,
         count=B * len(batch[0])).reshape(B, -1).T
     is_l1 = is_l1.astype(bool)
-    if trainer.condition_on == "next":
-        s, a = s_next, a_next
     x0 = _rows(trainer.state_table, np.where(is_l1, s_next, x), "state")
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
     inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i,
@@ -190,13 +178,9 @@ def td_loss(trainer, batch, i, eps):
 
 
 def sync_target(trainer):
-    """Hard copy every sync_period steps, or a polyak blend every step."""
-    if trainer.sync_mode == "hard":
-        if trainer.sync_period > 0 and trainer.step_count % trainer.sync_period == 0:
-            trainer.target = ap.copy_params(trainer.online)
-    else:
-        trainer.target = ap.polyak_update(trainer.target, trainer.online,
-                                          trainer.tau)
+    """Copy the online network into the target every sync_period steps."""
+    if trainer.sync_period > 0 and trainer.step_count % trainer.sync_period == 0:
+        trainer.target = ap.copy_params(trainer.online)
 
 
 def train_step(trainer, batch, rng):

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid configuration, 3 checkpoint that does not
 match the config (a digest mismatch without --override-digest, or any
 structural mismatch), 1 other failure, including an unreadable or
-malformed checkpoint and an --out path that cannot be written.
+malformed checkpoint, an --out path that cannot be written and a run too
+large for memory.
 """
 
 import argparse
@@ -114,6 +115,9 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # a size within config's bounds, too large here
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,6 +23,24 @@ class ExperimentConfig:
 
 _REQUIRED = object()
 
+# Each size's range. The upper bounds lie far above what fits in memory, yet
+# low enough that no array they shape reaches 2**63 bytes (the largest, the
+# exact table, takes 32 S^2 H bytes for S = width * height states). So no
+# size computation of NumPy's or Python's overflows, and a run too large for
+# memory fails with a MemoryError, which the CLI reports in one line.
+MAX_SIDE, MAX_SIZE = 2**8, 2**20
+_SIZE_RANGES = {
+    ("env", "width"): (1, MAX_SIDE),
+    ("env", "height"): (1, MAX_SIDE),
+    ("env", "horizon"): (1, MAX_SIZE),
+    ("diffusion", "K"): (1, MAX_SIZE),
+    # below 2 the sinusoidal step embedding is all zeros
+    ("model", "step_embed_dim"): (2, MAX_SIZE),
+    ("training", "batch_size"): (1, MAX_SIZE),
+    ("training", "buffer_capacity"): (1, MAX_SIZE),
+    ("eval", "num_samples"): (1, MAX_SIZE),
+}
+
 _SECTIONS = {
     "env": {
         "width": (_REQUIRED, int),
@@ -45,17 +63,13 @@ _SECTIONS = {
         "hidden_sizes": ([128, 128], list),
         "activation": ("relu", str),
         "step_embed_dim": (8, int),
-        "horizon_encoding": ("onehot", str),
     },
     "training": {
         "steps": (_REQUIRED, int),
         "batch_size": (128, int),
         "lr": (1e-3, float),
         "optimizer": ("adam", str),
-        "sync_mode": ("hard", str),
         "sync_period": (500, int),
-        "tau": (0.005, float),
-        "condition_on": ("current", str),
         "seed": (_REQUIRED, int),
         "buffer_capacity": (1000, int),
         "initial_trajectories": (500, int),
@@ -88,8 +102,9 @@ def _validate_section(name, raw):
         if val is None and default is None:   # null only where it is the default
             out[key] = val
             continue
-        if typ is int and isinstance(val, bool):
-            raise ConfigurationError(f"{name}.{key}: expected int, got bool")
+        if typ in (int, float) and isinstance(val, bool):
+            raise ConfigurationError(
+                f"{name}.{key}: expected {typ.__name__}, got bool")
         if typ is int and isinstance(val, float) and val.is_integer():
             val = int(val)
         if typ is float and isinstance(val, int):
@@ -162,12 +177,12 @@ def validate_config(raw):
                 for name in _SECTIONS}
     env, dif, mdl, trn, evl = (sections[k] for k in
                                ("env", "diffusion", "model", "training", "eval"))
-    if env["width"] < 1 or env["height"] < 1:
-        raise ConfigurationError("env.width/env.height must be >= 1")
+    for (name, key), (lo, hi) in _SIZE_RANGES.items():
+        if not lo <= sections[name][key] <= hi:
+            raise ConfigurationError(f"{name}.{key} must be in [{lo}, {hi}], "
+                                     f"got {sections[name][key]}")
     if not 0.0 < env["p_move"] <= 1.0:
         raise ConfigurationError(f"env.p_move must be in (0, 1], got {env['p_move']}")
-    if env["horizon"] < 1:
-        raise ConfigurationError("env.horizon must be >= 1")
     if env["start"] != "uniform" and not _ints_in(
             [env["start"]], 0, env["width"] * env["height"]):
         raise ConfigurationError(
@@ -180,52 +195,34 @@ def validate_config(raw):
         env["policy"] = {"kind": "toward_goal", "cell": corner}
     _validate_cellspec(env, "reward", ("zero", "goal", "values"))
     _validate_cellspec(env, "policy", ("toward_goal", "fixed_action", "table"))
-    if dif["K"] < 1:
-        raise ConfigurationError("diffusion.K must be >= 1")
     if not 0.0 < dif["beta_min"] <= dif["beta_max"] < 1.0:
         raise ConfigurationError("diffusion: need 0 < beta_min <= beta_max < 1")
     if dif["eta_mode"] not in ("simple", "paper"):
         raise ConfigurationError(f"diffusion.eta_mode: {dif['eta_mode']!r}")
     if dif["sigma_mode"] not in ("posterior", "beta"):
         raise ConfigurationError(f"diffusion.sigma_mode: {dif['sigma_mode']!r}")
-    if mdl["horizon_encoding"] not in ("scalar", "onehot"):
-        raise ConfigurationError(
-            f"model.horizon_encoding: {mdl['horizon_encoding']!r}")
     if mdl["activation"] not in ("relu", "tanh"):
         raise ConfigurationError(f"model.activation: {mdl['activation']!r}")
-    if not _ints_in(mdl["hidden_sizes"], 1, float("inf")):
-        raise ConfigurationError("model.hidden_sizes must be a non-empty list "
-                                 f"of positive ints, got {mdl['hidden_sizes']}")
-    if mdl["step_embed_dim"] < 2:
-        # below 2 the sinusoidal embedding is all zeros
+    if not (_ints_in(mdl["hidden_sizes"], 1, float("inf"))
+            and sum(mdl["hidden_sizes"]) <= MAX_SIZE):
         raise ConfigurationError(
-            f"model.step_embed_dim must be >= 2, got {mdl['step_embed_dim']}")
+            "model.hidden_sizes must be a non-empty list of positive ints "
+            f"summing to at most {MAX_SIZE}, got {mdl['hidden_sizes']}")
     if not trn["lr"] > 0.0:
         raise ConfigurationError(f"training.lr must be > 0, got {trn['lr']}")
-    if not 0.0 < trn["tau"] <= 1.0:
-        raise ConfigurationError(
-            f"training.tau must be in (0, 1], got {trn['tau']}")
     for key in ("sync_period", "collect_every", "log_every"):
         if trn[key] < 0:
             raise ConfigurationError(
                 f"training.{key} must be >= 0 (0 is off), got {trn[key]}")
-    if trn["condition_on"] not in ("current", "next"):
-        raise ConfigurationError(f"training.condition_on: {trn['condition_on']!r}")
     if trn["optimizer"] not in ("sgd", "adam"):
         raise ConfigurationError(f"training.optimizer: {trn['optimizer']!r}")
-    if trn["sync_mode"] not in ("hard", "polyak"):
-        raise ConfigurationError(f"training.sync_mode: {trn['sync_mode']!r}")
     if trn["steps"] < 0:
         raise ConfigurationError("training.steps must be >= 0")
-    if trn["batch_size"] < 1 or trn["buffer_capacity"] < 1:
-        raise ConfigurationError("training.batch_size/buffer_capacity must be >= 1")
     for name, sec in (("training", trn), ("eval", evl)):
         if sec["seed"] < 0:   # numpy's generators take none
             raise ConfigurationError(f"{name}.seed must be >= 0, got {sec['seed']}")
     if trn["initial_trajectories"] < 1:
         raise ConfigurationError("training.initial_trajectories must be >= 1")
-    if evl["num_samples"] < 1:
-        raise ConfigurationError("eval.num_samples must be >= 1")
     if evl["eval_n"] is not None and not _ints_in(evl["eval_n"], 1,
                                                   env["horizon"] + 1):
         raise ConfigurationError(

@@ -51,9 +51,7 @@ def build_trainer(cfg, seed=None):
         sched, build_env(cfg)[0], hidden_sizes=mdl["hidden_sizes"],
         activation=mdl["activation"], step_dim=mdl["step_embed_dim"],
         optimizer=trn["optimizer"], lr=trn["lr"],
-        condition_on=trn["condition_on"], sync_mode=trn["sync_mode"],
-        sync_period=trn["sync_period"], tau=trn["tau"],
-        horizon_encoding=mdl["horizon_encoding"],
+        sync_period=trn["sync_period"],
         seed=trn["seed"] if seed is None else seed,
         sample_sched=df.respace(sched, eval_steps(cfg)))
 
@@ -64,12 +62,10 @@ def structure(cfg, trainer):
     every one of them, whatever the digest says."""
     dif = cfg.diffusion
     return {"K": dif["K"], "beta_min": dif["beta_min"],
-            "beta_max": dif["beta_max"], "eta_mode": dif["eta_mode"],
-            "sigma_mode": dif["sigma_mode"],
+            "beta_max": dif["beta_max"],
             "layer_sizes": trainer.online.layer_sizes,
             "activation": trainer.online.activation,
-            "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim,
-            "horizon_encoding": trainer.horizon_encoding}
+            "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim}
 
 
 def structure_mismatch(cfg, ck):

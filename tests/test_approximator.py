@@ -223,29 +223,12 @@ def test_fold_biases_folds_inputs_into_bias(activation, sizes):
             ap.fold_biases(net, bad)
 
 
-def test_copy_and_polyak():
+def test_copy_params_is_independent():
     a = ap.mlp_init([2, 3, 1], seed=1)
-    b = ap.mlp_init([2, 3, 1], seed=2)
     c = ap.copy_params(a)
     assert np.array_equal(c.weights[0], a.weights[0])
     c.weights[0][0, 0] += 1.0
     assert c.weights[0][0, 0] != a.weights[0][0, 0]
-
-    full = ap.polyak_update(a, b, 1.0)
-    np.testing.assert_array_equal(full.weights[0], b.weights[0])
-    frozen = ap.polyak_update(a, b, 0.0)
-    np.testing.assert_array_equal(frozen.weights[0], a.weights[0])
-
-    t = ap.MlpParams([1, 1], np.array([0.0, 0.0]), "relu")
-    o = ap.MlpParams([1, 1], np.array([2.0, 0.0]), "relu")
-    half = ap.polyak_update(t, o, 0.5)
-    assert half.weights[0][0, 0] == pytest.approx(1.0)
-
-
-def test_polyak_shape_mismatch():
-    with pytest.raises(ShapeError):
-        ap.polyak_update(ap.mlp_init([2, 1], seed=0),
-                         ap.mlp_init([3, 1], seed=0), 0.5)
 
 
 def per_layer_step(params, grads, state):

@@ -1,5 +1,4 @@
 import copy
-import itertools
 import os
 import subprocess
 import sys
@@ -67,10 +66,8 @@ def row_loss(trainer, tup, i, eps):
     input: a one-row batch with scalar-index conditioning and step."""
     x0 = m.encode_state(trainer.mdp, tup.s_next if tup.is_l1 else tup.x)
     x_i = df.forward_noise(trainer.sched, x0, i, eps)[None, :]
-    s, a = ((tup.s, tup.a) if trainer.condition_on == "current"
-            else (tup.s_next, tup.a_next))
     out, _ = ap.mlp_forward(trainer.online, df.net_input(
-        x_i, bl.conditioning(trainer, s, a, tup.n), i))
+        x_i, bl.conditioning(trainer, tup.s, tup.a, tup.n), i))
     y = eps
     if not tup.is_l1:
         y, _ = ap.mlp_forward(trainer.target, df.net_input(
@@ -80,16 +77,12 @@ def row_loss(trainer, tup, i, eps):
     return df.loss_weight(trainer.sched, i) * float(resid @ resid)
 
 
-# every setting a config can give the loss: horizon_encoding x condition_on
-# x eta_mode
-COMBOS = list(itertools.product(("scalar", "onehot"), ("current", "next"),
-                                ("simple", "paper")))
+# every setting a config can give the loss: diffusion.eta_mode
+ETA_MODES = ["simple", "paper"]
 
 
-def combo_setup(horizon_encoding, condition_on, eta_mode):
-    trainer, buf, _, _, rng = make_setup(
-        seed=3, eta_mode=eta_mode, horizon_encoding=horizon_encoding,
-        condition_on=condition_on)
+def combo_setup(eta_mode):
+    trainer, buf, _, _, rng = make_setup(seed=3, eta_mode=eta_mode)
     # a target that differs from the online net, so L2 residuals are not
     # just the conditioning difference
     trainer.target = ap.mlp_init(trainer.online.layer_sizes, seed=4)
@@ -102,11 +95,9 @@ def combo_setup(horizon_encoding, condition_on, eta_mode):
     return trainer, batch, *draws(trainer, len(batch), rng)
 
 
-@pytest.mark.parametrize("horizon_encoding, condition_on, eta_mode", COMBOS)
-def test_td_loss_gradient_finite_differences(horizon_encoding, condition_on,
-                                             eta_mode):
-    trainer, batch, i, eps = combo_setup(horizon_encoding, condition_on,
-                                         eta_mode)
+@pytest.mark.parametrize("eta_mode", ETA_MODES)
+def test_td_loss_gradient_finite_differences(eta_mode):
+    trainer, batch, i, eps = combo_setup(eta_mode)
     # h=1e-4: at 1e-5 one ulp of the loss over 2h is ~1e-13, the size of
     # the gap on this batch's smallest gradient entries (~2e-10)
     err = ap.grad_check(trainer.online,
@@ -114,11 +105,9 @@ def test_td_loss_gradient_finite_differences(horizon_encoding, condition_on,
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("horizon_encoding, condition_on, eta_mode", COMBOS)
-def test_td_loss_matches_per_row_reference(horizon_encoding, condition_on,
-                                           eta_mode):
-    trainer, batch, i, eps = combo_setup(horizon_encoding, condition_on,
-                                         eta_mode)
+@pytest.mark.parametrize("eta_mode", ETA_MODES)
+def test_td_loss_matches_per_row_reference(eta_mode):
+    trainer, batch, i, eps = combo_setup(eta_mode)
     loss, _ = bl.td_loss(trainer, batch, i, eps)
     ref = np.mean([row_loss(trainer, t, int(i[r]), eps[r])
                    for r, t in enumerate(batch)])
@@ -411,7 +400,7 @@ def test_train_step_matches_td_loss():
 
 
 def test_train_step_hard_sync_every_step():
-    trainer, buf, _, _, rng = make_setup(sync_mode="hard", sync_period=1)
+    trainer, buf, _, _, rng = make_setup(sync_period=1)
     for _ in range(3):
         batch = [buf.sample_tuple(rng) for _ in range(4)]
         bl.train_step(trainer, batch, rng)
@@ -421,24 +410,12 @@ def test_train_step_hard_sync_every_step():
 
 
 def test_sync_target_hard_period():
-    trainer, _, _, _, _ = make_setup(sync_mode="hard", sync_period=500)
+    trainer, _, _, _, _ = make_setup(sync_period=500)
     trainer.online.weights[0][0, 0] += 1.0
     trainer.step_count = 499
     bl.sync_target(trainer)
     assert trainer.target.weights[0][0, 0] != trainer.online.weights[0][0, 0]
     trainer.step_count = 500
-    bl.sync_target(trainer)
-    np.testing.assert_array_equal(trainer.target.weights[0],
-                                  trainer.online.weights[0])
-
-
-def test_sync_polyak_tau_extremes():
-    trainer, _, _, _, _ = make_setup(sync_mode="polyak", tau=0.0)
-    frozen = trainer.target.weights[0].copy()
-    trainer.online.weights[0][:] += 2.0
-    bl.sync_target(trainer)
-    np.testing.assert_array_equal(trainer.target.weights[0], frozen)
-    trainer.tau = 1.0
     bl.sync_target(trainer)
     np.testing.assert_array_equal(trainer.target.weights[0],
                                   trainer.online.weights[0])
@@ -472,14 +449,10 @@ def test_degenerate_single_state_loss_goes_to_zero():
 # -- the train step against a reference made of the per-call encoders ------
 
 def ref_conditioning(trainer, s, a, n):
-    """(state, action, horizon) encodings from the per-call encoders."""
-    n, n_max = np.asarray(n), trainer.mdp.horizon
-    if trainer.horizon_encoding == "onehot":
-        horizon = np.eye(n_max)[n - 1]
-    else:
-        horizon = n[..., None] / n_max
+    """(state, action, one-hot horizon) encodings from the per-call
+    encoders."""
     return (m.encode_state(trainer.mdp, s), m.encode_action(trainer.mdp, a),
-            horizon)
+            np.eye(trainer.mdp.horizon)[np.asarray(n) - 1])
 
 
 def ref_net_input(trainer, x_i, ctx, i):
@@ -508,8 +481,6 @@ def ref_backward(params, activations, g):
 def ref_td_loss(trainer, batch, i, eps):
     s, a, s_next, a_next, x, n, is_l1 = np.array(batch).T
     is_l1 = is_l1.astype(bool)
-    if trainer.condition_on == "next":
-        s, a = s_next, a_next
     x0 = m.encode_state(trainer.mdp, np.where(is_l1, s_next, x))
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
     targets = np.array(eps, dtype=float)
@@ -573,9 +544,9 @@ def assert_train_steps_bit_exact(trainer, batches, seed=31):
 
 
 @pytest.mark.parametrize("settings", [
-    dict(horizon_encoding=h, condition_on=c, eta_mode=e) for h, c, e in COMBOS
+    dict(eta_mode=e) for e in ETA_MODES
 ] + [dict(optimizer="sgd", lr=0.05), dict(activation="tanh")],
-    ids=[f"{h}-{c}-{e}" for h, c, e in COMBOS] + ["sgd", "tanh"])
+    ids=ETA_MODES + ["sgd", "tanh"])
 def test_train_step_bit_exact_against_reference(settings):
     # a short sync period, so the target both lags and is refreshed
     trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
@@ -624,13 +595,10 @@ def test_train_step_bit_exact_headline_shape():
 
 @pytest.mark.parametrize("width, height, step_dim",
                          [(5, 5, 8), (1, 3, 9), (4, 1, 2)])
-@pytest.mark.parametrize("horizon_encoding", ["onehot", "scalar"])
-def test_encoding_tables_equal_per_call_encoders(width, height, step_dim,
-                                                 horizon_encoding):
+def test_encoding_tables_equal_per_call_encoders(width, height, step_dim):
     g = m.gridworld_new(width, height, horizon=6)
     trainer = bl.make_trainer(df.make_schedule(16, 0.01, 0.2), g,
-                              hidden_sizes=(4,), step_dim=step_dim,
-                              horizon_encoding=horizon_encoding)
+                              hidden_sizes=(4,), step_dim=step_dim)
     for s in range(g.n_states):
         assert trainer.state_table[s].tobytes() == \
             m.encode_state(g, s).tobytes()

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ssm_diffusion import cli
+from ssm_diffusion import cli, runner
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import _SECTIONS
 from ssm_diffusion.mdp import Trajectory
@@ -81,7 +81,15 @@ def test_missing_config_key_exit_2(tmp_path, capsys):
 
 def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
     tiny = tiny_overrides()
-    for section, values, named in (
+    # sizes too large to allocate ended in an 18-24 line traceback and exit
+    # 1; a bound on each size rejects them before anything is allocated
+    oversized = [(section, {**tiny[section], key: value}, f"{section}.{key}")
+                 for section, key, value in (
+                     ("diffusion", "K", 1e30), ("diffusion", "K", 1e12),
+                     ("training", "buffer_capacity", 1e30),
+                     ("model", "step_embed_dim", 2**63),
+                     ("env", "height", 1e30))]
+    for section, values, named in oversized + [
             ("env", {**tiny["env"], "start": "foo"}, "env.start"),
             # a negative rate trained by gradient ascent and exited 0
             ("training", {**tiny["training"], "lr": -1.0}, "training.lr"),
@@ -91,13 +99,29 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
             # an ignored key trained with exit 0 and moved the digest
             ("env", {**tiny["env"], "reward": {"kind": "goal",
                                                "cell": [1, 1], "extra": 3}},
-             "env.reward")):
+             "env.reward")]:
         cfg = write_config(tmp_path, **{**tiny, section: values})
-        assert run(["train", "--config", str(cfg),
-                    "--out", str(tmp_path / "x")]) == 2
+        for command in ("train", "oracle"):
+            assert run([command, "--config", str(cfg),
+                        "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and named in err
+            assert not (tmp_path / "x").exists()
+
+
+def test_out_of_memory_exit_1_one_line(tmp_path, capsys, monkeypatch):
+    # a size within the config's bounds can still be too large for memory;
+    # NumPy's MemoryError is raised here without allocating
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with "
+                          "shape (1099511627776,) and data type float64")
+    monkeypatch.setattr(runner, "build_env", refuse)
+    cfg = str(write_config(tmp_path, **tiny_overrides()))
+    for command in ("train", "oracle"):
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / command)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and named in err
-        assert not (tmp_path / "x").exists()
+        assert err.count("\n") == 1 and "8.00 TiB" in err
 
 
 def null_or_non_object_configs():
@@ -118,7 +142,7 @@ def null_or_non_object_configs():
 def test_null_value_or_section_exit_2_one_line(tmp_path, capsys):
     # each of these ended in a TypeError or AttributeError traceback
     cases = list(null_or_non_object_configs())
-    assert len(cases) == 48
+    assert len(cases) == 44
     for raw, named in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -284,6 +308,31 @@ def test_structural_mismatch_exit_3_despite_override(tmp_path, capsys):
         assert err.count("\n") == 1
         assert "K 32 (config 4)" in err and "layer_sizes" in err
     assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
+
+
+def test_eval_posterior_full_chain_of_beta_checkpoint(tmp_path, capsys):
+    # sigma_mode does not enter the "simple" loss, so a checkpoint trained
+    # with "beta" may run the posterior variance over all K steps; the
+    # digest still tells the two configs apart
+    trained = tiny_overrides()
+    trained["diffusion"]["sigma_mode"] = "beta"
+    out = tmp_path / "run"
+    assert run(["train", "--config",
+                str(write_config(tmp_path, "beta.json", **trained)),
+                "--out", str(out)]) == 0
+    other = tiny_overrides()
+    other["diffusion"]["sigma_mode"] = "posterior"
+    other["eval"]["steps"] = other["diffusion"]["K"]
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--config",
+            str(write_config(tmp_path, "posterior.json", **other)),
+            "--out", str(tmp_path / "e")]
+    assert run(argv) == 3
+    assert "digest" in capsys.readouterr().err
+    assert run(argv + ["--override-digest"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" steps=4")
+    summary = json.loads(
+        (tmp_path / "e" / "metrics.jsonl").read_text().splitlines()[-1])
+    assert summary["steps"] == 4
 
 
 def test_resume_equivalence(tmp_path):

@@ -1,8 +1,11 @@
 import json
+import pathlib
+import re
 
 import pytest
 
-from ssm_diffusion.config import config_digest, load_config, validate_config
+from ssm_diffusion.config import (MAX_SIDE, MAX_SIZE, _SECTIONS,
+                                  config_digest, load_config, validate_config)
 from ssm_diffusion.errors import ConfigurationError
 
 
@@ -20,7 +23,7 @@ def test_defaults_applied():
     cfg = validate_config(minimal_raw())
     assert cfg.diffusion["K"] == 32
     assert cfg.training["batch_size"] == 128
-    assert cfg.training["condition_on"] == "current"
+    assert cfg.training["sync_period"] == 500
     assert cfg.env["p_move"] == 0.8
 
 
@@ -38,6 +41,12 @@ def test_unknown_key_rejected():
         validate_config(raw)
     with pytest.raises(ConfigurationError, match="extra"):
         validate_config({**minimal_raw(), "extra": {}})
+    # keys that earlier versions read
+    for section, key in (("training", "condition_on"),
+                         ("training", "sync_mode"), ("training", "tau"),
+                         ("model", "horizon_encoding")):
+        with pytest.raises(ConfigurationError, match=key):
+            validate_config(minimal_raw(**{section: {key: "x"}}))
 
 
 def test_range_checks():
@@ -46,7 +55,7 @@ def test_range_checks():
     with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(diffusion={"beta_max": 1.0}))
     with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(training={"condition_on": "previous"}))
+        validate_config(minimal_raw(training={"optimizer": "rmsprop"}))
     with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(env={"reward": {"kind": "goal",
                                                     "cell": [9, 0]}}))
@@ -87,10 +96,9 @@ def test_policy_spec_validation():
     ("model", {"step_embed_dim": -3}, "model.step_embed_dim"),
     ("model", {"step_embed_dim": 0}, "model.step_embed_dim"),
     ("model", {"step_embed_dim": 1}, "model.step_embed_dim"),
+    ("model", {"hidden_sizes": [MAX_SIZE, 1]}, "model.hidden_sizes"),
     ("training", {"lr": -1.0}, "training.lr"),
     ("training", {"lr": 0.0}, "training.lr"),
-    ("training", {"tau": 5.0}, "training.tau"),
-    ("training", {"tau": 0.0}, "training.tau"),
     ("training", {"sync_period": -1}, "training.sync_period"),
     ("training", {"collect_every": -1}, "training.collect_every"),
     ("training", {"log_every": -1}, "training.log_every"),
@@ -98,6 +106,10 @@ def test_policy_spec_validation():
     ("eval", {"seed": -1}, "eval.seed"),
     ("training", {"lr": float("inf")}, "training.lr"),
     ("training", {"lr": float("nan")}, "training.lr"),
+    # a bool for a float key trained at lr 1.0
+    ("training", {"lr": True}, "training.lr"),
+    ("env", {"p_move": True}, "env.p_move"),
+    ("diffusion", {"beta_max": False}, "diffusion.beta_max"),
     ("diffusion", {"beta_min": float("-inf")}, "diffusion.beta_min"),
     ("env", {"reward": {"kind": "values", "values": [float("nan")] * 9}},
      "env.reward.values"),
@@ -116,10 +128,12 @@ def test_policy_spec_validation():
         "table-out-of-range", "action-bool", "cell-str", "values-str",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
         "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
-        "lr-negative", "lr-zero", "tau-above-one", "tau-zero",
+        "hidden-sum-above-max",
+        "lr-negative", "lr-zero",
         "sync-period-negative", "collect-every-negative",
         "log-every-negative", "training-seed-negative",
-        "eval-seed-negative", "lr-infinite", "lr-nan", "beta-min-infinite",
+        "eval-seed-negative", "lr-infinite", "lr-nan", "lr-bool",
+        "p-move-bool", "beta-max-bool", "beta-min-infinite",
         "reward-values-nan", "goal-extra-key", "zero-extra-key",
         "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
         "table-extra-key"])
@@ -130,10 +144,13 @@ def test_malformed_values_rejected(section, values, named):
 
 def test_boundary_values_accepted():
     cfg = validate_config(minimal_raw(
-        model={"step_embed_dim": 2},
-        training={"tau": 1.0, "sync_period": 0, "collect_every": 0,
-                  "log_every": 0}))
-    assert cfg.model["step_embed_dim"] == 2 and cfg.training["tau"] == 1.0
+        env={"width": MAX_SIDE, "horizon": MAX_SIZE},
+        diffusion={"K": MAX_SIZE},
+        model={"step_embed_dim": 2, "hidden_sizes": [MAX_SIZE - 1, 1]},
+        training={"sync_period": 0, "collect_every": 0, "log_every": 0,
+                  "batch_size": MAX_SIZE, "buffer_capacity": MAX_SIZE},
+        eval={"num_samples": MAX_SIZE}))
+    assert cfg.model["step_embed_dim"] == 2 and cfg.diffusion["K"] == MAX_SIZE
 
 
 def test_null_accepted_where_the_default_is_null():
@@ -168,3 +185,15 @@ def test_load_config_from_file(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigurationError):
         load_config(tmp_path / "missing.json")
+
+
+def test_readme_schema_names_every_key():
+    # each section's row of README's schema table names its keys in
+    # backticks; values in backticks are quoted or not identifiers
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.read_text(),
+                           re.MULTILINE))
+    assert set(rows) == set(_SECTIONS)
+    for section, keys in _SECTIONS.items():
+        named = set(re.findall(r"`([A-Za-z_]\w*)`", rows[section]))
+        assert named == set(keys), section

@@ -219,16 +219,13 @@ def strided_reference_chain(sched, net, cond, count, steps, rng):
 @pytest.mark.parametrize("K", [1, 8])
 @pytest.mark.parametrize("conditioned", [True, False],
                          ids=["conditioned", "unconditional"])
-@pytest.mark.parametrize("horizon_encoding", ["onehot", "scalar"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_sample_matches_unfolded_reference(activation, horizon_encoding,
-                                           conditioned, K):
+def test_sample_matches_unfolded_reference(activation, conditioned, K):
     sched = df.make_schedule(K, 0.01, 0.2, sigma_mode="posterior")
     if conditioned:
         g = m.gridworld_new(3, 3, horizon=4)
         trainer = bl.make_trainer(sched, g, hidden_sizes=(16, 16),
-                                  activation=activation,
-                                  horizon_encoding=horizon_encoding, seed=5)
+                                  activation=activation, seed=5)
         net, cond = trainer.online, bl.conditioning(trainer, 4, 1, 3)
     else:
         net = ap.mlp_init([2 + 8, 16, 16, 2], activation=activation, seed=5)
@@ -276,15 +273,14 @@ def block_chain_reference(sched, net, cond, count, rng):
     return x
 
 
-def headline_trainer(hidden_sizes=(128, 128), activation="relu",
-                     horizon_encoding="onehot", K=32, seed=999):
+def headline_trainer(hidden_sizes=(128, 128), activation="relu", K=32,
+                     seed=999):
     """A trainer of the headline shape (5x5 grid, H=8), with every bias
     non-zero so that the folded biases carry values."""
     sched = df.make_schedule(K, 1e-4, 0.2)
     g = m.gridworld_new(5, 5, horizon=8)
     trainer = bl.make_trainer(sched, g, hidden_sizes=hidden_sizes,
-                              activation=activation,
-                              horizon_encoding=horizon_encoding, seed=seed)
+                              activation=activation, seed=seed)
     rng = np.random.default_rng(6)
     for b in trainer.online.biases:
         b[...] = rng.uniform(-0.5, 0.5, b.shape)
@@ -304,18 +300,16 @@ def test_sample_bit_exact_against_block_chain_headline():
 
 
 @pytest.mark.parametrize("count", [1, df.BLOCK_ROWS + 1, 2 * df.BLOCK_ROWS + 37])
-@pytest.mark.parametrize("hidden_sizes, activation, horizon_encoding, K", [
-    ((128, 128), "tanh", "onehot", 32),
-    ((64,), "relu", "onehot", 32),
-    ((32, 32, 32), "relu", "onehot", 8),
-    ((32, 32), "tanh", "scalar", 8),
-    ((32, 32, 32), "tanh", "onehot", 1),
-], ids=["tanh", "one-hidden", "three-hidden", "tanh-scalar", "K1"])
-def test_sample_close_to_block_chain(hidden_sizes, activation,
-                                     horizon_encoding, K, count):
+@pytest.mark.parametrize("hidden_sizes, activation, K", [
+    ((128, 128), "tanh", 32),
+    ((64,), "relu", 32),
+    ((32, 32, 32), "relu", 8),
+    ((32, 32, 32), "tanh", 1),
+], ids=["tanh", "one-hidden", "three-hidden", "K1"])
+def test_sample_close_to_block_chain(hidden_sizes, activation, K, count):
     # the two-hidden-layer tanh case fails if the ones column is activated:
     # tanh(1) would scale the second layer's bias
-    trainer = headline_trainer(hidden_sizes, activation, horizon_encoding, K)
+    trainer = headline_trainer(hidden_sizes, activation, K)
     net, cond = trainer.online, bl.conditioning(trainer, 7, 2, 3)
     theta = net.theta.copy()
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
