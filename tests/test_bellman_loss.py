@@ -77,8 +77,11 @@ def row_loss(trainer, tup, i, eps):
     return df.loss_weight(trainer.sched, i) * float(resid @ resid)
 
 
-# every setting a config can give the loss: diffusion.eta_mode
+# every setting a config can give the loss: diffusion.eta_mode. The case
+# ids keep the one-hot horizon and current-pair conditioning that every
+# trainer uses.
 ETA_MODES = ["simple", "paper"]
+ETA_IDS = [f"onehot-current-{e}" for e in ETA_MODES]
 
 
 def combo_setup(eta_mode):
@@ -95,7 +98,7 @@ def combo_setup(eta_mode):
     return trainer, batch, *draws(trainer, len(batch), rng)
 
 
-@pytest.mark.parametrize("eta_mode", ETA_MODES)
+@pytest.mark.parametrize("eta_mode", ETA_MODES, ids=ETA_IDS)
 def test_td_loss_gradient_finite_differences(eta_mode):
     trainer, batch, i, eps = combo_setup(eta_mode)
     # h=1e-4: at 1e-5 one ulp of the loss over 2h is ~1e-13, the size of
@@ -105,7 +108,7 @@ def test_td_loss_gradient_finite_differences(eta_mode):
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("eta_mode", ETA_MODES)
+@pytest.mark.parametrize("eta_mode", ETA_MODES, ids=ETA_IDS)
 def test_td_loss_matches_per_row_reference(eta_mode):
     trainer, batch, i, eps = combo_setup(eta_mode)
     loss, _ = bl.td_loss(trainer, batch, i, eps)
@@ -546,7 +549,7 @@ def assert_train_steps_bit_exact(trainer, batches, seed=31):
 @pytest.mark.parametrize("settings", [
     dict(eta_mode=e) for e in ETA_MODES
 ] + [dict(optimizer="sgd", lr=0.05), dict(activation="tanh")],
-    ids=ETA_MODES + ["sgd", "tanh"])
+    ids=ETA_IDS + ["sgd", "tanh"])
 def test_train_step_bit_exact_against_reference(settings):
     # a short sync period, so the target both lags and is refreshed
     trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
@@ -594,7 +597,8 @@ def test_train_step_bit_exact_headline_shape():
 
 
 @pytest.mark.parametrize("width, height, step_dim",
-                         [(5, 5, 8), (1, 3, 9), (4, 1, 2)])
+                         [(5, 5, 8), (1, 3, 9), (4, 1, 2)],
+                         ids=["onehot-5-5-8", "onehot-1-3-9", "onehot-4-1-2"])
 def test_encoding_tables_equal_per_call_encoders(width, height, step_dim):
     g = m.gridworld_new(width, height, horizon=6)
     trainer = bl.make_trainer(df.make_schedule(16, 0.01, 0.2), g,

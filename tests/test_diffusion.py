@@ -219,7 +219,9 @@ def strided_reference_chain(sched, net, cond, count, steps, rng):
 @pytest.mark.parametrize("K", [1, 8])
 @pytest.mark.parametrize("conditioned", [True, False],
                          ids=["conditioned", "unconditional"])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+# the ids name the one-hot horizon that the conditioned cases encode
+@pytest.mark.parametrize("activation", ["relu", "tanh"],
+                         ids=["relu-onehot", "tanh-onehot"])
 def test_sample_matches_unfolded_reference(activation, conditioned, K):
     sched = df.make_schedule(K, 0.01, 0.2, sigma_mode="posterior")
     if conditioned:
