@@ -34,7 +34,7 @@ def main():
     # a fine schedule: narrow mixture components need small per-step noise
     sched = df.make_schedule(128, 1e-4, 0.05)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=args.seed + 1)
-    opt = ap.init_opt_state(net, "adam", lr=1e-3)
+    opt = ap.init_opt_state(net, lr=1e-3)
     cond = df.Conditioning(step_dim=8)
     batch = 128
 

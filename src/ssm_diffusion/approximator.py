@@ -1,4 +1,5 @@
-"""Minimal MLP with explicit forward/backward passes and SGD/Adam optimizers.
+"""Minimal ReLU MLP with explicit forward/backward passes and an Adam
+optimizer.
 
 Everything is float64 numpy. Forward takes a (batch, dim) matrix, one row
 per input; backward sums the gradients over the rows. Parameters,
@@ -11,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-
-ACTIVATIONS = ("relu", "tanh")
 
 
 def param_count(layer_sizes):
@@ -28,7 +27,6 @@ class MlpParams:
     (layer_sizes[l+1], layer_sizes[l]), and biases[l] are views into it."""
     layer_sizes: list
     theta: np.ndarray
-    activation: str = "relu"
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
 
@@ -50,46 +48,36 @@ class MlpParams:
 
 @dataclass
 class OptState:
-    optimizer: str = "sgd"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Adam's state: its first and second moments m and v, each shaped like
+    theta, its step count and its hyperparameters."""
+    m: np.ndarray
+    v: np.ndarray
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
     step_count: int = 0
-    # Adam's moments, each shaped like theta; empty for SGD
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def mlp_init(layer_sizes, activation="relu", seed=0):
+def mlp_init(layer_sizes, seed=0):
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     if len(layer_sizes) < 2:
         raise ConfigurationError(f"need at least 2 layer sizes, got {layer_sizes}")
     if any(int(n) < 1 for n in layer_sizes):
         raise ConfigurationError(f"layer sizes must be positive, got {layer_sizes}")
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}")
     sizes = [int(n) for n in layer_sizes]
     rng = np.random.default_rng(seed)
-    params = MlpParams(layer_sizes=sizes, theta=np.zeros(param_count(sizes)),
-                       activation=activation)
+    params = MlpParams(layer_sizes=sizes, theta=np.zeros(param_count(sizes)))
     for w in params.weights:
         bound = 1.0 / np.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
 
 
-def _activate(z, kind):
-    """The activation of z, computed in place."""
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return np.tanh(z, out=z)
-
-
 def mlp_forward(params, x, out=None):
     """Forward pass over a (batch, dim) matrix. Returns (output,
     activations), where activations[l] is the input to layer l. Hidden
-    layers use the configured activation; the output layer is linear.
+    layers are ReLU; the output layer is linear.
 
     out, if given, holds one (batch, layer_sizes[l+1]) array per layer,
     which receives that layer's output in place of a new array."""
@@ -104,7 +92,7 @@ def mlp_forward(params, x, out=None):
         a = np.matmul(a, w.T, out=None if out is None else out[l])
         a += b
         if l < n_layers - 1:
-            _activate(a, params.activation)
+            np.maximum(a, 0.0, out=a)
             activations.append(a)
     return a, activations
 
@@ -126,7 +114,7 @@ def mlp_backward(params, activations, output_grad, out=None, g_out=None):
         raise ShapeError("activations do not match network depth")
     grads = out if out is not None else MlpParams(
         layer_sizes=list(params.layer_sizes),
-        theta=np.empty_like(params.theta), activation=params.activation)
+        theta=np.empty_like(params.theta))
     for l in range(n_layers - 1, -1, -1):
         a_in = activations[l]
         if a_in.shape[1] != params.weights[l].shape[1]:
@@ -134,11 +122,11 @@ def mlp_backward(params, activations, output_grad, out=None, g_out=None):
         np.matmul(g.T, a_in, out=grads.weights[l])
         np.sum(g, axis=0, out=grads.biases[l])
         if l > 0:
-            # times the activation's derivative in place; a ReLU mask casts
-            # to 1.0 and 0.0 inside the multiply, as a float mask would
+            # times ReLU's derivative in place; the mask casts to 1.0 and
+            # 0.0 inside the multiply, as a float mask would
             g = np.matmul(g, params.weights[l],
                           out=None if g_out is None else g_out[l - 1])
-            g *= a_in > 0.0 if params.activation == "relu" else 1.0 - a_in ** 2
+            g *= a_in > 0.0
     return grads
 
 
@@ -169,63 +157,53 @@ def grad_check(params, loss_and_grads, h):
     return max_err
 
 
-def init_opt_state(params, optimizer="sgd", lr=1e-3, beta1=0.9, beta2=0.999,
-                   eps=1e-8):
-    if optimizer not in ("sgd", "adam"):
-        raise ConfigurationError(f"unknown optimizer {optimizer!r}")
-    state = OptState(optimizer=optimizer, lr=lr, beta1=beta1, beta2=beta2,
-                     eps=eps)
-    if optimizer == "adam":
-        state.m = np.zeros_like(params.theta)
-        state.v = np.zeros_like(params.theta)
-    return state
+def init_opt_state(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam at step 0: zero moments shaped like params' theta."""
+    return OptState(m=np.zeros_like(params.theta),
+                    v=np.zeros_like(params.theta), lr=lr, beta1=beta1,
+                    beta2=beta2, eps=eps)
 
 
 def opt_step(params, grads, state, scratch=None):
-    """One optimizer update. Returns (new_params, state). Neither params nor
+    """One Adam update. Returns (new_params, state). Neither params nor
     grads is mutated; state's step count and moments are updated in place.
     The new parameters are a new vector. scratch, if given, is a
-    theta-shaped array that Adam uses as its temporary in place of a new
-    one; the new vector is its second."""
+    theta-shaped array used as the temporary in place of a new one; the new
+    vector is its second."""
     g = grads.theta
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient entries; aborting step")
     state.step_count += 1
     theta = np.empty_like(params.theta)
-    if state.optimizer == "sgd":
-        np.multiply(g, state.lr, out=theta)
-    else:
-        t = state.step_count
-        bc1 = 1.0 - state.beta1 ** t
-        bc2 = 1.0 - state.beta2 ** t
-        m, v = state.m, state.v
-        tmp = np.empty_like(g) if scratch is None else scratch
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and the step
-        # lr (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time in
-        # the order the formulas evaluate, into tmp and theta
-        m *= state.beta1
-        np.multiply(g, 1 - state.beta1, out=tmp)
-        m += tmp
-        v *= state.beta2
-        np.square(g, out=tmp)
-        tmp *= 1 - state.beta2
-        v += tmp
-        np.divide(m, bc1, out=tmp)
-        tmp *= state.lr
-        np.divide(v, bc2, out=theta)
-        np.sqrt(theta, out=theta)
-        theta += state.eps
-        np.divide(tmp, theta, out=theta)
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    m, v = state.m, state.v
+    tmp = np.empty_like(g) if scratch is None else scratch
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and the step
+    # lr (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time in the
+    # order the formulas evaluate, into tmp and theta
+    m *= state.beta1
+    np.multiply(g, 1 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.square(g, out=tmp)
+    tmp *= 1 - state.beta2
+    v += tmp
+    np.divide(m, bc1, out=tmp)
+    tmp *= state.lr
+    np.divide(v, bc2, out=theta)
+    np.sqrt(theta, out=theta)
+    theta += state.eps
+    np.divide(tmp, theta, out=theta)
     np.subtract(params.theta, theta, out=theta)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite parameters after optimizer step")
-    return MlpParams(layer_sizes=list(params.layer_sizes), theta=theta,
-                     activation=params.activation), state
+    return MlpParams(layer_sizes=list(params.layer_sizes), theta=theta), state
 
 
 def copy_params(src):
-    return MlpParams(layer_sizes=list(src.layer_sizes), theta=src.theta.copy(),
-                     activation=src.activation)
+    return MlpParams(layer_sizes=list(src.layer_sizes), theta=src.theta.copy())
 
 
 @dataclass
@@ -235,14 +213,14 @@ class FoldedMlp:
 
     Hidden layer l's weights are [W_l | b_l], read on [h | 1]. A hidden
     layer whose next layer is also hidden has one more row [0 ... 0 1], so
-    its matmul writes the next layer's ones column. The first layer keeps
+    its matmul writes the next layer's ones column, which ReLU keeps. The
+    first layer keeps
     only x's weights, and its bias, `context_bias`, stands for
     c @ W_c.T + b_0: the caller writes it. The output layer keeps its bias
     add, which costs little on its few columns; folded into so narrow a
     product, the bias would move output bits, as OpenBLAS then takes
     another kernel."""
     dim: int            # the width of x
-    activation: str
     weights: list       # each hidden layer's augmented weights, then the output layer's
     bias: np.ndarray    # the output layer's
     context_bias: np.ndarray    # a view of the first layer's bias
@@ -271,8 +249,8 @@ def fold_biases(params, dim, out=None):
         bias = np.empty_like(params.biases[-1])
         context_bias = weights[0][:params.layer_sizes[1], -1] if n_hidden \
             else bias
-        out = FoldedMlp(dim=dim, activation=params.activation,
-                        weights=weights, bias=bias, context_bias=context_bias)
+        out = FoldedMlp(dim=dim, weights=weights, bias=bias,
+                        context_bias=context_bias)
     elif out.dim != dim or [w.shape for w in out.weights] != shapes:
         raise ShapeError("out is not the fold of a network of this shape")
     for w, b, aug in zip(ws[:-1], params.biases, out.weights):
@@ -282,7 +260,6 @@ def fold_biases(params, dim, out=None):
         aug[fan_out:, fan_in] = 1.0
     out.weights[-1][...] = ws[-1]
     out.bias[...] = params.biases[-1]
-    out.activation = params.activation
     return out, params.weights[0][:, dim:].copy()
 
 
@@ -306,10 +283,7 @@ def folded_forward(folded, x, out):
     n_hidden = len(folded.weights) - 1
     for l in range(n_hidden):
         a = np.matmul(a, folded.weights[l].T, out=out[l + 1])
-        _activate(a, folded.activation)
-        if l + 1 < n_hidden:
-            # the next layer's ones column, which tanh would have moved
-            a[:, -1] = 1.0
+        np.maximum(a, 0.0, out=a)
     y = np.matmul(a, folded.weights[n_hidden].T, out=out[-1])
     y += folded.bias
     return y

@@ -74,23 +74,22 @@ def _work_area(trainer, B):
             shared_out=[shared[a:b].reshape(B, -1)
                         for a, b in zip(ends[:-1], ends[1:])],
             grads=ap.MlpParams(list(online.layer_sizes),
-                               np.empty_like(online.theta), online.activation),
+                               np.empty_like(online.theta)),
             scratch=shared[:online.theta.size])
     return work
 
 
-def make_trainer(sched, mdp, hidden_sizes=(128, 128), activation="relu",
-                 step_dim=8, optimizer="adam", lr=1e-3, sync_period=500,
-                 seed=0, sample_sched=None):
+def make_trainer(sched, mdp, hidden_sizes=(128, 128), step_dim=8, lr=1e-3,
+                 sync_period=500, seed=0, sample_sched=None):
     """A trainer whose samplers run over sample_sched (a respace of sched),
     or over sched itself if it is None."""
     # input: x | state | action | step embedding | one-hot horizon; x and
     # the state are 2-D cell centers
     sizes = [2 + 2 + mdp.n_actions + step_dim + mdp.horizon]
     sizes += list(hidden_sizes) + [2]
-    online = ap.mlp_init(sizes, activation=activation, seed=seed)
+    online = ap.mlp_init(sizes, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
-                   opt=ap.init_opt_state(online, optimizer=optimizer, lr=lr),
+                   opt=ap.init_opt_state(online, lr=lr),
                    mdp=mdp, step_dim=step_dim, sync_period=sync_period,
                    sample_sched=sched if sample_sched is None else sample_sched,
                    state_table=encode_state(mdp, np.arange(mdp.n_states)),

@@ -1,8 +1,7 @@
 """Checkpoint persistence: a text key-value header followed by binary
 little-endian float64 blocks and int64 replay-buffer blocks. The float64
 blocks are the online and the target parameter vectors, then Adam's first
-and second moment vectors (both empty for SGD), each in the layout of
-approximator.MlpParams.
+and second moment vectors, each in the layout of approximator.MlpParams.
 
 The checkpoint captures everything training touches (networks, optimizer
 moments, rng state, buffer contents), so a resumed run reproduces an
@@ -22,8 +21,9 @@ from .mdp import Trajectory
 
 FORMAT_VERSION = 3
 
-# the optimizer state's scalar fields: the header's opt section
-_OPT_SCALARS = ("optimizer", "lr", "beta1", "beta2", "eps", "step_count")
+# the optimizer state's scalar fields: with "optimizer", which is always
+# "adam", the header's opt section
+_OPT_SCALARS = ("lr", "beta1", "beta2", "eps", "step_count")
 
 
 @dataclass
@@ -57,7 +57,8 @@ def save_checkpoint(path, ck):
         "config_digest": ck.config_digest,
         "structure": ck.structure,
         "trainer": {"step_count": ck.step_count},
-        "opt": {key: getattr(ck.opt, key) for key in _OPT_SCALARS},
+        "opt": {"optimizer": "adam",
+                **{key: getattr(ck.opt, key) for key in _OPT_SCALARS}},
         "rng": ck.rng_state,
         "n_trajectories": len(trajs),
         "horizon": horizon,
@@ -96,14 +97,13 @@ def _rng_state(v):
 # the header fields that loading or resuming reads, each with its check; the
 # other structure fields are compared with the config before use
 _FIELDS = {
-    **dict.fromkeys(["config_digest", "structure.activation"],
-                    lambda v: isinstance(v, str)),
+    "config_digest": lambda v: isinstance(v, str),
     **dict.fromkeys(["opt.lr", "opt.beta1", "opt.beta2", "opt.eps"],
                     lambda v: isinstance(v, float)),
     **dict.fromkeys(["trainer.step_count", "opt.step_count", "horizon",
                      "n_trajectories"], lambda v: _ints_in([v], 0, np.inf)),
     "structure.layer_sizes": lambda v: _ints_in(v, 1, np.inf) and len(v) > 1,
-    "opt.optimizer": ("sgd", "adam").__contains__, "rng": _rng_state}
+    "opt.optimizer": lambda v: v == "adam", "rng": _rng_state}
 
 
 def _check_header(header):
@@ -136,13 +136,11 @@ def load_checkpoint(path):
     _check_header(header)
     offset = end + 5
     sizes = header["structure"]["layer_sizes"]
-    activation = header["structure"]["activation"]
     n_params = param_count(sizes)
-    n_moments = n_params if header["opt"]["optimizer"] == "adam" else 0
     online, offset = _take(buf, offset, n_params, "f8")
     target, offset = _take(buf, offset, n_params, "f8")
-    m, offset = _take(buf, offset, n_moments, "f8")
-    v, offset = _take(buf, offset, n_moments, "f8")
+    m, offset = _take(buf, offset, n_params, "f8")
+    v, offset = _take(buf, offset, n_params, "f8")
     H = header["horizon"]
     rows, offset = _take(buf, offset, header["n_trajectories"] * (2 * H + 2),
                          "i8")
@@ -159,8 +157,6 @@ def load_checkpoint(path):
         opt=OptState(**{key: header["opt"][key] for key in _OPT_SCALARS},
                      m=m, v=v),
         rng_state=header["rng"],
-        online=MlpParams(layer_sizes=list(sizes), theta=online,
-                         activation=activation),
-        target=MlpParams(layer_sizes=list(sizes), theta=target,
-                         activation=activation),
+        online=MlpParams(layer_sizes=list(sizes), theta=online),
+        target=MlpParams(layer_sizes=list(sizes), theta=target),
         trajectories=trajectories)

@@ -61,13 +61,13 @@ _SECTIONS = {
     },
     "model": {
         "hidden_sizes": ([128, 128], list),
-        "activation": ("relu", str),
         "step_embed_dim": (8, int),
     },
     "training": {
         "steps": (_REQUIRED, int),
         "batch_size": (128, int),
         "lr": (1e-3, float),
+        # always Adam; kept so that configs naming it still load
         "optimizer": ("adam", str),
         "sync_period": (500, int),
         "seed": (_REQUIRED, int),
@@ -201,8 +201,6 @@ def validate_config(raw):
         raise ConfigurationError(f"diffusion.eta_mode: {dif['eta_mode']!r}")
     if dif["sigma_mode"] not in ("posterior", "beta"):
         raise ConfigurationError(f"diffusion.sigma_mode: {dif['sigma_mode']!r}")
-    if mdl["activation"] not in ("relu", "tanh"):
-        raise ConfigurationError(f"model.activation: {mdl['activation']!r}")
     if not (_ints_in(mdl["hidden_sizes"], 1, float("inf"))
             and sum(mdl["hidden_sizes"]) <= MAX_SIZE):
         raise ConfigurationError(
@@ -214,15 +212,18 @@ def validate_config(raw):
         if trn[key] < 0:
             raise ConfigurationError(
                 f"training.{key} must be >= 0 (0 is off), got {trn[key]}")
-    if trn["optimizer"] not in ("sgd", "adam"):
-        raise ConfigurationError(f"training.optimizer: {trn['optimizer']!r}")
+    if trn["optimizer"] != "adam":
+        raise ConfigurationError(f"training.optimizer must be \"adam\", "
+                                 f"got {trn['optimizer']!r}")
     if trn["steps"] < 0:
         raise ConfigurationError("training.steps must be >= 0")
     for name, sec in (("training", trn), ("eval", evl)):
         if sec["seed"] < 0:   # numpy's generators take none
             raise ConfigurationError(f"{name}.seed must be >= 0, got {sec['seed']}")
-    if trn["initial_trajectories"] < 1:
-        raise ConfigurationError("training.initial_trajectories must be >= 1")
+    if not 1 <= trn["initial_trajectories"] <= trn["buffer_capacity"]:
+        raise ConfigurationError(
+            "training.initial_trajectories must be in [1, "
+            f"training.buffer_capacity], got {trn['initial_trajectories']}")
     if evl["eval_n"] is not None and not _ints_in(evl["eval_n"], 1,
                                                   env["horizon"] + 1):
         raise ConfigurationError(

@@ -43,14 +43,13 @@ def build_env(cfg):
 
 
 def build_trainer(cfg, seed=None):
-    trn, dif, mdl = cfg.training, cfg.diffusion, cfg.model
+    trn, dif = cfg.training, cfg.diffusion
     sched = df.make_schedule(dif["K"], dif["beta_min"], dif["beta_max"],
                              eta_mode=dif["eta_mode"],
                              sigma_mode=dif["sigma_mode"])
     return bl.make_trainer(
-        sched, build_env(cfg)[0], hidden_sizes=mdl["hidden_sizes"],
-        activation=mdl["activation"], step_dim=mdl["step_embed_dim"],
-        optimizer=trn["optimizer"], lr=trn["lr"],
+        sched, build_env(cfg)[0], hidden_sizes=cfg.model["hidden_sizes"],
+        step_dim=cfg.model["step_embed_dim"], lr=trn["lr"],
         sync_period=trn["sync_period"],
         seed=trn["seed"] if seed is None else seed,
         sample_sched=df.respace(sched, eval_steps(cfg)))
@@ -59,12 +58,14 @@ def build_trainer(cfg, seed=None):
 def structure(cfg, trainer):
     """The fields that fix what a trained network's parameters mean. A
     checkpoint is resumed or evaluated only under a config that agrees on
-    every one of them, whatever the digest says."""
+    every one of them, whatever the digest says. The activation is always
+    ReLU: it stays in the header, so that a network of another one is
+    refused."""
     dif = cfg.diffusion
     return {"K": dif["K"], "beta_min": dif["beta_min"],
             "beta_max": dif["beta_max"],
             "layer_sizes": trainer.online.layer_sizes,
-            "activation": trainer.online.activation,
+            "activation": "relu",
             "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim}
 
 

@@ -38,8 +38,7 @@ def test_criterion_1_gradient_correctness():
     g = m.gridworld_new(4, 4, p_move=0.8, horizon=4)
     pol = m.policy_toward_goal(g, (3, 3))
     sched = df.make_schedule(8, 0.01, 0.2)
-    trainer = bl.make_trainer(sched, g, hidden_sizes=(8, 8),
-                              activation="relu", seed=2)
+    trainer = bl.make_trainer(sched, g, hidden_sizes=(8, 8), seed=2)
     buf = ReplayBuffer(g, pol, 50)
     rng = np.random.default_rng(0)
     for e in range(10):
@@ -85,7 +84,7 @@ def test_criterion_3_unconditional_mixture():
     sched = df.make_schedule(128, 1e-4, 0.05)
     rng = np.random.default_rng(3)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=4)
-    opt = ap.init_opt_state(net, "adam", lr=1e-3)
+    opt = ap.init_opt_state(net, lr=1e-3)
     cond = df.Conditioning(step_dim=8)
 
     def draw_data(count):

@@ -99,7 +99,11 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
             # an ignored key trained with exit 0 and moved the digest
             ("env", {**tiny["env"], "reward": {"kind": "goal",
                                                "cell": [1, 1], "extra": 3}},
-             "env.reward")]:
+             "env.reward"),
+            # rollouts beyond the capacity were collected, then evicted
+            # unread, with exit 0
+            ("training", {**tiny["training"], "initial_trajectories": 51},
+             "training.initial_trajectories")]:
         cfg = write_config(tmp_path, **{**tiny, section: values})
         for command in ("train", "oracle"):
             assert run([command, "--config", str(cfg),
@@ -142,7 +146,7 @@ def null_or_non_object_configs():
 def test_null_value_or_section_exit_2_one_line(tmp_path, capsys):
     # each of these ended in a TypeError or AttributeError traceback
     cases = list(null_or_non_object_configs())
-    assert len(cases) == 44
+    assert len(cases) == 43
     for raw, named in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))

@@ -1,11 +1,14 @@
+import inspect
 import json
 import pathlib
 import re
 
 import pytest
 
+from ssm_diffusion.bellman_loss import make_trainer
 from ssm_diffusion.config import (MAX_SIDE, MAX_SIZE, _SECTIONS,
                                   config_digest, load_config, validate_config)
+from ssm_diffusion.diffusion import make_schedule
 from ssm_diffusion.errors import ConfigurationError
 
 
@@ -44,7 +47,8 @@ def test_unknown_key_rejected():
     # keys that earlier versions read
     for section, key in (("training", "condition_on"),
                          ("training", "sync_mode"), ("training", "tau"),
-                         ("model", "horizon_encoding")):
+                         ("model", "horizon_encoding"),
+                         ("model", "activation")):
         with pytest.raises(ConfigurationError, match=key):
             validate_config(minimal_raw(**{section: {key: "x"}}))
 
@@ -104,6 +108,13 @@ def test_policy_spec_validation():
     ("training", {"log_every": -1}, "training.log_every"),
     ("training", {"seed": -1}, "training.seed"),
     ("eval", {"seed": -1}, "eval.seed"),
+    # Adam is the only optimizer
+    ("training", {"optimizer": "sgd"}, "training.optimizer"),
+    # rollouts beyond the capacity were collected, then evicted unread
+    ("training", {"initial_trajectories": 11, "buffer_capacity": 10},
+     "training.initial_trajectories"),
+    ("training", {"initial_trajectories": 10**18},
+     "training.initial_trajectories"),
     ("training", {"lr": float("inf")}, "training.lr"),
     ("training", {"lr": float("nan")}, "training.lr"),
     # a bool for a float key trained at lr 1.0
@@ -132,7 +143,8 @@ def test_policy_spec_validation():
         "lr-negative", "lr-zero",
         "sync-period-negative", "collect-every-negative",
         "log-every-negative", "training-seed-negative",
-        "eval-seed-negative", "lr-infinite", "lr-nan", "lr-bool",
+        "eval-seed-negative", "optimizer-sgd", "initial-above-capacity",
+        "initial-huge", "lr-infinite", "lr-nan", "lr-bool",
         "p-move-bool", "beta-max-bool", "beta-min-infinite",
         "reward-values-nan", "goal-extra-key", "zero-extra-key",
         "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
@@ -160,6 +172,25 @@ def test_null_accepted_where_the_default_is_null():
     assert cfg.env["reward"]["kind"] == "goal"
     assert cfg.eval["eval_n"] is None and cfg.eval["steps"] is None
     assert validate_config(minimal_raw(eval={"steps": 32})).eval["steps"] == 32
+
+
+def test_code_defaults_equal_config_defaults():
+    # a keyword default that drifts from config's is used by every caller
+    # that does not pass the value
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    for fn, name, section, key in (
+            (make_trainer, "hidden_sizes", "model", "hidden_sizes"),
+            (make_trainer, "step_dim", "model", "step_embed_dim"),
+            (make_trainer, "lr", "training", "lr"),
+            (make_trainer, "sync_period", "training", "sync_period"),
+            (make_schedule, "eta_mode", "diffusion", "eta_mode"),
+            (make_schedule, "sigma_mode", "diffusion", "sigma_mode")):
+        value = default(fn, name)
+        want = _SECTIONS[section][key][0]
+        assert (list(value) if isinstance(value, tuple) else value) == want, \
+            name
 
 
 def test_start_state_index_accepted():

@@ -209,7 +209,7 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
         tmp_path):
     cfg = validate_config(minimal_raw(
         env={"width": 4, "height": 3, "horizon": 5, "p_move": 0.7},
-        training={"buffer_capacity": 6}))
+        training={"buffer_capacity": 6, "initial_trajectories": 6}))
     mdp, policy = build_env(cfg)
     buf, ref = ReplayBuffer(mdp, policy, 6), RefReplay(policy.table, 6)
     rng = np.random.default_rng(1)
