@@ -177,9 +177,6 @@ def test_null_accepted_where_the_default_is_null():
 def test_code_defaults_equal_config_defaults():
     # a keyword default that drifts from config's is used by every caller
     # that does not pass the value
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
     for fn, name, section, key in (
             (make_trainer, "hidden_sizes", "model", "hidden_sizes"),
             (make_trainer, "step_dim", "model", "step_embed_dim"),
@@ -187,7 +184,7 @@ def test_code_defaults_equal_config_defaults():
             (make_trainer, "sync_period", "training", "sync_period"),
             (make_schedule, "eta_mode", "diffusion", "eta_mode"),
             (make_schedule, "sigma_mode", "diffusion", "sigma_mode")):
-        value = default(fn, name)
+        value = inspect.signature(fn).parameters[name].default
         want = _SECTIONS[section][key][0]
         assert (list(value) if isinstance(value, tuple) else value) == want, \
             name

@@ -153,7 +153,7 @@ def test_mutated_config(raw):
         codes = {assert_documented([command, "--config", str(cfg), "--out",
                                     str(pathlib.Path(tmp) / command)])
                  for command in ("train", "oracle")}
-        # a config that oracle accepts, train accepts too
+        # train and oracle validate a config alike
         assert codes <= {0, 1} or codes == {2}
         if "activation" in raw["model"]:
             assert codes == {2}
