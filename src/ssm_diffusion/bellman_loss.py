@@ -122,7 +122,7 @@ def conditioning(trainer, s, a, n):
 
 
 def td_loss(trainer, batch, i, eps):
-    """Mean over the batch of eta_i |f_online(x_i | s, a, n) - y|^2 and its
+    """Mean over the batch of |f_online(x_i | s, a, n) - y|^2 and its
     gradient with respect to the online parameters.
 
     Row r noises x0 with its diffusion step i[r] and noise eps[r]. On an
@@ -157,18 +157,17 @@ def td_loss(trainer, batch, i, eps):
             out=[o[:l2.size] for o in work.shared_out])
         targets[l2] = tgt_out
 
-    etas = df.loss_weight(trainer.sched, i)
     out, activations = ap.mlp_forward(trainer.online, inputs,
                                       out=work.online_out)
     # the residual, then the loss's gradient with respect to the output,
     # each written over the last
     resid = np.subtract(out, targets, out=targets)
-    row_losses = etas * np.sum(resid ** 2, axis=1)
+    row_losses = np.sum(resid ** 2, axis=1)
     loss = float(np.mean(row_losses))
     if not np.isfinite(loss):
         bad = int(np.argmax(~np.isfinite(row_losses)))
         raise NumericError(f"non-finite loss for batch row {bad}: {batch[bad]}")
-    resid *= (2.0 / B) * etas[:, None]
+    resid *= 2.0 / B
     # the target's outputs are copied into targets, so the backward may
     # overwrite them
     grads = ap.mlp_backward(trainer.online, activations, resid,

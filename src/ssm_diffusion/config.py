@@ -56,7 +56,6 @@ _SECTIONS = {
         "K": (32, int),
         "beta_min": (1e-4, float),
         "beta_max": (0.2, float),
-        "eta_mode": ("simple", str),
         "sigma_mode": ("beta", str),
     },
     "model": {
@@ -197,8 +196,6 @@ def validate_config(raw):
     _validate_cellspec(env, "policy", ("toward_goal", "fixed_action", "table"))
     if not 0.0 < dif["beta_min"] <= dif["beta_max"] < 1.0:
         raise ConfigurationError("diffusion: need 0 < beta_min <= beta_max < 1")
-    if dif["eta_mode"] not in ("simple", "paper"):
-        raise ConfigurationError(f"diffusion.eta_mode: {dif['eta_mode']!r}")
     if dif["sigma_mode"] not in ("posterior", "beta"):
         raise ConfigurationError(f"diffusion.sigma_mode: {dif['sigma_mode']!r}")
     if not (_ints_in(mdl["hidden_sizes"], 1, float("inf"))

@@ -1,5 +1,5 @@
-"""DDPM machinery: linear noise schedule, forward noising, per-step loss
-weights, and conditional reverse-process sampling.
+"""DDPM machinery: linear noise schedule, forward noising and conditional
+reverse-process sampling.
 
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
 The denoiser is an MLP that takes [x_i | state | action | step embedding |
@@ -60,11 +60,9 @@ class NoiseSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray       # reverse-step noise scale (see sigma_mode)
-    eta: np.ndarray         # per-step loss weight for the stored eta_mode
     # the diffusion step each step stands for: 1..K, or a respaced
     # schedule's subsequence, on which the network stays conditioned
     tau: np.ndarray
-    eta_mode: str = "simple"
     sigma_mode: str = "beta"
     # sqrt(alpha_bar), sqrt(1 - alpha_bar) and sqrt(alpha), which
     # forward_noise and reverse_step read
@@ -92,14 +90,12 @@ class Conditioning:
     step_table: np.ndarray | None = None
 
 
-def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
+def make_schedule(K, beta_min, beta_max, sigma_mode="beta"):
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigurationError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    if eta_mode not in ("simple", "paper"):
-        raise ConfigurationError(f"unknown eta_mode {eta_mode!r}")
     if sigma_mode not in ("posterior", "beta"):
         raise ConfigurationError(f"unknown sigma_mode {sigma_mode!r}")
     beta = np.linspace(beta_min, beta_max, K)
@@ -107,15 +103,9 @@ def make_schedule(K, beta_min, beta_max, eta_mode="simple", sigma_mode="beta"):
     alpha_bar = np.cumprod(alpha)
     sigma = np.sqrt(beta) if sigma_mode == "beta" \
         else _posterior_sigma(alpha_bar, beta)
-    if eta_mode == "simple":
-        eta = np.ones(K)
-    else:
-        # guard sigma_1 = 0 in posterior mode: fall back to beta_1 there
-        var = np.where(sigma ** 2 > 0, sigma ** 2, beta)
-        eta = (beta ** 2 / (2.0 * var)) * alpha * (1.0 - alpha_bar)
     return NoiseSchedule(K=K, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=sigma, eta=eta, tau=np.arange(1, K + 1),
-                         eta_mode=eta_mode, sigma_mode=sigma_mode)
+                         sigma=sigma, tau=np.arange(1, K + 1),
+                         sigma_mode=sigma_mode)
 
 
 def _posterior_sigma(alpha_bar, beta):
@@ -144,11 +134,9 @@ def respace(sched, steps):
     alpha_bar = sched.alpha_bar[tau - 1]
     alpha = alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
     beta = 1.0 - alpha
-    # eta is not read by a sampler; it keeps each step's loss weight
     return NoiseSchedule(K=steps, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=_posterior_sigma(alpha_bar, beta),
-                         eta=sched.eta[tau - 1], tau=tau,
-                         eta_mode=sched.eta_mode, sigma_mode="posterior")
+                         sigma=_posterior_sigma(alpha_bar, beta), tau=tau,
+                         sigma_mode="posterior")
 
 
 def _check_step(sched, i):
@@ -182,10 +170,11 @@ def forward_noise(sched, x0, i, epsilon):
 
 
 def loss_weight(sched, i):
-    """Per-step weight on the squared noise-prediction error (one step or
-    a vector of steps)."""
+    """The unit weight of every step's squared noise-prediction error (one
+    step or a vector of steps). The loss does not call it; it stays only
+    because perfbench/spans.TARGETS wraps it, and goes with ROADMAP item 1."""
     _check_step(sched, i)
-    return sched.eta[np.asarray(i) - 1]
+    return np.ones(np.shape(i))
 
 
 def sinusoidal_embedding(i, dim):

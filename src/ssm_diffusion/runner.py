@@ -45,7 +45,6 @@ def build_env(cfg):
 def build_trainer(cfg, seed=None):
     trn, dif = cfg.training, cfg.diffusion
     sched = df.make_schedule(dif["K"], dif["beta_min"], dif["beta_max"],
-                             eta_mode=dif["eta_mode"],
                              sigma_mode=dif["sigma_mode"])
     return bl.make_trainer(
         sched, build_env(cfg)[0], hidden_sizes=cfg.model["hidden_sizes"],
@@ -188,6 +187,12 @@ def eval_n_values(cfg):
     return sorted({1, max(1, H // 2), H})
 
 
+def eval_set(cfg, mdp, policy):
+    """The eval conditions (s, pi(s), n): every state at each eval horizon."""
+    return [(s, int(policy.table[s]), n)
+            for n in eval_n_values(cfg) for s in range(mdp.n_states)]
+
+
 def eval_steps(cfg):
     """The eval chain's step count: eval.steps, or ceil(K / 2) if null."""
     if cfg.eval["steps"] is not None:
@@ -202,11 +207,8 @@ def run_eval(cfg, trainer, out_dir, seed=None):
     eval_seed = cfg.eval["seed"] if seed is None else seed
     mdp, policy = build_env(cfg)
     table = orc.exact_ssm(mdp, policy, cfg.env["horizon"])
-    ns = eval_n_values(cfg)
-    eval_set = [(s, int(policy.table[s]), n)
-                for n in ns for s in range(mdp.n_states)]
     rng = np.random.default_rng(eval_seed)
-    report = ev.eval_model(trainer, mdp, table, eval_set,
+    report = ev.eval_model(trainer, mdp, table, eval_set(cfg, mdp, policy),
                            cfg.eval["num_samples"], rng, seed=eval_seed,
                            config_digest=digest)
     write_metrics(report, out_dir)

@@ -18,8 +18,8 @@ from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
 from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer
-from ssm_diffusion.runner import build_env, build_trainer, eval_n_values, \
-    run_eval, run_training
+from ssm_diffusion.runner import build_trainer, eval_set, run_eval, \
+    run_training
 
 from conftest import acceptance_lines
 from test_bellman_loss import draws, mixed_batch
@@ -189,10 +189,8 @@ def headline_run(tmp_path_factory):
 
     untrained = build_trainer(cfg, seed=999)
     table = orc.exact_ssm(mdp_, policy, cfg.env["horizon"])
-    ns = eval_n_values(cfg)
-    eval_set = [(s, int(policy.table[s]), n)
-                for n in ns for s in range(mdp_.n_states)]
-    baseline = ev.eval_model(untrained, mdp_, table, eval_set, 2000,
+    baseline = ev.eval_model(untrained, mdp_, table,
+                             eval_set(cfg, mdp_, policy), 2000,
                              np.random.default_rng(12))
     report_trained = run_eval(cfg, trainer, out / "eval")
     return report_trained, baseline, table, mdp_

@@ -17,10 +17,10 @@ from ssm_diffusion.replay import ReplayBuffer
 
 
 def make_setup(width=4, height=1, horizon=4, p_move=1.0, hidden=(8, 8),
-               seed=0, eta_mode="simple", **trainer_kw):
+               seed=0, **trainer_kw):
     g = m.gridworld_new(width, height, p_move=p_move, horizon=horizon)
     pol = m.policy_fixed_action(g, 3)
-    sched = df.make_schedule(8, 0.01, 0.2, eta_mode=eta_mode)
+    sched = df.make_schedule(8, 0.01, 0.2)
     trainer = bl.make_trainer(sched, g, hidden_sizes=hidden, seed=seed,
                               **trainer_kw)
     buf = ReplayBuffer(g, pol, 50)
@@ -74,18 +74,16 @@ def row_loss(trainer, tup, i, eps):
             x_i, bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1),
             i))
     resid = (out - y)[0]
-    return df.loss_weight(trainer.sched, i) * float(resid @ resid)
+    return float(resid @ resid)
 
 
-# every setting a config can give the loss: diffusion.eta_mode. The case
-# ids keep the one-hot horizon and current-pair conditioning that every
-# trainer uses.
-ETA_MODES = ["simple", "paper"]
-ETA_IDS = [f"onehot-current-{e}" for e in ETA_MODES]
+# one case, whose id names the loss every trainer uses: a one-hot horizon,
+# current-pair conditioning and the unit ("simple") weight
+LOSS_ID = ["onehot-current-simple"]
 
 
-def combo_setup(eta_mode):
-    trainer, buf, _, _, rng = make_setup(seed=3, eta_mode=eta_mode)
+def combo_setup():
+    trainer, buf, _, _, rng = make_setup(seed=3)
     # a target that differs from the online net, so L2 residuals are not
     # just the conditioning difference
     trainer.target = ap.mlp_init(trainer.online.layer_sizes, seed=4)
@@ -98,9 +96,9 @@ def combo_setup(eta_mode):
     return trainer, batch, *draws(trainer, len(batch), rng)
 
 
-@pytest.mark.parametrize("eta_mode", ETA_MODES, ids=ETA_IDS)
-def test_td_loss_gradient_finite_differences(eta_mode):
-    trainer, batch, i, eps = combo_setup(eta_mode)
+@pytest.mark.parametrize("case", LOSS_ID)
+def test_td_loss_gradient_finite_differences(case):
+    trainer, batch, i, eps = combo_setup()
     # h=1e-4: at 1e-5 one ulp of the loss over 2h is ~1e-13, the size of
     # the gap on this batch's smallest gradient entries (~2e-10)
     err = ap.grad_check(trainer.online,
@@ -108,9 +106,9 @@ def test_td_loss_gradient_finite_differences(eta_mode):
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("eta_mode", ETA_MODES, ids=ETA_IDS)
-def test_td_loss_matches_per_row_reference(eta_mode):
-    trainer, batch, i, eps = combo_setup(eta_mode)
+@pytest.mark.parametrize("case", LOSS_ID)
+def test_td_loss_matches_per_row_reference(case):
+    trainer, batch, i, eps = combo_setup()
     loss, _ = bl.td_loss(trainer, batch, i, eps)
     ref = np.mean([row_loss(trainer, t, int(i[r]), eps[r])
                    for r, t in enumerate(batch)])
@@ -489,13 +487,12 @@ def ref_td_loss(trainer, batch, i, eps):
         ctx = ref_conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
         targets[l2], _ = ap.mlp_forward(
             trainer.target, ref_net_input(trainer, x_i[l2], ctx, i[l2]))
-    etas = df.loss_weight(trainer.sched, i)
     out, activations = ap.mlp_forward(trainer.online, ref_net_input(
         trainer, x_i, ref_conditioning(trainer, s, a, n), i))
     resid = out - targets
-    loss = float(np.mean(etas * np.sum(resid ** 2, axis=1)))
+    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
     return loss, ref_backward(trainer.online, activations,
-                              (2.0 / len(batch)) * etas[:, None] * resid)
+                              (2.0 / len(batch)) * resid)
 
 
 def ref_opt_step(params, grads, state):
@@ -540,12 +537,11 @@ def assert_train_steps_bit_exact(trainer, batches, seed=31):
     assert run_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("eta_mode", ETA_MODES, ids=ETA_IDS)
-def test_train_step_bit_exact_against_reference(eta_mode):
+@pytest.mark.parametrize("case", LOSS_ID)
+def test_train_step_bit_exact_against_reference(case):
     # a short sync period, so the target both lags and is refreshed
     trainer, buf, _, _, rng = make_setup(width=3, height=3, horizon=4,
-                                         seed=6, sync_period=7,
-                                         eta_mode=eta_mode)
+                                         seed=6, sync_period=7)
     assert_train_steps_bit_exact(
         trainer, [[buf.sample_tuple(rng) for _ in range(16)]
                   for _ in range(24)])

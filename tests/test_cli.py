@@ -146,7 +146,7 @@ def null_or_non_object_configs():
 def test_null_value_or_section_exit_2_one_line(tmp_path, capsys):
     # each of these ended in a TypeError or AttributeError traceback
     cases = list(null_or_non_object_configs())
-    assert len(cases) == 43
+    assert len(cases) == 42
     for raw, named in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))

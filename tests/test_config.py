@@ -48,7 +48,7 @@ def test_unknown_key_rejected():
     for section, key in (("training", "condition_on"),
                          ("training", "sync_mode"), ("training", "tau"),
                          ("model", "horizon_encoding"),
-                         ("model", "activation")):
+                         ("model", "activation"), ("diffusion", "eta_mode")):
         with pytest.raises(ConfigurationError, match=key):
             validate_config(minimal_raw(**{section: {key: "x"}}))
 
@@ -182,7 +182,6 @@ def test_code_defaults_equal_config_defaults():
             (make_trainer, "step_dim", "model", "step_embed_dim"),
             (make_trainer, "lr", "training", "lr"),
             (make_trainer, "sync_period", "training", "sync_period"),
-            (make_schedule, "eta_mode", "diffusion", "eta_mode"),
             (make_schedule, "sigma_mode", "diffusion", "sigma_mode")):
         value = inspect.signature(fn).parameters[name].default
         want = _SECTIONS[section][key][0]

@@ -92,26 +92,11 @@ def test_loss_weight_simple():
                                   [1.0, 1.0])
 
 
-def test_loss_weight_paper_value():
-    # beta=0.1, sigma^2=0.1, alpha=0.9, alpha_bar=0.81
-    sched = df.make_schedule(2, 0.1, 0.1, eta_mode="paper")
-    assert df.loss_weight(sched, 2) == pytest.approx(0.00855)
-    # posterior sigma_1 = 0 falls back to beta_1 in the weight
-    sched = df.make_schedule(2, 0.1, 0.1, eta_mode="paper",
-                             sigma_mode="posterior")
-    assert df.loss_weight(sched, 1) == pytest.approx(0.1 / 2 * 0.9 * 0.1)
-
-
 def test_loss_weight_index_error():
     sched = df.make_schedule(2, 0.1, 0.1)
     for bad in (0, 3, np.array([1, 3])):
         with pytest.raises(IndexError):
             df.loss_weight(sched, bad)
-
-
-def test_schedule_stores_paper_eta():
-    sched = df.make_schedule(2, 0.1, 0.1, eta_mode="paper")
-    assert sched.eta[1] == pytest.approx(0.00855)
 
 
 def test_sigma_modes():

@@ -6,6 +6,7 @@ from ssm_diffusion import diffusion as df
 from ssm_diffusion import evaluation as ev
 from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
+from ssm_diffusion import runner
 from ssm_diffusion.config import validate_config
 from ssm_diffusion.errors import NumericError, ShapeError
 from ssm_diffusion.runner import build_env, build_trainer, eval_n_values
@@ -79,8 +80,9 @@ def test_tv_distance_shape_error():
 
 
 def eval_set(mdp, policy, ns):
-    return [(s, int(policy.table[s]), n)
-            for n in ns for s in range(mdp.n_states)]
+    cfg = validate_config(minimal_raw(env={"horizon": mdp.horizon},
+                                      eval={"eval_n": ns}))
+    return runner.eval_set(cfg, mdp, policy)
 
 
 def test_eval_n_values():

@@ -32,9 +32,10 @@ TINY = {
     "eval": {"num_samples": 20},
 }
 
-# model.activation is a key that earlier versions read
+# keys that earlier versions read
+OLD_KEYS = [("model", "activation"), ("diffusion", "eta_mode")]
 CONFIG_KEYS = [(section, key) for section, spec in _SECTIONS.items()
-               for key in spec] + [("model", "activation")]
+               for key in spec] + OLD_KEYS
 
 # ints stay within 4 unless they exceed every size bound
 ints = st.one_of(st.integers(-2, 4), st.sampled_from([2**20 + 1, 2**63,
@@ -145,6 +146,7 @@ def run_checkpoint(cfg, blob, override):
 @SETTINGS
 @given(mutated_configs())
 @example({**TINY, "model": {"hidden_sizes": [8], "activation": "relu"}})
+@example({**TINY, "diffusion": {"K": 4, "eta_mode": "simple"}})
 @example({**TINY, "training": {**TINY["training"], "optimizer": "sgd"}})
 def test_mutated_config(raw):
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,7 +157,7 @@ def test_mutated_config(raw):
                  for command in ("train", "oracle")}
         # train and oracle validate a config alike
         assert codes <= {0, 1} or codes == {2}
-        if "activation" in raw["model"]:
+        if any(key in raw[section] for section, key in OLD_KEYS):
             assert codes == {2}
         if raw["training"].get("optimizer", "adam") != "adam":
             assert codes == {2}
