@@ -2,10 +2,12 @@
 little-endian float64 blocks and int64 replay-buffer blocks. The float64
 blocks are the online and the target parameter vectors, then Adam's first
 and second moment vectors, each in the layout of approximator.MlpParams.
+The int64 block holds each replay trajectory's states, then its actions.
 
-The checkpoint captures everything training touches (networks, optimizer
-moments, rng state, buffer contents), so a resumed run reproduces an
-uninterrupted one bit-exactly.
+The checkpoint holds training's state only (networks, optimizer moments,
+step count, rng state, buffer contents); every setting comes from the
+config it is resumed with. So a resumed run under the same config
+reproduces an uninterrupted one bit-exactly.
 """
 
 import json
@@ -14,25 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximator import MlpParams, OptState, param_count
+from .approximator import MlpParams, param_count
 from .config import _ints_in
 from .errors import FormatError
 from .mdp import Trajectory
 
-FORMAT_VERSION = 3
-
-# the optimizer state's scalar fields: with "optimizer", which is always
-# "adam", the header's opt section
-_OPT_SCALARS = ("lr", "beta1", "beta2", "eps", "step_count")
+FORMAT_VERSION = 4
 
 
 @dataclass
 class Checkpoint:
     config_digest: str
     structure: dict         # see runner.structure; includes layer_sizes
-                            # and activation
-    step_count: int         # training steps taken
-    opt: OptState
+    step_count: int         # training steps taken, Adam's too
+    m: np.ndarray           # Adam's first moment vector
+    v: np.ndarray           # Adam's second moment vector
     rng_state: dict
     online: MlpParams
     target: MlpParams
@@ -50,15 +48,13 @@ def save_checkpoint(path, ck):
         raise FormatError("cannot write a checkpoint whose replay "
                           "trajectories differ in length")
     f64_bytes = b"".join(a.astype("<f8").tobytes() for a in (
-        ck.online.theta, ck.target.theta, ck.opt.m, ck.opt.v))
-    i64_bytes = np.array([(*t.states, *t.actions, t.episode_id)
-                          for t in trajs], dtype="<i8").tobytes()
+        ck.online.theta, ck.target.theta, ck.m, ck.v))
+    i64_bytes = np.array([(*t.states, *t.actions) for t in trajs],
+                         dtype="<i8").tobytes()
     header = {
         "config_digest": ck.config_digest,
         "structure": ck.structure,
-        "trainer": {"step_count": ck.step_count},
-        "opt": {"optimizer": "adam",
-                **{key: getattr(ck.opt, key) for key in _OPT_SCALARS}},
+        "step_count": ck.step_count,
         "rng": ck.rng_state,
         "n_trajectories": len(trajs),
         "horizon": horizon,
@@ -98,12 +94,10 @@ def _rng_state(v):
 # other structure fields are compared with the config before use
 _FIELDS = {
     "config_digest": lambda v: isinstance(v, str),
-    **dict.fromkeys(["opt.lr", "opt.beta1", "opt.beta2", "opt.eps"],
-                    lambda v: isinstance(v, float)),
-    **dict.fromkeys(["trainer.step_count", "opt.step_count", "horizon",
-                     "n_trajectories"], lambda v: _ints_in([v], 0, np.inf)),
+    **dict.fromkeys(["step_count", "horizon", "n_trajectories"],
+                    lambda v: _ints_in([v], 0, np.inf)),
     "structure.layer_sizes": lambda v: _ints_in(v, 1, np.inf) and len(v) > 1,
-    "opt.optimizer": lambda v: v == "adam", "rng": _rng_state}
+    "rng": _rng_state}
 
 
 def _check_header(header):
@@ -142,21 +136,17 @@ def load_checkpoint(path):
     m, offset = _take(buf, offset, n_params, "f8")
     v, offset = _take(buf, offset, n_params, "f8")
     H = header["horizon"]
-    rows, offset = _take(buf, offset, header["n_trajectories"] * (2 * H + 2),
+    rows, offset = _take(buf, offset, header["n_trajectories"] * (2 * H + 1),
                          "i8")
     trajectories = [Trajectory(states=tuple(row[:H + 1]),
-                               actions=tuple(row[H + 1:-1]),
-                               episode_id=row[-1])
-                    for row in rows.reshape(-1, 2 * H + 2).tolist()]
+                               actions=tuple(row[H + 1:]))
+                    for row in rows.reshape(-1, 2 * H + 1).tolist()]
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} bytes after the last "
                           "checkpoint block")
     return Checkpoint(
         config_digest=header["config_digest"], structure=header["structure"],
-        step_count=header["trainer"]["step_count"],
-        opt=OptState(**{key: header["opt"][key] for key in _OPT_SCALARS},
-                     m=m, v=v),
-        rng_state=header["rng"],
+        step_count=header["step_count"], m=m, v=v, rng_state=header["rng"],
         online=MlpParams(layer_sizes=list(sizes), theta=online),
         target=MlpParams(layer_sizes=list(sizes), theta=target),
         trajectories=trajectories)

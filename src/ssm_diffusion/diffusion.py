@@ -59,11 +59,11 @@ class NoiseSchedule:
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
-    sigma: np.ndarray       # reverse-step noise scale (see sigma_mode)
+    # reverse-step noise scale: sqrt(beta), or the posterior one (respace)
+    sigma: np.ndarray
     # the diffusion step each step stands for: 1..K, or a respaced
     # schedule's subsequence, on which the network stays conditioned
     tau: np.ndarray
-    sigma_mode: str = "beta"
     # sqrt(alpha_bar), sqrt(1 - alpha_bar) and sqrt(alpha), which
     # forward_noise and reverse_step read
     sqrt_alpha_bar: np.ndarray = field(init=False, repr=False)
@@ -90,22 +90,17 @@ class Conditioning:
     step_table: np.ndarray | None = None
 
 
-def make_schedule(K, beta_min, beta_max, sigma_mode="beta"):
+def make_schedule(K, beta_min, beta_max):
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigurationError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    if sigma_mode not in ("posterior", "beta"):
-        raise ConfigurationError(f"unknown sigma_mode {sigma_mode!r}")
     beta = np.linspace(beta_min, beta_max, K)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    sigma = np.sqrt(beta) if sigma_mode == "beta" \
-        else _posterior_sigma(alpha_bar, beta)
     return NoiseSchedule(K=K, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=sigma, tau=np.arange(1, K + 1),
-                         sigma_mode=sigma_mode)
+                         sigma=np.sqrt(beta), tau=np.arange(1, K + 1))
 
 
 def _posterior_sigma(alpha_bar, beta):
@@ -135,8 +130,7 @@ def respace(sched, steps):
     alpha = alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
     beta = 1.0 - alpha
     return NoiseSchedule(K=steps, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=_posterior_sigma(alpha_bar, beta), tau=tau,
-                         sigma_mode="posterior")
+                         sigma=_posterior_sigma(alpha_bar, beta), tau=tau)
 
 
 def _check_step(sched, i):

@@ -44,8 +44,7 @@ def build_env(cfg):
 
 def build_trainer(cfg, seed=None):
     trn, dif = cfg.training, cfg.diffusion
-    sched = df.make_schedule(dif["K"], dif["beta_min"], dif["beta_max"],
-                             sigma_mode=dif["sigma_mode"])
+    sched = df.make_schedule(dif["K"], dif["beta_min"], dif["beta_max"])
     return bl.make_trainer(
         sched, build_env(cfg)[0], hidden_sizes=cfg.model["hidden_sizes"],
         step_dim=cfg.model["step_embed_dim"], lr=trn["lr"],
@@ -57,14 +56,11 @@ def build_trainer(cfg, seed=None):
 def structure(cfg, trainer):
     """The fields that fix what a trained network's parameters mean. A
     checkpoint is resumed or evaluated only under a config that agrees on
-    every one of them, whatever the digest says. The activation is always
-    ReLU: it stays in the header, so that a network of another one is
-    refused."""
+    every one of them, whatever the digest says."""
     dif = cfg.diffusion
     return {"K": dif["K"], "beta_min": dif["beta_min"],
             "beta_max": dif["beta_max"],
             "layer_sizes": trainer.online.layer_sizes,
-            "activation": "relu",
             "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim}
 
 
@@ -82,7 +78,7 @@ def structure_mismatch(cfg, ck):
 def make_checkpoint(cfg, trainer, buf, rng):
     return Checkpoint(
         config_digest=config_digest(cfg), structure=structure(cfg, trainer),
-        step_count=trainer.step_count, opt=trainer.opt,
+        step_count=trainer.step_count, m=trainer.opt.m, v=trainer.opt.v,
         rng_state=rng.bit_generator.state, online=trainer.online,
         target=trainer.target, trajectories=list(buf.trajectories))
 
@@ -109,12 +105,15 @@ def check_replay(trajectories, mdp):
 
 
 def restore_trainer(cfg, ck):
-    """Rebuild a Trainer and buffer from a checkpoint plus its config."""
+    """Rebuild a Trainer and buffer from a checkpoint plus its config. The
+    checkpoint gives the state, the config every setting: the optimizer
+    keeps the config's learning rate and takes the checkpoint's moments."""
     mdp, policy = build_env(cfg)
     check_replay(ck.trajectories, mdp)
     trainer = build_trainer(cfg)
-    trainer.online, trainer.target, trainer.opt = ck.online, ck.target, ck.opt
-    trainer.step_count = ck.step_count
+    trainer.online, trainer.target = ck.online, ck.target
+    trainer.opt.m, trainer.opt.v = ck.m, ck.v
+    trainer.step_count = trainer.opt.step_count = ck.step_count
     buf = ReplayBuffer(mdp, policy, cfg.training["buffer_capacity"])
     for traj in ck.trajectories:
         buf.push_trajectory(traj)
@@ -172,8 +171,13 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
                     make_checkpoint(cfg, trainer, buf, rng))
     manifest = {"config_digest": digest, "format_version": 1,
-                "steps": trainer.step_count, "seed": seed,
+                "steps": trainer.step_count,
                 "files": ["loss.csv", "checkpoint.bin"]}
+    # a resumed run draws from its checkpoint's generator, not from a seed
+    if resume_ck is None:
+        manifest["seed"] = seed
+    else:
+        manifest["resumed_from_step"] = start_step
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ssm_diffusion import approximator as ap
 from ssm_diffusion import cli, runner
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import _SECTIONS
@@ -146,7 +147,7 @@ def null_or_non_object_configs():
 def test_null_value_or_section_exit_2_one_line(tmp_path, capsys):
     # each of these ended in a TypeError or AttributeError traceback
     cases = list(null_or_non_object_configs())
-    assert len(cases) == 42
+    assert len(cases) == 41
     for raw, named in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -314,31 +315,6 @@ def test_structural_mismatch_exit_3_despite_override(tmp_path, capsys):
     assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
 
 
-def test_eval_posterior_full_chain_of_beta_checkpoint(tmp_path, capsys):
-    # sigma_mode does not enter the "simple" loss, so a checkpoint trained
-    # with "beta" may run the posterior variance over all K steps; the
-    # digest still tells the two configs apart
-    trained = tiny_overrides()
-    trained["diffusion"]["sigma_mode"] = "beta"
-    out = tmp_path / "run"
-    assert run(["train", "--config",
-                str(write_config(tmp_path, "beta.json", **trained)),
-                "--out", str(out)]) == 0
-    other = tiny_overrides()
-    other["diffusion"]["sigma_mode"] = "posterior"
-    other["eval"]["steps"] = other["diffusion"]["K"]
-    argv = ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--config",
-            str(write_config(tmp_path, "posterior.json", **other)),
-            "--out", str(tmp_path / "e")]
-    assert run(argv) == 3
-    assert "digest" in capsys.readouterr().err
-    assert run(argv + ["--override-digest"]) == 0
-    assert capsys.readouterr().out.rstrip().endswith(" steps=4")
-    summary = json.loads(
-        (tmp_path / "e" / "metrics.jsonl").read_text().splitlines()[-1])
-    assert summary["steps"] == 4
-
-
 def test_resume_equivalence(tmp_path):
     over_full = tiny_overrides(steps=30)
     cfg = write_config(tmp_path, "full.json", **over_full)
@@ -363,6 +339,46 @@ def test_resume_equivalence(tmp_path):
     assert half_rows + resumed_rows == full_rows
     assert (out_resumed / "checkpoint.bin").read_bytes() == \
         (out_full / "checkpoint.bin").read_bytes()
+
+
+def test_resumed_run_trains_at_the_config_lr(tmp_path, monkeypatch):
+    # the checkpoint holds no setting: the learning rate, like every other
+    # one, is the config's it is resumed under
+    over = tiny_overrides(steps=10)
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(write_config(tmp_path, **over)),
+                "--out", str(out)]) == 0
+    over["training"].update(steps=20, lr=0.5)
+    cfg = write_config(tmp_path, "lr.json", **over)
+    lrs, opt_step = [], ap.opt_step
+
+    def recording_opt_step(params, grads, state, scratch=None):
+        lrs.append(state.lr)
+        return opt_step(params, grads, state, scratch)
+
+    monkeypatch.setattr(ap, "opt_step", recording_opt_step)
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                "--checkpoint", str(out / "checkpoint.bin"),
+                "--override-digest"]) == 0
+    assert lrs == [0.5] * 10
+
+
+def test_manifest_of_a_resumed_run_records_its_start(tmp_path):
+    # a resumed run continues its checkpoint's generator, so no seed
+    # describes it
+    over = tiny_overrides(steps=10)
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(write_config(tmp_path, **over)),
+                "--out", str(out)]) == 0
+    over["training"]["steps"] = 20
+    resumed = tmp_path / "resumed"
+    assert run(["train", "--config",
+                str(write_config(tmp_path, "more.json", **over)),
+                "--out", str(resumed), "--checkpoint",
+                str(out / "checkpoint.bin"), "--override-digest"]) == 0
+    manifest = json.loads((resumed / "manifest.json").read_text())
+    assert manifest["steps"] == 20 and manifest["resumed_from_step"] == 10
+    assert "seed" not in manifest
 
 
 def test_eval_outputs_and_determinism(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from ssm_diffusion.bellman_loss import make_trainer
 from ssm_diffusion.config import (MAX_SIDE, MAX_SIZE, _SECTIONS,
                                   config_digest, load_config, validate_config)
-from ssm_diffusion.diffusion import make_schedule
 from ssm_diffusion.errors import ConfigurationError
 
 
@@ -48,7 +47,8 @@ def test_unknown_key_rejected():
     for section, key in (("training", "condition_on"),
                          ("training", "sync_mode"), ("training", "tau"),
                          ("model", "horizon_encoding"),
-                         ("model", "activation"), ("diffusion", "eta_mode")):
+                         ("model", "activation"), ("diffusion", "eta_mode"),
+                         ("diffusion", "sigma_mode")):
         with pytest.raises(ConfigurationError, match=key):
             validate_config(minimal_raw(**{section: {key: "x"}}))
 
@@ -181,8 +181,7 @@ def test_code_defaults_equal_config_defaults():
             (make_trainer, "hidden_sizes", "model", "hidden_sizes"),
             (make_trainer, "step_dim", "model", "step_embed_dim"),
             (make_trainer, "lr", "training", "lr"),
-            (make_trainer, "sync_period", "training", "sync_period"),
-            (make_schedule, "sigma_mode", "diffusion", "sigma_mode")):
+            (make_trainer, "sync_period", "training", "sync_period")):
         value = inspect.signature(fn).parameters[name].default
         want = _SECTIONS[section][key][0]
         assert (list(value) if isinstance(value, tuple) else value) == want, \

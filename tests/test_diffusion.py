@@ -99,16 +99,6 @@ def test_loss_weight_index_error():
             df.loss_weight(sched, bad)
 
 
-def test_sigma_modes():
-    sched_b = df.make_schedule(2, 0.1, 0.1)  # sigma^2 = beta is the default
-    np.testing.assert_allclose(sched_b.sigma ** 2, [0.1, 0.1])
-    sched_p = df.make_schedule(2, 0.1, 0.1, sigma_mode="posterior")
-    # beta_tilde_1 = 0, beta_tilde_2 = (1 - 0.9)/(1 - 0.81) * 0.1
-    np.testing.assert_allclose(sched_p.sigma ** 2, [0.0, 0.1 * 0.1 / 0.19])
-    with pytest.raises(ConfigurationError):
-        df.make_schedule(2, 0.1, 0.1, sigma_mode="bogus")
-
-
 def test_reverse_step_zero_prediction():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2, 4, 2], seed=0)
@@ -208,7 +198,7 @@ def strided_reference_chain(sched, net, cond, count, steps, rng):
 # cases encode
 @pytest.mark.parametrize("seed", [5], ids=["relu-onehot"])
 def test_sample_matches_unfolded_reference(seed, conditioned, K):
-    sched = df.make_schedule(K, 0.01, 0.2, sigma_mode="posterior")
+    sched = df.make_schedule(K, 0.01, 0.2)
     if conditioned:
         g = m.gridworld_new(3, 3, horizon=4)
         trainer = bl.make_trainer(sched, g, hidden_sizes=(16, 16), seed=seed)
@@ -318,9 +308,10 @@ def test_one_draw_over_steps_equals_per_step_draws():
 
 @pytest.mark.parametrize("K", [1, 2, 8, 32])
 def test_respace_to_every_step_is_the_schedule(K):
-    for sigma_mode in ("beta", "posterior"):
-        sched = df.make_schedule(K, 1e-4, 0.2, sigma_mode=sigma_mode)
-        assert df.respace(sched, K) is sched
+    sched = df.make_schedule(K, 1e-4, 0.2)
+    assert df.respace(sched, K) is sched
+    # so the full chain keeps make_schedule's variance, beta
+    assert sched.sigma.tobytes() == np.sqrt(sched.beta).tobytes()
 
 
 def test_respace_step_subsequence():
@@ -346,24 +337,23 @@ def test_respace_step_subsequence():
 def test_respaced_step_is_ddim_eta_one(K, steps):
     # a network whose output is a fixed eps, so the update's coefficients
     # on x, eps and z are compared at every step
-    for sigma_mode in ("beta", "posterior"):
-        sched = df.make_schedule(K, 1e-4, 0.2, sigma_mode=sigma_mode)
-        resp = df.respace(sched, steps)
-        assert resp.K == steps and resp.sigma_mode == "posterior"
-        tau = strided_tau(K, steps)
-        np.testing.assert_array_equal(resp.tau, tau)
-        net = ap.mlp_init([2, 4, 2], seed=1)
-        net.theta[...] = 0.0
-        eps = np.array([0.7, -1.3])
-        net.biases[-1][...] = eps
-        rng = np.random.default_rng(K * 100 + steps)
-        x, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
-        for j in range(1, steps + 1):
-            prev = sched.alpha_bar[tau[j - 2] - 1] if j > 1 else 1.0
-            want = ddim_eta_one_step(sched.alpha_bar[tau[j - 1] - 1], prev,
-                                     x, eps, z if j > 1 else None)
-            got = df.reverse_step(resp, net, x, j, z)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    sched = df.make_schedule(K, 1e-4, 0.2)
+    resp = df.respace(sched, steps)
+    assert resp.K == steps
+    tau = strided_tau(K, steps)
+    np.testing.assert_array_equal(resp.tau, tau)
+    net = ap.mlp_init([2, 4, 2], seed=1)
+    net.theta[...] = 0.0
+    eps = np.array([0.7, -1.3])
+    net.biases[-1][...] = eps
+    rng = np.random.default_rng(K * 100 + steps)
+    x, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    for j in range(1, steps + 1):
+        prev = sched.alpha_bar[tau[j - 2] - 1] if j > 1 else 1.0
+        want = ddim_eta_one_step(sched.alpha_bar[tau[j - 1] - 1], prev,
+                                 x, eps, z if j > 1 else None)
+        got = df.reverse_step(resp, net, x, j, z)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("K, steps", [(32, 16), (32, 7), (8, 3), (8, 1)])
@@ -677,10 +667,10 @@ def test_reverse_step_tables_bit_exact_against_formula():
     rng = np.random.default_rng(2)
     net = ap.mlp_init([2, 16, 2], seed=4)
     x, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
-    for sigma_mode in ("beta", "posterior"):
-        sched = df.make_schedule(32, 1e-4, 0.2, sigma_mode=sigma_mode)
-        eps_pred, _ = ap.mlp_forward(net, x)
-        for i in range(1, 33):
+    eps_pred, _ = ap.mlp_forward(net, x)
+    full = df.make_schedule(32, 1e-4, 0.2)
+    for sched in (full, df.respace(full, 16)):
+        for i in range(1, sched.K + 1):
             beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
             want = (x - (beta / np.sqrt(1.0 - ab)) * eps_pred) \
                 / np.sqrt(sched.alpha[i - 1])

@@ -33,7 +33,8 @@ TINY = {
 }
 
 # keys that earlier versions read
-OLD_KEYS = [("model", "activation"), ("diffusion", "eta_mode")]
+OLD_KEYS = [("model", "activation"), ("diffusion", "eta_mode"),
+            ("diffusion", "sigma_mode")]
 CONFIG_KEYS = [(section, key) for section, spec in _SECTIONS.items()
                for key in spec] + OLD_KEYS
 
@@ -147,6 +148,7 @@ def run_checkpoint(cfg, blob, override):
 @given(mutated_configs())
 @example({**TINY, "model": {"hidden_sizes": [8], "activation": "relu"}})
 @example({**TINY, "diffusion": {"K": 4, "eta_mode": "simple"}})
+@example({**TINY, "diffusion": {"K": 4, "sigma_mode": "beta"}})
 @example({**TINY, "training": {**TINY["training"], "optimizer": "sgd"}})
 def test_mutated_config(raw):
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,14 +193,11 @@ def test_mutated_checkpoint_body(trained, data):
                    data.draw(st.booleans()))
 
 
-@pytest.mark.parametrize("path, value, code", [
-    (("opt", "optimizer"), "sgd", 1),
-    (("structure", "activation"), "tanh", 3)], ids=["sgd", "tanh"])
-def test_refused_checkpoint_of_another_recipe(trained, path, value, code):
-    # an SGD checkpoint has no moment blocks; a tanh network is another
-    # function of the same parameters
+def test_refused_checkpoint_of_an_older_format(trained):
+    # a v3 file also stored settings that v4 takes from the config; its
+    # version line refuses it before any field is read
     cfg, blob = trained
-    version, header, body = split_checkpoint(blob)
-    set_path(header, path, value)
-    assert run_checkpoint(cfg, join_checkpoint(version, header, body),
-                          override=True) == [code, code]
+    _, header, body = split_checkpoint(blob)
+    old = join_checkpoint(b"ssm-diffusion-checkpoint v3", header, body)
+    for override in (False, True):
+        assert run_checkpoint(cfg, old, override) == [1, 1]
