@@ -193,11 +193,16 @@ def test_mutated_checkpoint_body(trained, data):
                    data.draw(st.booleans()))
 
 
-def test_refused_checkpoint_of_an_older_format(trained):
-    # a v3 file also stored settings that v4 takes from the config; its
-    # version line refuses it before any field is read
+@pytest.mark.parametrize("path, value", [
+    (("opt", "optimizer"), "sgd"),
+    (("structure", "activation"), "tanh")], ids=["sgd", "tanh"])
+def test_refused_checkpoint_of_another_recipe(trained, path, value):
+    # only a v3 file could hold an SGD or a tanh network; v4 takes both
+    # settings from the config, and the v3 version line refuses the file
+    # before any field is read
     cfg, blob = trained
     _, header, body = split_checkpoint(blob)
+    header.setdefault(path[0], {})[path[1]] = value
     old = join_checkpoint(b"ssm-diffusion-checkpoint v3", header, body)
     for override in (False, True):
         assert run_checkpoint(cfg, old, override) == [1, 1]
