@@ -208,82 +208,82 @@ def copy_params(src):
 
 @dataclass
 class FoldedMlp:
-    """A copy of a network for inputs [x | c] with c shared by every row,
-    laid out so that each hidden layer is one matmul and no bias add.
+    """A read-only copy of a network for the inputs [x | c_j] of a chain's
+    steps j, with step j's context c_j shared by every row, laid out so
+    that each hidden layer is one matmul and no bias add. A chain's
+    workers share one.
 
     Hidden layer l's weights are [W_l | b_l], read on [h | 1]. A hidden
     layer whose next layer is also hidden has one more row [0 ... 0 1], so
     its matmul writes the next layer's ones column, which ReLU keeps. The
-    first layer keeps
-    only x's weights, and its bias, `context_bias`, stands for
-    c @ W_c.T + b_0: the caller writes it. The output layer keeps its bias
-    add, which costs little on its few columns; folded into so narrow a
-    product, the bias would move output bits, as OpenBLAS then takes
-    another kernel."""
+    first layer keeps only x's weights, once per step, with that step's
+    bias c_j @ W_c.T + b_0. The output layer keeps its bias add, which
+    costs little on its few columns; folded into so narrow a product, the
+    bias would move output bits, as OpenBLAS then takes another kernel."""
     dim: int            # the width of x
-    weights: list       # each hidden layer's augmented weights, then the output layer's
+    first: np.ndarray   # (steps, rows, dim + 1): each step's first layer
+    weights: list       # later hidden layers' [W | b], then the output W
     bias: np.ndarray    # the output layer's
-    context_bias: np.ndarray    # a view of the first layer's bias
 
 
-def fold_biases(params, dim, out=None):
+def _augmented(w, b, ones_row):
+    """[W | b], over [0 ... 0 1] if ones_row; one per row of b's leading
+    axes."""
+    fan_out, fan_in = w.shape
+    aug = np.zeros(b.shape[:-1] + (fan_out + ones_row, fan_in + 1))
+    aug[..., :fan_out, :fan_in] = w
+    aug[..., :fan_out, fan_in] = b
+    aug[..., fan_out:, fan_in] = 1.0
+    return aug
+
+
+def fold_biases(params, dim, context):
     """Fold the network for inputs whose first `dim` columns are x and the
-    rest a context c. Returns (folded, w_rest): w_rest is the
-    (layer_sizes[1], layer_sizes[0] - dim) block of first-layer weights on
-    c. With folded.context_bias = c @ w_rest.T + params.biases[0],
-    folded_forward(folded, x) gives mlp_forward(params, [x | c]). Both are
-    copies: params is not changed. out, if given, is the folded network of
-    an earlier fold with the same layer sizes and dim, whose arrays receive
-    this fold in place of new ones."""
-    if not 0 < dim <= params.layer_sizes[0]:
-        raise ShapeError(f"cannot split {params.layer_sizes[0]} inputs "
-                         f"after {dim}")
-    ws = [params.weights[0][:, :dim]] + params.weights[1:]
-    n_hidden = len(ws) - 1
-    # [W | b], over [0 ... 0 1] if the next layer is hidden too; the zeros
-    # are set once, when the arrays are made
-    shapes = [(w.shape[0] + (l + 1 < n_hidden), w.shape[1] + 1)
-              for l, w in enumerate(ws[:-1])] + [ws[-1].shape]
-    if out is None:
-        weights = [np.zeros(shape) for shape in shapes]
-        bias = np.empty_like(params.biases[-1])
-        context_bias = weights[0][:params.layer_sizes[1], -1] if n_hidden \
-            else bias
-        out = FoldedMlp(dim=dim, weights=weights, bias=bias,
-                        context_bias=context_bias)
-    elif out.dim != dim or [w.shape for w in out.weights] != shapes:
-        raise ShapeError("out is not the fold of a network of this shape")
-    for w, b, aug in zip(ws[:-1], params.biases, out.weights):
-        fan_out, fan_in = w.shape
-        aug[:fan_out, :fan_in] = w
-        aug[:fan_out, fan_in] = b
-        aug[fan_out:, fan_in] = 1.0
-    out.weights[-1][...] = ws[-1]
-    out.bias[...] = params.biases[-1]
-    return out, params.weights[0][:, dim:].copy()
+    rest step j's context, row j of the (steps, width) matrix `context`:
+    folded_forward(folded, j, x, out) gives mlp_forward(params, [x |
+    context[j]]). The fold is a read-only copy: params is not changed. A
+    network with no hidden layer to take the context raises ShapeError."""
+    n_hidden = len(params.weights) - 1
+    if n_hidden < 1:
+        raise ShapeError("a network with no hidden layer cannot be folded")
+    if context.ndim != 2 or dim + context.shape[1] != params.layer_sizes[0]:
+        raise ShapeError(f"x of width {dim} and context of shape "
+                         f"{context.shape} do not give the network's "
+                         f"{params.layer_sizes[0]} inputs")
+    w_ctx = params.weights[0][:, dim:].copy()
+    first = _augmented(params.weights[0][:, :dim],
+                       context @ w_ctx.T + params.biases[0], n_hidden > 1)
+    weights = [_augmented(params.weights[l], params.biases[l],
+                          l + 1 < n_hidden) for l in range(1, n_hidden)]
+    folded = FoldedMlp(dim=dim, first=first,
+                       weights=weights + [params.weights[-1].copy()],
+                       bias=params.biases[-1].copy())
+    for a in [folded.first, *folded.weights, folded.bias]:
+        a.flags.writeable = False
+    return folded
 
 
 def folded_buffers(folded, rows):
     """The arrays folded_forward writes for up to `rows` rows: the input
     [x | 1] with its ones column set, each hidden layer's output and the
     network's output."""
-    widths = [w.shape[1] for w in folded.weights] + [len(folded.bias)]
-    out = [np.empty((rows, width)) for width in widths]
+    out = [np.empty((rows, a.shape[-1]))
+           for a in (folded.first, *folded.weights, folded.bias)]
     out[0][:, folded.dim:] = 1.0
     return out
 
 
-def folded_forward(folded, x, out):
-    """The folded network's output for a (batch, dim) matrix x. out is
-    folded_buffers' list, each array cut to the batch's leading rows."""
+def folded_forward(folded, j, x, out):
+    """The folded network's output at step j (a row of fold_biases'
+    context) for a (batch, dim) matrix x. out is folded_buffers' list,
+    each array cut to the batch's leading rows."""
     if x.ndim != 2 or x.shape[1] != folded.dim:
         raise ShapeError(f"input shape {x.shape} is not (batch, {folded.dim})")
     a = out[0]
     a[:, :folded.dim] = x
-    n_hidden = len(folded.weights) - 1
-    for l in range(n_hidden):
-        a = np.matmul(a, folded.weights[l].T, out=out[l + 1])
+    for l, w in enumerate([folded.first[j], *folded.weights[:-1]]):
+        a = np.matmul(a, w.T, out=out[l + 1])
         np.maximum(a, 0.0, out=a)
-    y = np.matmul(a, folded.weights[n_hidden].T, out=out[-1])
+    y = np.matmul(a, folded.weights[-1].T, out=out[-1])
     y += folded.bias
     return y

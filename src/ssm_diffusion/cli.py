@@ -10,6 +10,8 @@ large for memory.
 import argparse
 import sys
 
+import numpy as np
+
 from .checkpoint import load_checkpoint
 from .config import config_digest, load_config
 from .errors import ConfigurationError, FormatError, NumericError
@@ -103,7 +105,9 @@ def main(argv=None):
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-        return handlers[args.command](args)
+        # not NumPy's warnings but the finiteness checks report overflow
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

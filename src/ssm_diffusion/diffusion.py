@@ -4,16 +4,17 @@ reverse-process sampling.
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
 The denoiser is an MLP that takes [x_i | state | action | step embedding |
 horizon] concatenated and predicts the noise that was added. The sampler's
-conditioning is shared by every sample, so once per chain it builds a
-folded copy of the network (approximator.fold_biases): each step's context
-columns go into the first layer's bias, and every hidden layer's bias into
-its weights, read on a ones column that the layer before writes. Each
-hidden layer is then one matmul and its activation, with no bias pass, and
-only x_i goes through the network. The chain runs blocks of at most
-BLOCK_ROWS samples through all its steps, so every layer's output stays in
-cache between its matmul and its activation, and WORKERS threads, one for
-each CPU that BLAS's own threads leave free, share the blocks. A chain may
-run on a subsequence of the K steps (respace), with the same update.
+conditioning is shared by every sample, so once per chain it folds the
+network into one read-only copy (approximator.fold_biases): each step's
+context columns go into that step's first-layer bias, and every hidden
+layer's bias into its weights, read on a ones column that the layer before
+writes. Each hidden layer is then one matmul and its activation, with no
+bias pass, and only x_i goes through the network. The chain runs blocks of
+at most BLOCK_ROWS samples through all its steps, so every layer's output
+stays in cache between its matmul and its activation, and WORKERS threads,
+one for each CPU that BLAS's own threads leave free, share the blocks and
+the one fold, each with its own block buffers. A chain may run on a
+subsequence of the K steps (respace), with the same update.
 """
 
 import contextvars
@@ -213,10 +214,10 @@ def reverse_step(sched, net, x_i, i, z, out=None):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
     the standard posterior-mean update over sched's step i (of a respaced
     schedule too); no noise is added at i=1, where z is not read and may be
-    None. net takes
-    x_i alone: an MlpParams, or a FoldedMlp whose context bias the caller
-    has set to step i's conditioning. out is passed on to the forward for
-    the network's layer outputs (folded_buffers' arrays for a FoldedMlp)."""
+    None. net takes x_i alone: an MlpParams, or a FoldedMlp folded with
+    the context of sched's steps, whose row i - 1 it reads. out is passed
+    on to the forward for the network's layer outputs (folded_buffers'
+    arrays for a FoldedMlp)."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     if i > 1:
@@ -224,7 +225,7 @@ def reverse_step(sched, net, x_i, i, z, out=None):
         if z.shape != x_i.shape:
             raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
     if isinstance(net, FoldedMlp):
-        eps_pred = folded_forward(net, x_i, out)
+        eps_pred = folded_forward(net, i - 1, x_i, out)
     else:
         eps_pred, _ = mlp_forward(net, x_i, out=out)
     mean = (x_i - (sched.beta[i - 1] / sched.sqrt_one_minus_alpha_bar[i - 1])
@@ -236,46 +237,43 @@ def reverse_step(sched, net, x_i, i, z, out=None):
 
 @dataclass
 class ChainWork:
-    """A reverse chain's large arrays: folded copies of the network, one per
-    worker (each writes its own context bias), each with buffers for a
-    block of BLOCK_ROWS rows (folded_buffers), and every step's noise, 1 MB
-    at 2000 headline samples and 5 MB at 10k. A chain takes as many copies
-    as it has workers and a shorter block takes the buffers' leading rows,
-    so a caller that passes the same one to every sample call, as a trainer
-    does, lets its chains allocate none of them."""
-    key: tuple = ()     # the layer sizes and dim its copies fit
-    folded: list = field(default_factory=list)
+    """A reverse chain's large arrays: each worker's buffers for a block of
+    BLOCK_ROWS rows (folded_buffers), and every step's noise, 1 MB at 2000
+    headline samples and 5 MB at 10k. It holds no network: the workers
+    share the chain's one fold. A chain takes one set of buffers per worker
+    and a shorter block takes their leading rows, so a caller that passes
+    the same one to every sample call, as a trainer does, lets its chains
+    allocate none of them."""
+    key: tuple = ()     # the layer sizes and dim its buffers fit
     out: list = field(default_factory=list)
     noise: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _fit_work(work, net, dim, workers, noise_size):
-    """Build work's arrays again where they do not fit a network of this
-    shape; the copies and the noise array only grow."""
-    key = (tuple(net.layer_sizes), dim)
+def _fit_work(work, net, folded, workers, noise_size):
+    """Build work's arrays again where they do not fit this fold; the
+    buffer sets and the noise array only grow."""
+    key = (tuple(net.layer_sizes), folded.dim)
     if work.key != key:
-        work.key, work.folded, work.out = key, [], []
-    while len(work.folded) < workers:
-        work.folded.append(fold_biases(net, dim)[0])
-        work.out.append(folded_buffers(work.folded[-1], BLOCK_ROWS))
+        work.key, work.out = key, []
+    while len(work.out) < workers:
+        work.out.append(folded_buffers(folded, BLOCK_ROWS))
     if work.noise.size < noise_size:
         work.noise = np.empty(noise_size)
 
 
-def _run_blocks(sched, folded, out, bias, x, z, blocks):
-    """Run blocks of x through steps K..1 in place on `folded` and its
-    buffers `out`, taking each block's offset from `blocks`, a range
-    iterator that every worker shares: its next is one C call, so under the
-    interpreter lock no two take one block. z[K - i] is step i's noise;
-    step 1 has none. Returns the earliest (largest) step at which one of
-    the blocks went non-finite, or 0; later blocks stop above it."""
+def _run_blocks(sched, folded, out, x, z, blocks):
+    """Run blocks of x through steps K..1 on `folded`, in place on x and on
+    the worker's buffers `out`, taking each block's offset from `blocks`, a
+    range iterator that every worker shares: its next is one C call, so
+    under the interpreter lock no two take one block. z[K - i] is step i's
+    noise; step 1 has none. Returns the earliest (largest) step at which
+    one of the blocks went non-finite, or 0; later blocks stop above it."""
     failed = 0
     for r in blocks:
         rows = slice(r, r + BLOCK_ROWS)
         x_i = x[rows]
         block_out = [o[:len(x_i)] for o in out]
         for i in range(sched.K, failed, -1):
-            folded.context_bias[...] = bias[i - 1]
             x_i = reverse_step(sched, folded, x_i, i,
                                z[sched.K - i, rows] if i > 1 else None,
                                out=block_out)
@@ -322,15 +320,14 @@ def sample(sched, net, cond, count, rng, work=None):
     sched.tau[j - 1]. Deterministic given the rng state, and bit for bit
     the same whatever the worker count.
 
-    cond is shared by every sample, so the first layer's product with the
-    context is taken once per chain: one bias row per step, written before
-    that step into the context bias of a folded copy of the network that
-    takes only x (see approximator.fold_biases). This thread draws x, then
-    every step's noise, (sched.K - 1) x count x dim floats, in one call. Up
-    to WORKERS workers, each with its own folded copy, take blocks of at
-    most BLOCK_ROWS rows from a queue they share and run each through every
-    step: this thread is the first and a new thread each other one, and
-    they meet once, when the queue is empty.
+    cond is shared by every sample, so the network is folded once per
+    chain, with every step's context, into one read-only copy that takes
+    only x (see approximator.fold_biases). This thread draws x, then every
+    step's noise, (sched.K - 1) x count x dim floats, in one call. Up to
+    WORKERS workers, each with its own block buffers, read that one fold,
+    take blocks of at most BLOCK_ROWS rows from a queue they share and run
+    each through every step: this thread is the first and a new thread
+    each other one, and they meet once, when the queue is empty.
 
     work, if given, is a ChainWork that the chain reuses in place of new
     arrays."""
@@ -343,24 +340,18 @@ def sample(sched, net, cond, count, rng, work=None):
                              f"sample: {name} has shape {shape}, not 1-D")
     dim = net.layer_sizes[-1]
     # the context columns of every step's input, one row per step
-    ctx = net_input(np.empty((sched.K, 0)), cond, sched.tau)
-    if dim + ctx.shape[1] != net.layer_sizes[0]:
-        raise ShapeError(f"x and conditioning give {dim + ctx.shape[1]} "
-                         f"inputs, the network takes {net.layer_sizes[0]}")
+    folded = fold_biases(net, dim,
+                         net_input(np.empty((sched.K, 0)), cond, sched.tau))
     starts = range(0, count, BLOCK_ROWS)
     workers = min(WORKERS, len(starts))
     work = ChainWork() if work is None else work
-    _fit_work(work, net, dim, workers, (sched.K - 1) * count * dim)
-    for folded in work.folded[:workers]:
-        _, w_ctx = fold_biases(net, dim, out=folded)
-    bias = ctx @ w_ctx.T + net.biases[0]
+    _fit_work(work, net, folded, workers, (sched.K - 1) * count * dim)
     x = rng.standard_normal((count, dim))
     z = work.noise[:(sched.K - 1) * x.size].reshape(sched.K - 1, count, dim)
     rng.standard_normal(out=z)
     blocks = iter(starts)
     failed = max(_run_all(_run_blocks, [
-        (sched, folded, out, bias, x, z, blocks)
-        for folded, out in zip(work.folded[:workers], work.out)]))
+        (sched, folded, out, x, z, blocks) for out in work.out[:workers]]))
     if failed:
         raise NumericError(f"non-finite sample values at reverse step "
                            f"{sched.tau[failed - 1]}")

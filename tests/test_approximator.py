@@ -170,25 +170,32 @@ def test_fold_biases_folds_inputs_into_bias(sizes):
     net = ap.mlp_init(sizes, seed=1)
     net.theta[...] = rng.uniform(-1.0, 1.0, net.theta.size)
     theta = net.theta.copy()
-    x, c = rng.standard_normal((6, 2)), rng.standard_normal(3)
-    folded, w_rest = ap.fold_biases(net, 2)
-    assert w_rest.shape == (sizes[1], 3)
-    folded.context_bias[...] = c @ w_rest.T + net.biases[0]
-    full, _ = ap.mlp_forward(net, np.hstack([x, np.tile(c, (6, 1))]))
+    x, context = rng.standard_normal((6, 2)), rng.standard_normal((4, 3))
+    if len(sizes) == 2:
+        # no hidden layer to take the context
+        with pytest.raises(ShapeError, match="no hidden layer"):
+            ap.fold_biases(net, 2, context)
+        return
+    folded = ap.fold_biases(net, 2, context)
+    assert folded.first.shape[0] == 4
     out = ap.folded_buffers(folded, 6)
-    got = ap.folded_forward(folded, x, out)
-    np.testing.assert_allclose(got, full, rtol=0, atol=1e-14)
+    for j, c in enumerate(context):
+        full, _ = ap.mlp_forward(net, np.hstack([x, np.tile(c, (6, 1))]))
+        got = ap.folded_forward(folded, j, x, out)
+        np.testing.assert_allclose(got, full, rtol=0, atol=1e-14)
     with pytest.raises(ShapeError):
-        ap.folded_forward(folded, np.hstack([x, x]), out)
-    # the folded net and w_rest are copies: writing them leaves net as it was
-    for w in folded.weights:
-        w[...] = 0.0
-    folded.bias[...] = 0.0
-    w_rest[...] = 0.0
+        ap.folded_forward(folded, 0, np.hstack([x, x]), out)
+    # the fold is a read-only copy: it cannot be written, and net is as it
+    # was
+    for a in [folded.first, *folded.weights, folded.bias]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
     np.testing.assert_array_equal(net.theta, theta)
-    for bad in (0, 6):
-        with pytest.raises(ShapeError):
-            ap.fold_biases(net, bad)
+    for bad in (0, 1, 6):
+        with pytest.raises(ShapeError, match="inputs"):
+            ap.fold_biases(net, bad, context)
+    with pytest.raises(ShapeError, match="inputs"):
+        ap.fold_biases(net, 2, context[0])
 
 
 def test_copy_params_is_independent():

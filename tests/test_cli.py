@@ -426,6 +426,31 @@ def test_eval_same_bytes_on_one_or_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_eval_of_overflowing_weights_prints_one_line(tmp_path):
+    # a fresh process, as pytest would capture NumPy's overflow warning:
+    # the chain's matmuls overflow on both workers (1100 samples are three
+    # row blocks), and stderr holds only the numeric error
+    overrides = tiny_overrides()
+    overrides["eval"] = {"num_samples": 1100}
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    ck = load_checkpoint(str(out / "checkpoint.bin"))
+    ck.online.theta[...] = 1e200
+    save_checkpoint(str(out / "checkpoint.bin"), ck)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ssm_diffusion import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", "eval", "--checkpoint",
+         str(out / "checkpoint.bin"), "--config", str(cfg), "--out",
+         str(tmp_path / "eval")],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric error: non-finite sample values")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_eval_seed_flag_changes_samples_only(tmp_path):
     cfg = write_config(tmp_path, **tiny_overrides())
     out = tmp_path / "run"

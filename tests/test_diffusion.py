@@ -426,18 +426,25 @@ def test_sample_more_workers_than_cores(monkeypatch):
     # 5 workers over 20 blocks, with the interpreter switching threads
     # every microsecond: a block taken by two workers or by none, or a
     # result or error slot lost, would change the bytes or the count of
-    # blocks run
+    # blocks run. The workers read one fold, each with its own buffers
     trainer = headline_trainer((16, 16), K=8)
     cond = bl.conditioning(trainer, 7, 2, 3)
     want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 2)
-    step, first_steps = df.reverse_step, []
+    step, first_steps, nets = df.reverse_step, [], set()
+    fold, folds = df.fold_biases, []
 
     def counting(sched, net, x_i, i, z, out=None):
         if i == sched.K:
             first_steps.append(x_i.shape[0])
+        nets.add(id(net))
         return step(sched, net, x_i, i, z, out=out)
 
+    def counting_folds(*args):
+        folds.append(fold(*args))
+        return folds[-1]
+
     monkeypatch.setattr(df, "reverse_step", counting)
+    monkeypatch.setattr(df, "fold_biases", counting_folds)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -446,7 +453,11 @@ def test_sample_more_workers_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-    assert len(trainer.chain_work.folded) == 5
+    assert len(folds) == 1 and nets == {id(folds[0])}
+    buffers = trainer.chain_work.out
+    assert len(buffers) == 5
+    assert len({id(a) for out in buffers for a in out}) == 5 * len(buffers[0])
+    assert trainer.chain_work.noise.size == 7 * 10000 * 2
     full, ragged = divmod(10000, df.BLOCK_ROWS)
     assert sorted(first_steps) == [ragged] + [df.BLOCK_ROWS] * full
 
@@ -463,23 +474,23 @@ def test_sample_reuses_the_work_area(monkeypatch):
         got = df.sample(trainer.sched, trainer.online, cond, count,
                         np.random.default_rng(3), work)
         assert got.tobytes() == want.tobytes()
-        arrays.append([a for out in work.out for a in out]
-                      + [f.weights[0] for f in work.folded] + [work.noise])
-    # the 300-row chain, a single block, takes the first copy's leading rows
-    assert len(work.folded) == 2
+        arrays.append([a for out in work.out for a in out] + [work.noise])
+    # the 300-row chain, a single block, takes the first buffer set's
+    # leading rows
+    assert len(work.out) == 2
     assert all(a is b for later in arrays[1:] for a, b in zip(arrays[0], later))
 
 
-def test_sample_refolds_every_copy_it_uses(monkeypatch):
-    # a trainer's network changes between its chains: every copy a chain
-    # takes from the work area must fold the network of that chain
+def test_sample_follows_a_changed_network(monkeypatch):
+    # a trainer's network changes between its chains: the next chain on its
+    # work area equals a fresh chain of the new network
     monkeypatch.setattr(df, "WORKERS", 2)
     trainer = headline_trainer((16, 16), K=4)
     cond = bl.conditioning(trainer, 7, 2, 3)
     work = df.ChainWork()
     count = 2 * df.BLOCK_ROWS + 37
-    df.sample(trainer.sched, trainer.online, cond, count,
-              np.random.default_rng(3), work)
+    old = df.sample(trainer.sched, trainer.online, cond, count,
+                    np.random.default_rng(3), work)
     trainer.online.theta[...] *= 1.5
     for count in (300, count):
         want = df.sample(trainer.sched, trainer.online, cond, count,
@@ -487,6 +498,7 @@ def test_sample_refolds_every_copy_it_uses(monkeypatch):
         got = df.sample(trainer.sched, trainer.online, cond, count,
                         np.random.default_rng(3), work)
         assert got.tobytes() == want.tobytes()
+    assert got.tobytes() != old.tobytes()
 
 
 def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):

@@ -9,6 +9,7 @@ import io
 import json
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,19 +60,24 @@ DOCUMENTED = {0, 1, 2, 3}
 
 
 def run(argv):
-    """(exit code, stderr) of cli.main(argv), with stdout discarded."""
+    """(exit code, stderr, warnings) of cli.main(argv), with stdout
+    discarded: warnings holds the message of every warning the call
+    raised, each of which a CLI process would print to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 def assert_documented(argv, codes=DOCUMENTED):
-    code, err = run(argv)
+    code, err, raised = run(argv)
     assert code in codes, (argv, code, err)
     assert err.count("\n") <= 1, err
     assert (code == 0) == (err == ""), err
+    assert raised == [], raised
     return code
 
 
@@ -82,7 +88,7 @@ def trained(tmp_path_factory):
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps(TINY))
     assert run(["train", "--config", str(cfg), "--out",
-                str(root / "run")]) == (0, "")
+                str(root / "run")]) == (0, "", [])
     return cfg, (root / "run" / "checkpoint.bin").read_bytes()
 
 

@@ -63,6 +63,51 @@ def test_flow_identity(case):
         np.testing.assert_allclose(d[:, :, n - 1], rhs, rtol=0, atol=1e-12)
 
 
+def noised_flux(pmf, centers, abar, y):
+    """(q_p(y), eps*_p(y)) for pmfs p over the cell centers (rows of pmf's
+    last axis) at query points y: the noised density
+    q_p(y) = sum_x p_x N(y; sqrt(abar) c_x, (1 - abar) I), and the exact
+    denoiser eps*_p(y) = (y - sqrt(abar) E[c | y]) / sqrt(1 - abar), the
+    expectation under the posterior over the centers."""
+    var = 1.0 - abar
+    sq = np.sum((y[:, None, :] - np.sqrt(abar) * centers) ** 2, axis=-1)
+    joint = pmf[..., None, :] * np.exp(-sq / (2.0 * var)) / (2.0 * np.pi * var)
+    q = joint.sum(axis=-1)
+    mean_c = (joint / q[..., None]) @ centers
+    return q, (y - np.sqrt(abar) * mean_c) / np.sqrt(var)
+
+
+@SETTINGS
+@given(random_mdps(), st.integers(0, 2 ** 32 - 1))
+def test_bellman_update_in_noise_space(case, seed):
+    # the flow identity, carried to noise space: q_{d_n} eps*_{d_n} =
+    # (1/n) q_T eps*_T + ((n-1)/n) sum_s' T(s'|s,a) q_{d_{n-1}(s')}
+    # eps*_{d_{n-1}(s')}, where T is T(.|s,a) and d_{n-1}(s') conditions on
+    # (s', pi(s')). td_loss's two branches regress onto these terms, so
+    # the loss's population minimizer is the exact denoiser of d_n
+    mdp, policy, n_max = case
+    d = orc.exact_ssm(mdp, policy, n_max).d
+    S, T = mdp.n_states, mdp.transition
+    centers = m.encode_state(mdp, np.arange(S))
+    rng = np.random.default_rng(seed)
+    for abar in (0.05, 0.5, 0.95):
+        # points where the noised measures put their mass
+        y = np.sqrt(abar) * centers[rng.integers(S, size=8)] \
+            + np.sqrt(1.0 - abar) * rng.standard_normal((8, 2))
+        q_d, eps_d = noised_flux(d, centers, abar, y)
+        q_T, eps_T = noised_flux(T, centers, abar, y)
+        flux_d, flux_T = q_d[..., None] * eps_d, q_T[..., None] * eps_T
+        # (s', n-1, point, 2): the terms of d_{n-1}(s', pi(s'))
+        flux_next = flux_d[np.arange(S), policy.table]
+        for n in range(2, n_max + 1):
+            rhs = flux_T / n + (n - 1) / n * np.einsum(
+                "saj,jpk->sapk", T, flux_next[:, n - 2])
+            # both sides over q_{d_n}(y) > 0, so the tolerance is on eps*
+            np.testing.assert_allclose(rhs / q_d[:, :, n - 1, :, None],
+                                       eps_d[:, :, n - 1], rtol=0,
+                                       atol=1e-10)
+
+
 @SETTINGS
 @given(st.integers(1, 12), st.integers(1, 12))
 def test_decode_inverts_encode(width, height):
