@@ -35,7 +35,8 @@ def main():
     sched = df.make_schedule(128, 1e-4, 0.05)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=args.seed + 1)
     opt = ap.init_opt_state(net, lr=1e-3)
-    cond = df.Conditioning(step_dim=8)
+    cond = df.Conditioning(
+        step_table=df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8))
     batch = 128
 
     print(f"training for {args.steps} steps (K={sched.K}) ...")

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
 
+# Adam's moment decay rates and the denominator's guard (Kingma & Ba, 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def param_count(layer_sizes):
     """The length of theta: every layer's weights and biases."""
@@ -48,14 +51,11 @@ class MlpParams:
 
 @dataclass
 class OptState:
-    """Adam's state: its first and second moments m and v, each shaped like
-    theta, its step count and its hyperparameters."""
+    """Adam's state: its moments m and v, each shaped like theta, its
+    learning rate and its update count, which is the trainer's step count."""
     m: np.ndarray
     v: np.ndarray
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step_count: int = 0
 
 
@@ -157,11 +157,11 @@ def grad_check(params, loss_and_grads, h):
     return max_err
 
 
-def init_opt_state(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam at step 0: zero moments shaped like params' theta."""
+def init_opt_state(params, lr=1e-3):
+    """Adam at step 0 with learning rate lr: zero moments shaped like
+    params' theta. Its other hyperparameters are BETA1, BETA2 and EPS."""
     return OptState(m=np.zeros_like(params.theta),
-                    v=np.zeros_like(params.theta), lr=lr, beta1=beta1,
-                    beta2=beta2, eps=eps)
+                    v=np.zeros_like(params.theta), lr=lr)
 
 
 def opt_step(params, grads, state, scratch=None):
@@ -176,25 +176,25 @@ def opt_step(params, grads, state, scratch=None):
     state.step_count += 1
     theta = np.empty_like(params.theta)
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     m, v = state.m, state.v
     tmp = np.empty_like(g) if scratch is None else scratch
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and the step
     # lr (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time in the
     # order the formulas evaluate, into tmp and theta
-    m *= state.beta1
-    np.multiply(g, 1 - state.beta1, out=tmp)
+    m *= BETA1
+    np.multiply(g, 1 - BETA1, out=tmp)
     m += tmp
-    v *= state.beta2
+    v *= BETA2
     np.square(g, out=tmp)
-    tmp *= 1 - state.beta2
+    tmp *= 1 - BETA2
     v += tmp
     np.divide(m, bc1, out=tmp)
     tmp *= state.lr
     np.divide(v, bc2, out=theta)
     np.sqrt(theta, out=theta)
-    theta += state.eps
+    theta += EPS
     np.divide(tmp, theta, out=theta)
     np.subtract(params.theta, theta, out=theta)
     if not np.all(np.isfinite(theta)):

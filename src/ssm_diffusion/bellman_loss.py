@@ -21,14 +21,12 @@ class Trainer:
     online: ap.MlpParams
     target: ap.MlpParams
     sched: df.NoiseSchedule
-    opt: ap.OptState
+    opt: ap.OptState                # its step_count is the trainer's
     mdp: TabularMdp                 # its horizon is the largest n
-    step_dim: int = 8
     sync_period: int = 500          # steps between hard target copies; 0 is off
-    step_count: int = 0
     # the encoding of each state, action, horizon n (row n-1, one-hot) and
     # diffusion step i (row i-1), built once by make_trainer with the
-    # per-call encoders
+    # per-call encoders; the step table's width is the step embedding's
     state_table: np.ndarray = field(default=None, repr=False)
     action_table: np.ndarray = field(default=None, repr=False)
     horizon_table: np.ndarray = field(default=None, repr=False)
@@ -90,7 +88,7 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), step_dim=8, lr=1e-3,
     online = ap.mlp_init(sizes, seed=seed)
     return Trainer(online=online, target=ap.copy_params(online), sched=sched,
                    opt=ap.init_opt_state(online, lr=lr),
-                   mdp=mdp, step_dim=step_dim, sync_period=sync_period,
+                   mdp=mdp, sync_period=sync_period,
                    sample_sched=sched if sample_sched is None else sample_sched,
                    state_table=encode_state(mdp, np.arange(mdp.n_states)),
                    action_table=encode_action(mdp, np.arange(mdp.n_actions)),
@@ -117,7 +115,6 @@ def conditioning(trainer, s, a, n):
                            action_enc=_rows(trainer.action_table, a, "action"),
                            horizon_enc=df.take_rows(trainer.horizon_table,
                                                     n - 1),
-                           step_dim=trainer.step_dim,
                            step_table=trainer.step_table)
 
 
@@ -177,21 +174,22 @@ def td_loss(trainer, batch, i, eps):
 
 def sync_target(trainer):
     """Copy the online network into the target every sync_period steps."""
-    if trainer.sync_period > 0 and trainer.step_count % trainer.sync_period == 0:
+    if trainer.sync_period > 0 and \
+            trainer.opt.step_count % trainer.sync_period == 0:
         trainer.target = ap.copy_params(trainer.online)
 
 
 def train_step(trainer, batch, rng):
     """Draw the batch's diffusion steps, then its noise (one row each), take
-    one optimizer step on the batch's td_loss and sync the target."""
+    one optimizer step on the batch's td_loss and sync the target. A step
+    that overflows is counted and in Adam's moments, but not in the net."""
     B, dim = len(batch), trainer.online.layer_sizes[-1]
     i = rng.integers(1, trainer.sched.K + 1, size=B)
     eps = rng.standard_normal((B, dim))
     loss, grads = td_loss(trainer, batch, i, eps)
     trainer.online, trainer.opt = ap.opt_step(
         trainer.online, grads, trainer.opt, scratch=trainer.work.scratch)
-    trainer.step_count += 1
     sync_target(trainer)
     l1_fraction = sum(t.is_l1 for t in batch) / len(batch)
     return {"loss": loss, "l1_fraction": l1_fraction,
-            "step": trainer.step_count}
+            "step": trainer.opt.step_count}

@@ -28,7 +28,7 @@ FORMAT_VERSION = 4
 class Checkpoint:
     config_digest: str
     structure: dict         # see runner.structure; includes layer_sizes
-    step_count: int         # training steps taken, Adam's too
+    step_count: int         # Adam's updates, a failed last one included
     m: np.ndarray           # Adam's first moment vector
     v: np.ndarray           # Adam's second moment vector
     rng_state: dict

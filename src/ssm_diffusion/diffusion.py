@@ -3,9 +3,10 @@ reverse-process sampling.
 
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
 The denoiser is an MLP that takes [x_i | state | action | step embedding |
-horizon] concatenated and predicts the noise that was added. The sampler's
-conditioning is shared by every sample, so once per chain it folds the
-network into one read-only copy (approximator.fold_biases): each step's
+horizon] concatenated, the embedding a row of the step table, and predicts
+the noise that was added. The sampler's conditioning is shared by every
+sample, so once per chain it folds the network into one read-only copy
+(approximator.fold_biases), the only network reverse_step takes: each step's
 context columns go into that step's first-layer bias, and every hidden
 layer's bias into its weights, read on a ones column that the layer before
 writes. Each hidden layer is then one matmul and its activation, with no
@@ -25,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximator import (FoldedMlp, fold_biases, folded_buffers,
-                           folded_forward, mlp_forward)
+# unused mlp_forward: perfbench's wrapper test reads it here (ROADMAP item 1)
+from .approximator import (fold_biases, folded_buffers, folded_forward,
+                           mlp_forward)  # noqa: F401
 from .errors import ConfigurationError, NumericError, ShapeError
 
 # rows per block of the reverse chain: a 512 x 129 float64 layer output
@@ -81,14 +83,13 @@ class NoiseSchedule:
 class Conditioning:
     """Context vectors the denoiser is conditioned on, or one row of them
     per sample (training only: `sample` takes vectors shared by every
-    sample). Any field may be an empty array (unconditional sampling uses
-    only the step embedding)."""
+    sample), and the table of step embeddings. Any context field may be an
+    empty array (unconditional sampling uses only the step embedding)."""
     state_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     action_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     horizon_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_dim: int = 8
-    # sinusoidal_embedding of steps 1..K, which net_input indexes if given
-    step_table: np.ndarray | None = None
+    # sinusoidal_embedding(np.arange(1, K + 1), d); step i's is row i - 1
+    step_table: np.ndarray = field(kw_only=True)
 
 
 def make_schedule(K, beta_min, beta_max):
@@ -188,14 +189,13 @@ def sinusoidal_embedding(i, dim):
 def net_input(x_i, cond, i, out=None):
     """Concatenate a (batch, dim) matrix of noised points and their
     conditioning into the denoiser input. Each conditioning field and the
-    step i are either shared by every row or given per row. out, if given,
-    is the (batch, width) array that receives the input in place of a new
-    one."""
+    step i (embedded as cond.step_table's row i - 1) are either shared by
+    every row or given per row. out, if given, is the (batch, width) array
+    that receives the input in place of a new one."""
     x_i = np.asarray(x_i, dtype=float)
     if x_i.ndim != 2:
         raise ShapeError(f"x_i shape {x_i.shape} is not (batch, dim)")
-    step = sinusoidal_embedding(i, cond.step_dim) if cond.step_table is None \
-        else take_rows(cond.step_table, np.asarray(i) - 1)
+    step = take_rows(cond.step_table, np.asarray(i) - 1)
     parts = (x_i, cond.state_enc, cond.action_enc, step, cond.horizon_enc)
     shape = (x_i.shape[0], sum(p.shape[-1] for p in parts))
     if out is None:
@@ -210,24 +210,20 @@ def net_input(x_i, cond, i, out=None):
     return out
 
 
-def reverse_step(sched, net, x_i, i, z, out=None):
+def reverse_step(sched, folded, x_i, i, z, out):
     """One reverse-process step x_i -> x_{i-1} on a (count, dim) matrix with
     the standard posterior-mean update over sched's step i (of a respaced
     schedule too); no noise is added at i=1, where z is not read and may be
-    None. net takes x_i alone: an MlpParams, or a FoldedMlp folded with
-    the context of sched's steps, whose row i - 1 it reads. out is passed
-    on to the forward for the network's layer outputs (folded_buffers'
-    arrays for a FoldedMlp)."""
+    None. folded is a FoldedMlp folded with the context of sched's steps,
+    whose row i - 1 it reads, and out folded_buffers' arrays cut to the
+    count's leading rows, which receive the network's layer outputs."""
     _check_step(sched, i)
     x_i = np.asarray(x_i, dtype=float)
     if i > 1:
         z = np.asarray(z, dtype=float)
         if z.shape != x_i.shape:
             raise ShapeError(f"z shape {z.shape} != x shape {x_i.shape}")
-    if isinstance(net, FoldedMlp):
-        eps_pred = folded_forward(net, i - 1, x_i, out)
-    else:
-        eps_pred, _ = mlp_forward(net, x_i, out=out)
+    eps_pred = folded_forward(folded, i - 1, x_i, out)
     mean = (x_i - (sched.beta[i - 1] / sched.sqrt_one_minus_alpha_bar[i - 1])
             * eps_pred) / sched.sqrt_alpha[i - 1]
     if i == 1:
@@ -276,7 +272,7 @@ def _run_blocks(sched, folded, out, x, z, blocks):
         for i in range(sched.K, failed, -1):
             x_i = reverse_step(sched, folded, x_i, i,
                                z[sched.K - i, rows] if i > 1 else None,
-                               out=block_out)
+                               block_out)
             if not np.isfinite(x_i).all():
                 failed = i
                 break

@@ -25,14 +25,12 @@ class TabularMdp:
     transition: np.ndarray  # (S, A, S)
     reward: np.ndarray      # (S,)
     horizon: int
-    p_move: float
     start: object = "uniform"  # "uniform" or a fixed state index
 
 
 @dataclass
 class Policy:
-    kind: str               # "tabular_deterministic"
-    table: np.ndarray       # action index per state
+    table: np.ndarray       # the deterministic action in each state
 
 
 @dataclass
@@ -73,7 +71,7 @@ def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None,
         raise ConfigurationError(f"start state {start} out of range")
     return TabularMdp(width=width, height=height, n_states=n_states,
                       n_actions=N_ACTIONS, transition=T, reward=reward,
-                      horizon=horizon, p_move=p_move, start=start)
+                      horizon=horizon, start=start)
 
 
 def goal_reward(width, height, goal_cell):
@@ -87,8 +85,7 @@ def goal_reward(width, height, goal_cell):
 def policy_fixed_action(mdp, action):
     if not 0 <= action < mdp.n_actions:
         raise ConfigurationError(f"action {action} out of range")
-    return Policy(kind="tabular_deterministic",
-                  table=np.full(mdp.n_states, action, dtype=int))
+    return Policy(table=np.full(mdp.n_states, action, dtype=int))
 
 
 def policy_toward_goal(mdp, goal_cell):
@@ -105,7 +102,7 @@ def policy_toward_goal(mdp, goal_cell):
             table[s] = 1
         else:
             table[s] = 0
-    return Policy(kind="tabular_deterministic", table=table)
+    return Policy(table=table)
 
 
 def step(mdp, s, a, rng):

@@ -17,7 +17,6 @@ import numpy as np
 @dataclass
 class SsmTable:
     d: np.ndarray   # (S, A, n_max, S); d[s, a, n-1] is the pmf for horizon n
-    n_max: int
 
 
 def exact_ssm(mdp, policy, n_max):
@@ -31,7 +30,7 @@ def exact_ssm(mdp, policy, n_max):
     for n in range(2, n_max + 1):
         prev_pi = d[np.arange(S), policy.table, n - 2, :]   # (S, S)
         d[:, :, n - 1, :] = (T + (n - 1) * np.einsum("saj,jx->sax", T, prev_pi)) / n
-    return SsmTable(d=d, n_max=n_max)
+    return SsmTable(d=d)
 
 
 def ssm_matrix_power(mdp, policy, n_max):
@@ -47,7 +46,7 @@ def ssm_matrix_power(mdp, policy, n_max):
         acc += step_k
         d[:, :, n - 1, :] = acc / n
         step_k = step_k @ P_pi
-    return SsmTable(d=d, n_max=n_max)
+    return SsmTable(d=d)
 
 
 def mc_ssm(mdp, policy, s, a, n, num_rollouts, rng):

@@ -51,7 +51,6 @@ class ReplayBuffer:
         self.policy = policy
         # the policy's action in each state, as Python ints
         self.policy_actions = tuple(map(int, policy.table))
-        self.capacity = capacity
         self.trajectories = deque(maxlen=capacity)
 
     def __len__(self):

@@ -37,8 +37,7 @@ def build_env(cfg):
     elif pspec["kind"] == "fixed_action":
         policy = mdp_mod.policy_fixed_action(mdp, pspec["action"])
     else:
-        policy = mdp_mod.Policy(kind="tabular_deterministic",
-                                table=np.asarray(pspec["table"], dtype=int))
+        policy = mdp_mod.Policy(table=np.asarray(pspec["table"], dtype=int))
     return mdp, policy
 
 
@@ -61,7 +60,8 @@ def structure(cfg, trainer):
     return {"K": dif["K"], "beta_min": dif["beta_min"],
             "beta_max": dif["beta_max"],
             "layer_sizes": trainer.online.layer_sizes,
-            "n_max": trainer.mdp.horizon, "step_dim": trainer.step_dim}
+            "n_max": trainer.mdp.horizon,
+            "step_dim": trainer.step_table.shape[1]}
 
 
 def structure_mismatch(cfg, ck):
@@ -78,7 +78,7 @@ def structure_mismatch(cfg, ck):
 def make_checkpoint(cfg, trainer, buf, rng):
     return Checkpoint(
         config_digest=config_digest(cfg), structure=structure(cfg, trainer),
-        step_count=trainer.step_count, m=trainer.opt.m, v=trainer.opt.v,
+        step_count=trainer.opt.step_count, m=trainer.opt.m, v=trainer.opt.v,
         rng_state=rng.bit_generator.state, online=trainer.online,
         target=trainer.target, trajectories=list(buf.trajectories))
 
@@ -113,7 +113,7 @@ def restore_trainer(cfg, ck):
     trainer = build_trainer(cfg)
     trainer.online, trainer.target = ck.online, ck.target
     trainer.opt.m, trainer.opt.v = ck.m, ck.v
-    trainer.step_count = trainer.opt.step_count = ck.step_count
+    trainer.opt.step_count = ck.step_count
     buf = ReplayBuffer(mdp, policy, cfg.training["buffer_capacity"])
     for traj in ck.trajectories:
         buf.push_trajectory(traj)
@@ -134,7 +134,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
     seed = trn["seed"] if seed is None else seed
     if resume_ck is not None:
         trainer, mdp, policy, buf, rng = restore_trainer(cfg, resume_ck)
-        start_step = trainer.step_count
+        start_step = trainer.opt.step_count
     else:
         mdp, policy = build_env(cfg)
         rng = np.random.default_rng(seed)
@@ -171,7 +171,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None):
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
                     make_checkpoint(cfg, trainer, buf, rng))
     manifest = {"config_digest": digest, "format_version": 1,
-                "steps": trainer.step_count,
+                "steps": trainer.opt.step_count,
                 "files": ["loss.csv", "checkpoint.bin"]}
     # a resumed run draws from its checkpoint's generator, not from a seed
     if resume_ck is None:

@@ -85,7 +85,8 @@ def test_criterion_3_unconditional_mixture():
     rng = np.random.default_rng(3)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=4)
     opt = ap.init_opt_state(net, lr=1e-3)
-    cond = df.Conditioning(step_dim=8)
+    cond = df.Conditioning(
+        step_table=df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8))
 
     def draw_data(count):
         comp = rng.integers(2, size=(count, 1))

@@ -207,25 +207,26 @@ def test_copy_params_is_independent():
 
 
 def per_layer_step(params, grads, state):
-    """Reference Adam step over the per-layer arrays, one layer's weights
-    and biases at a time. Returns (weights, biases, m, v), m and v as
-    per-layer (weights, biases) pairs."""
+    """Reference Adam step at Adam's published defaults over the per-layer
+    arrays, one layer's weights and biases at a time. Returns (weights,
+    biases, m, v), m and v as per-layer (weights, biases) pairs."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     new_w, new_b, ms, vs = [], [], [], []
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     m = ap.MlpParams(params.layer_sizes, state.m)
     v = ap.MlpParams(params.layer_sizes, state.v)
     for l, (w, b, gw, gb) in enumerate(zip(params.weights, params.biases,
                                            grads.weights, grads.biases)):
-        mw = state.beta1 * m.weights[l] + (1 - state.beta1) * gw
-        mb = state.beta1 * m.biases[l] + (1 - state.beta1) * gb
-        vw = state.beta2 * v.weights[l] + (1 - state.beta2) * gw ** 2
-        vb = state.beta2 * v.biases[l] + (1 - state.beta2) * gb ** 2
+        mw = beta1 * m.weights[l] + (1 - beta1) * gw
+        mb = beta1 * m.biases[l] + (1 - beta1) * gb
+        vw = beta2 * v.weights[l] + (1 - beta2) * gw ** 2
+        vb = beta2 * v.biases[l] + (1 - beta2) * gb ** 2
         ms.append((mw, mb))
         vs.append((vw, vb))
-        new_w.append(w - state.lr * (mw / bc1) / (np.sqrt(vw / bc2) + state.eps))
-        new_b.append(b - state.lr * (mb / bc1) / (np.sqrt(vb / bc2) + state.eps))
+        new_w.append(w - state.lr * (mw / bc1) / (np.sqrt(vw / bc2) + eps))
+        new_b.append(b - state.lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps))
     return new_w, new_b, ms, vs
 
 

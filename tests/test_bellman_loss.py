@@ -413,10 +413,10 @@ def test_train_step_hard_sync_every_step():
 def test_sync_target_hard_period():
     trainer, _, _, _, _ = make_setup(sync_period=500)
     trainer.online.weights[0][0, 0] += 1.0
-    trainer.step_count = 499
+    trainer.opt.step_count = 499
     bl.sync_target(trainer)
     assert trainer.target.weights[0][0, 0] != trainer.online.weights[0][0, 0]
-    trainer.step_count = 500
+    trainer.opt.step_count = 500
     bl.sync_target(trainer)
     np.testing.assert_array_equal(trainer.target.weights[0],
                                   trainer.online.weights[0])
@@ -458,7 +458,8 @@ def ref_conditioning(trainer, s, a, n):
 
 def ref_net_input(trainer, x_i, ctx, i):
     state, action, horizon = ctx
-    parts = [state, action, df.sinusoidal_embedding(i, trainer.step_dim),
+    parts = [state, action,
+             df.sinusoidal_embedding(i, trainer.step_table.shape[1]),
              horizon]
     return np.hstack([x_i] + [np.broadcast_to(c, (len(x_i), c.shape[-1]))
                               for c in parts])
@@ -496,16 +497,18 @@ def ref_td_loss(trainer, batch, i, eps):
 
 
 def ref_opt_step(params, grads, state):
-    """The out-of-place Adam formula, on fresh moment vectors."""
+    """The out-of-place Adam formula, at Adam's published defaults, on
+    fresh moment vectors."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     g = grads.theta
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    state.m = state.beta1 * state.m + (1 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1 - state.beta2) * g ** 2
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    state.m = beta1 * state.m + (1 - beta1) * g
+    state.v = beta2 * state.v + (1 - beta2) * g ** 2
     theta = params.theta - state.lr * (state.m / bc1) / (
-        np.sqrt(state.v / bc2) + state.eps)
+        np.sqrt(state.v / bc2) + eps)
     return ap.MlpParams(params.layer_sizes, theta)
 
 
@@ -514,7 +517,6 @@ def ref_train_step(trainer, batch, rng):
     eps = rng.standard_normal((len(batch), 2))
     loss, grads = ref_td_loss(trainer, batch, i, eps)
     trainer.online = ref_opt_step(trainer.online, grads, trainer.opt)
-    trainer.step_count += 1
     bl.sync_target(trainer)
     return loss
 
@@ -619,12 +621,14 @@ def test_encoding_tables_equal_per_call_encoders(width, height, step_dim):
 
 
 def test_sampler_conditioning_from_tables_bit_exact():
-    # the sampler reads the step table through net_input; the embedding
-    # computed per call gives the same samples
+    # the sampler reads the trainer's tables through conditioning;
+    # conditioning from the per-call encoders gives the same samples
     trainer, _, _, _, _ = make_setup(width=3, height=3, seed=2)
     cond = bl.conditioning(trainer, 4, 1, 3)
-    per_call = df.Conditioning(*ref_conditioning(trainer, 4, 1, 3),
-                               step_dim=trainer.step_dim)
+    per_call = df.Conditioning(
+        *ref_conditioning(trainer, 4, 1, 3),
+        step_table=df.sinusoidal_embedding(np.arange(1, trainer.sched.K + 1),
+                                           trainer.step_table.shape[1]))
     got, want = (df.sample(trainer.sched, trainer.online, c, 700,
                            np.random.default_rng(5)) for c in (cond, per_call))
     assert got.tobytes() == want.tobytes()

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ssm_diffusion import approximator as ap
+from ssm_diffusion import bellman_loss as bl
 from ssm_diffusion import checkpoint
 from ssm_diffusion import mdp as m
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import validate_config
-from ssm_diffusion.errors import FormatError
+from ssm_diffusion.errors import FormatError, NumericError
 from ssm_diffusion.replay import ReplayBuffer
 from ssm_diffusion.runner import (build_env, build_trainer, make_checkpoint,
                                   restore_trainer)
@@ -204,13 +205,42 @@ def test_restores_optimizer_moments(tmp_path):
     np.testing.assert_array_equal(loaded.m, ck.m)
     np.testing.assert_array_equal(loaded.v, ck.v)
     assert loaded.step_count == 7
-    # one step count serves the trainer and Adam's bias correction; the
-    # learning rate is the config's
+    # Adam's step count, the one the trainer reads, drives the bias
+    # correction; the learning rate is the config's
     trainer = restore_trainer(cfg, loaded)[0]
     np.testing.assert_array_equal(trainer.opt.m, ck.m)
     np.testing.assert_array_equal(trainer.opt.v, ck.v)
-    assert trainer.step_count == trainer.opt.step_count == 7
+    assert trainer.opt.step_count == 7
     assert trainer.opt.lr == cfg.training["lr"]
+
+
+def test_partial_checkpoint_counts_the_failed_step():
+    # an optimizer step that ends in non-finite parameters has already
+    # folded its gradient into Adam's moments and counted it, so the
+    # checkpoint written after it holds the last finite parameters with
+    # those moments and a step count that agrees with them: a resume then
+    # takes the bias correction of the step after the failed one
+    cfg = validate_config(minimal_raw(training={"steps": 10, "seed": 0}))
+    mdp, policy = build_env(cfg)
+    trainer = build_trainer(cfg)
+    buf = ReplayBuffer(mdp, policy, 10)
+    rng = np.random.default_rng(3)
+    for e in range(4):
+        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    for _ in range(5):
+        bl.train_step(trainer, [buf.sample_tuple(rng) for _ in range(8)], rng)
+    trainer.online.theta[...] *= 1e50
+    trainer.opt.lr = 1e100
+    last_finite = trainer.online.theta.copy()
+    m_before = trainer.opt.m.copy()
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericError, match="after optimizer step"):
+        bl.train_step(trainer, [buf.sample_tuple(rng) for _ in range(8)], rng)
+    ck = make_checkpoint(cfg, trainer, buf, rng)
+    # six calls, each of which updated Adam's moments
+    assert ck.step_count == 6
+    assert ck.online.theta.tobytes() == last_finite.tobytes()
+    assert not np.array_equal(ck.m, m_before)
 
 
 def test_readme_names_every_header_key(tmp_path):

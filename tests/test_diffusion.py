@@ -99,13 +99,32 @@ def test_loss_weight_index_error():
             df.loss_weight(sched, bad)
 
 
+def step_conditioning(K, d=8, **context):
+    """Conditioning on `context` with the embeddings of steps 1..K, d wide."""
+    return df.Conditioning(
+        step_table=df.sinusoidal_embedding(np.arange(1, K + 1), d), **context)
+
+
+def fold_unconditional(sched, net):
+    """net, which takes x alone, folded with a zero-width context for each
+    of sched's steps."""
+    return ap.fold_biases(net, net.layer_sizes[0], np.zeros((sched.K, 0)))
+
+
+def folded_step(sched, net, x_i, i, z):
+    """reverse_step on net folded with a zero-width context."""
+    folded = fold_unconditional(sched, net)
+    return df.reverse_step(sched, folded, x_i, i, z,
+                           ap.folded_buffers(folded, len(x_i)))
+
+
 def test_reverse_step_zero_prediction():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2, 4, 2], seed=0)
     for w in net.weights:
         w[:] = 0.0
     x = np.array([[1.0, -2.0], [0.5, 0.0]])
-    out = df.reverse_step(sched, net, x, 2, np.zeros((2, 2)))
+    out = folded_step(sched, net, x, 2, np.zeros((2, 2)))
     np.testing.assert_allclose(out, x / np.sqrt(0.9))
 
 
@@ -113,8 +132,8 @@ def test_reverse_step_no_noise_at_step_one():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2, 4, 2], seed=0)
     x = np.array([[0.5, 0.5]])
-    a = df.reverse_step(sched, net, x, 1, np.zeros((1, 2)))
-    b = df.reverse_step(sched, net, x, 1, np.full((1, 2), 100.0))
+    a = folded_step(sched, net, x, 1, np.zeros((1, 2)))
+    b = folded_step(sched, net, x, 1, np.full((1, 2), 100.0))
     np.testing.assert_array_equal(a, b)
 
 
@@ -122,21 +141,21 @@ def test_reverse_step_shape_error():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2, 4, 2], seed=0)
     with pytest.raises(ShapeError):
-        df.reverse_step(sched, net, np.zeros((1, 2)), 2, np.zeros((1, 3)))
+        folded_step(sched, net, np.zeros((1, 2)), 2, np.zeros((1, 3)))
 
 
 def test_sample_count_precondition():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2 + 8, 4, 2], seed=0)
     with pytest.raises(ConfigurationError):
-        df.sample(sched, net, df.Conditioning(step_dim=8), 0,
+        df.sample(sched, net, step_conditioning(sched.K), 0,
                   np.random.default_rng(0))
 
 
 def test_sample_deterministic_given_seed():
     sched = df.make_schedule(8, 0.01, 0.2)
     net = ap.mlp_init([2 + 8, 16, 2], seed=3)
-    cond = df.Conditioning(step_dim=8)
+    cond = step_conditioning(sched.K)
     for count in (5, 2 * df.BLOCK_ROWS + 37):
         a = df.sample(sched, net, cond, count, np.random.default_rng(42))
         b = df.sample(sched, net, cond, count, np.random.default_rng(42))
@@ -205,7 +224,7 @@ def test_sample_matches_unfolded_reference(seed, conditioned, K):
         net, cond = trainer.online, bl.conditioning(trainer, 4, 1, 3)
     else:
         net = ap.mlp_init([2 + 8, 16, 16, 2], seed=seed)
-        cond = df.Conditioning(step_dim=8)
+        cond = step_conditioning(K)
     # non-zero biases, so the folded first-layer bias carries them too
     for b in net.biases:
         b[...] = np.random.default_rng(6).uniform(-0.5, 0.5, b.shape)
@@ -352,7 +371,7 @@ def test_respaced_step_is_ddim_eta_one(K, steps):
         prev = sched.alpha_bar[tau[j - 2] - 1] if j > 1 else 1.0
         want = ddim_eta_one_step(sched.alpha_bar[tau[j - 1] - 1], prev,
                                  x, eps, z if j > 1 else None)
-        got = df.reverse_step(resp, net, x, j, z)
+        got = folded_step(resp, net, x, j, z)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -679,16 +698,19 @@ def test_reverse_step_tables_bit_exact_against_formula():
     rng = np.random.default_rng(2)
     net = ap.mlp_init([2, 16, 2], seed=4)
     x, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
-    eps_pred, _ = ap.mlp_forward(net, x)
     full = df.make_schedule(32, 1e-4, 0.2)
     for sched in (full, df.respace(full, 16)):
+        folded = fold_unconditional(sched, net)
+        out = ap.folded_buffers(folded, len(x))
+        # every step's row of a zero-width context folds the same bias
+        eps_pred = ap.folded_forward(folded, 0, x, out).copy()
         for i in range(1, sched.K + 1):
             beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
             want = (x - (beta / np.sqrt(1.0 - ab)) * eps_pred) \
                 / np.sqrt(sched.alpha[i - 1])
             if i > 1:
                 want = want + sched.sigma[i - 1] * z
-            got = df.reverse_step(sched, net, x, i, z)
+            got = df.reverse_step(sched, folded, x, i, z, out)
             assert got.tobytes() == want.tobytes()
 
 
@@ -760,7 +782,7 @@ def test_sample_rejects_per_row_conditioning():
         df.sample(sched, trainer.online, rows, 2, np.random.default_rng(0))
     # conditioning that does not fit the network's input width
     with pytest.raises(ShapeError, match="inputs"):
-        df.sample(sched, trainer.online, df.Conditioning(step_dim=8), 2,
+        df.sample(sched, trainer.online, step_conditioning(sched.K), 2,
                   np.random.default_rng(0))
 
 
@@ -772,7 +794,7 @@ def test_single_step_chain_learns_point_mass():
     rng = np.random.default_rng(0)
     net = ap.mlp_init([2 + 8, 32, 2], seed=1)
     state = ap.init_opt_state(net, lr=1e-2)
-    cond = df.Conditioning(step_dim=8)
+    cond = step_conditioning(sched.K)
     for _ in range(2000):
         eps = rng.standard_normal((1, 2))
         x1 = df.forward_noise(sched, c[None, :], 1, eps)
@@ -798,9 +820,9 @@ def test_sinusoidal_embedding_shape_and_range():
 
 def test_net_input_concatenation():
     # conditioning shared by every row
-    cond = df.Conditioning(state_enc=np.array([0.5]),
-                           action_enc=np.array([1.0, 0.0]),
-                           horizon_enc=np.array([0.25]), step_dim=4)
+    cond = step_conditioning(3, 4, state_enc=np.array([0.5]),
+                             action_enc=np.array([1.0, 0.0]),
+                             horizon_enc=np.array([0.25]))
     batch = df.net_input(np.array([[9.0], [8.0]]), cond, 2)
     assert batch.shape == (2, 1 + 1 + 2 + 4 + 1)
     v = batch[0]
@@ -808,9 +830,9 @@ def test_net_input_concatenation():
     np.testing.assert_array_equal(v[4:8], df.sinusoidal_embedding(2, 4))
     np.testing.assert_array_equal(batch[1, 1:], v[1:])
     # per-row conditioning and steps
-    rows = df.Conditioning(state_enc=np.array([[0.5], [0.7]]),
-                           action_enc=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                           horizon_enc=np.array([[0.25], [0.5]]), step_dim=4)
+    rows = step_conditioning(3, 4, state_enc=np.array([[0.5], [0.7]]),
+                             action_enc=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                             horizon_enc=np.array([[0.25], [0.5]]))
     batch = df.net_input(np.array([[9.0], [8.0]]), rows, np.array([2, 3]))
     np.testing.assert_array_equal(batch[0], v)
     assert batch[1, 1] == 0.7 and batch[1, -1] == 0.5
@@ -824,7 +846,7 @@ def test_net_input_into_out_equals_new_array(per_row):
     cond = df.Conditioning(
         state_enc=rng.standard_normal(lead + (2,)),
         action_enc=rng.standard_normal(lead + (4,)),
-        horizon_enc=rng.standard_normal(lead + (3,)), step_dim=6,
+        horizon_enc=rng.standard_normal(lead + (3,)),
         step_table=df.sinusoidal_embedding(np.arange(1, 9), 6))
     x = rng.standard_normal((5, 2))
     i = rng.integers(1, 9, size=5) if per_row else 7
@@ -835,7 +857,7 @@ def test_net_input_into_out_equals_new_array(per_row):
 
 
 def test_net_input_rejects_misshapen_x_and_out():
-    cond = df.Conditioning(state_enc=np.array([0.5]), step_dim=4)
+    cond = step_conditioning(1, 4, state_enc=np.array([0.5]))
     with pytest.raises(ShapeError, match="out shape"):
         df.net_input(np.zeros((3, 2)), cond, 1, out=np.empty((3, 8)))
     with pytest.raises(ShapeError, match="x_i shape"):

@@ -27,9 +27,8 @@ def random_mdps(draw):
     table = draw(arrays(np.int64, (S,), elements=st.integers(0, A - 1)))
     n_max = draw(st.integers(1, 6))
     mdp = m.TabularMdp(width=S, height=1, n_states=S, n_actions=A,
-                       transition=T, reward=np.zeros(S), horizon=n_max,
-                       p_move=1.0)
-    return mdp, m.Policy(kind="tabular_deterministic", table=table), n_max
+                       transition=T, reward=np.zeros(S), horizon=n_max)
+    return mdp, m.Policy(table=table), n_max
 
 
 @SETTINGS
@@ -106,6 +105,63 @@ def test_bellman_update_in_noise_space(case, seed):
             np.testing.assert_allclose(rhs / q_d[:, :, n - 1, :, None],
                                        eps_d[:, :, n - 1], rtol=0,
                                        atol=1e-10)
+
+
+@settings(SETTINGS, max_examples=25)
+@given(random_mdps().filter(lambda case: min(case[0].n_states, case[2]) > 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_bellman_update_through_replay(case, seed):
+    # the same identity, read off replayed rows of one (s, pi(s), H), with
+    # S >= 2 and H >= 2 so that both branches are drawn and differ. Each row
+    # takes x0 and its regression target as td_loss takes them: s' and the
+    # noise that moves x0 to y on an L1 row, x and eps*_{d_{H-1}(s',
+    # pi(s'))}(y) on an L2 row. Weighted by N(y; sqrt(abar) c_{x0},
+    # (1 - abar) I), the targets average to eps*_{d_H}(y). A buffer of one
+    # trajectory started at s, refilled for every kept row, makes the rows
+    # independent (t = 0 is the only time with H steps left), so the
+    # self-normalized estimate is within a CLT bound of eps*
+    mdp, policy, H = case
+    S, R = mdp.n_states, 10_000
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(S))
+    # R trajectories from s, drawn a step of all of them at a time
+    states = np.full((R, H + 1), s)
+    for t in range(H):
+        cdf = np.cumsum(mdp.transition[states[:, t],
+                                       policy.table[states[:, t]]], axis=1)
+        states[:, t + 1] = np.minimum(
+            np.sum(cdf < rng.random((R, 1)), axis=1), S - 1)
+    buf = ReplayBuffer(mdp, policy, 1)
+    rows = []
+    for traj in zip(states.tolist(), policy.table[states[:, :-1]].tolist()):
+        buf.push_trajectory(m.Trajectory(*map(tuple, traj)))
+        row = buf.sample_tuple(rng)
+        while row.n != H:
+            row = buf.sample_tuple(rng)
+        rows.append(row)
+    s_row, a, s_next, a_next, x, _, is_l1 = np.array(rows).T
+    assert np.all(s_row == s) and np.all(a == policy.table[s])
+    l2 = is_l1 == 0
+    d = orc.exact_ssm(mdp, policy, H).d
+    d_H = d[s, policy.table[s], H - 1]
+    centers = m.encode_state(mdp, np.arange(S))
+    x0 = centers[np.where(l2, x, s_next)]
+    for abar in (0.05, 0.5, 0.95):
+        # points where the noised d_H puts its mass
+        y = np.sqrt(abar) * centers[rng.choice(S, size=4, p=d_H)] \
+            + np.sqrt(1.0 - abar) * rng.standard_normal((4, 2))
+        _, want = noised_flux(d_H, centers, abar, y)
+        # (row, point, 2): the noise that moves each row's x0 to each y
+        target = (y - np.sqrt(abar) * x0[:, None, :]) / np.sqrt(1.0 - abar)
+        w = np.exp(-0.5 * np.sum(target ** 2, axis=-1))
+        # (s', a', point, 2), read at each L2 row's (s', a_next)
+        _, eps_next = noised_flux(d[:, :, H - 2], centers, abar, y)
+        target[l2] = eps_next[s_next[l2], a_next[l2]]
+        est = np.einsum("rp,rpk->pk", w, target) / w.sum(axis=0)[:, None]
+        # the delta method's standard error of a ratio of means
+        se = np.sqrt(np.einsum("rp,rpk->pk", w ** 2, (target - est) ** 2)) \
+            / w.sum(axis=0)[:, None]
+        assert np.all(np.abs(est - want) <= 5.0 * se + 1e-9)
 
 
 @SETTINGS
