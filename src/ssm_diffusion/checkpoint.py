@@ -2,7 +2,8 @@
 little-endian float64 blocks and int64 replay-buffer blocks. The float64
 blocks are the online and the target parameter vectors, then Adam's first
 and second moment vectors, each in the layout of approximator.MlpParams.
-The int64 block holds each replay trajectory's states, then its actions.
+The int64 block holds the replay, one row per trajectory: its states, then
+its actions.
 
 The checkpoint holds training's state only (networks, optimizer moments,
 step count, rng state, buffer contents); every setting comes from the
@@ -19,7 +20,6 @@ import numpy as np
 from .approximator import MlpParams, param_count
 from .config import _ints_in
 from .errors import FormatError
-from .mdp import Trajectory
 
 FORMAT_VERSION = 4
 
@@ -34,30 +34,22 @@ class Checkpoint:
     rng_state: dict
     online: MlpParams
     target: MlpParams
-    trajectories: list      # of Trajectory
+    replay: np.ndarray      # (n, 2H+1) int64: per trajectory s_0..s_H,
+                            # then a_0..a_{H-1}
 
 
 def save_checkpoint(path, ck):
     """Write through a temporary file in the same directory, then rename it
-    over `path`, so a failed write leaves any previous file intact. The
-    format has one horizon: a replay of mixed lengths is refused first."""
-    trajs = ck.trajectories
-    horizon = len(trajs[0].actions) if trajs else 0
-    if any(len(t.actions) != horizon or len(t.states) != horizon + 1
-           for t in trajs):
-        raise FormatError("cannot write a checkpoint whose replay "
-                          "trajectories differ in length")
+    over `path`, so a failed write leaves any previous file intact."""
     f64_bytes = b"".join(a.astype("<f8").tobytes() for a in (
         ck.online.theta, ck.target.theta, ck.m, ck.v))
-    i64_bytes = np.array([(*t.states, *t.actions) for t in trajs],
-                         dtype="<i8").tobytes()
     header = {
         "config_digest": ck.config_digest,
         "structure": ck.structure,
         "step_count": ck.step_count,
         "rng": ck.rng_state,
-        "n_trajectories": len(trajs),
-        "horizon": horizon,
+        "n_trajectories": len(ck.replay),
+        "horizon": ck.replay.shape[1] // 2,
     }
     head = (f"ssm-diffusion-checkpoint v{FORMAT_VERSION}\n"
             + json.dumps(header, sort_keys=True) + "\nEND\n").encode()
@@ -66,7 +58,7 @@ def save_checkpoint(path, ck):
         with open(tmp, "wb") as fh:
             fh.write(head)
             fh.write(f64_bytes)
-            fh.write(i64_bytes)
+            fh.write(ck.replay.astype("<i8").tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -138,9 +130,6 @@ def load_checkpoint(path):
     H = header["horizon"]
     rows, offset = _take(buf, offset, header["n_trajectories"] * (2 * H + 1),
                          "i8")
-    trajectories = [Trajectory(states=tuple(row[:H + 1]),
-                               actions=tuple(row[H + 1:]))
-                    for row in rows.reshape(-1, 2 * H + 1).tolist()]
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} bytes after the last "
                           "checkpoint block")
@@ -149,4 +138,4 @@ def load_checkpoint(path):
         step_count=header["step_count"], m=m, v=v, rng_state=header["rng"],
         online=MlpParams(layer_sizes=list(sizes), theta=online),
         target=MlpParams(layer_sizes=list(sizes), theta=target),
-        trajectories=trajectories)
+        replay=rows.reshape(-1, 2 * H + 1))

@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import config_digest, load_config
-from .errors import ConfigurationError, FormatError, NumericError
+from .config import load_config
+from .errors import ConfigurationError, FormatError, MismatchError, \
+    NumericError
 from .runner import restore_trainer, run_eval, run_training, \
-    structure_mismatch, write_oracle_csvs
+    write_oracle_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,40 +53,18 @@ def build_parser():
     return parser
 
 
-def _load_checkpoint_checked(path, cfg, override):
-    """The checkpoint, or None after reporting why it does not fit cfg. The
-    override skips only the digest comparison."""
-    ck = load_checkpoint(path)
-    problem = structure_mismatch(cfg, ck)
-    if problem is None and ck.config_digest != config_digest(cfg) \
-            and not override:
-        problem = (f"checkpoint digest {ck.config_digest[:12]} does not "
-                   f"match config digest {config_digest(cfg)[:12]} "
-                   "(use --override-digest to proceed)")
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return None
-    return ck
-
-
 def cmd_train(args):
     cfg = load_config(args.config)
-    resume_ck = None
-    if args.checkpoint:
-        resume_ck = _load_checkpoint_checked(args.checkpoint, cfg,
-                                             args.override_digest)
-        if resume_ck is None:
-            return EXIT_DIGEST
-    run_training(cfg, args.out, resume_ck=resume_ck, seed=args.seed)
+    resume_ck = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    run_training(cfg, args.out, resume_ck=resume_ck, seed=args.seed,
+                 override_digest=args.override_digest)
     return EXIT_OK
 
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    ck = _load_checkpoint_checked(args.checkpoint, cfg, args.override_digest)
-    if ck is None:
-        return EXIT_DIGEST
-    trainer, _, _, _, _ = restore_trainer(cfg, ck)
+    trainer = restore_trainer(cfg, load_checkpoint(args.checkpoint),
+                              args.override_digest)
     report = run_eval(cfg, trainer, args.out, seed=args.seed)
     by_n = " ".join(f"tv_n{n}={tv:.4f}"
                     for n, tv in report.mean_tv_by_n.items())
@@ -111,6 +90,9 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIGEST
     except FormatError as exc:
         print(f"checkpoint format error: {exc}", file=sys.stderr)
         return 1

@@ -15,3 +15,8 @@ class NumericError(ArithmeticError):
 
 class FormatError(ValueError):
     """Malformed or truncated serialized data."""
+
+
+class MismatchError(ValueError):
+    """A checkpoint whose structure or digest does not match the config it
+    is resumed or evaluated with."""

@@ -6,6 +6,7 @@ States are cells indexed s = cy * width + cx. Actions: 0=up, 1=down,
 p_move, otherwise the agent stays; moving into a wall also stays.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class Trajectory:
 
 def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None,
                   start="uniform"):
+    # Python ints, which replay's exact integer draws need: a NumPy
+    # integer's product with a 64-bit word overflows
+    width, height, horizon = map(operator.index, (width, height, horizon))
     if width < 1 or height < 1:
         raise ConfigurationError(f"grid dims must be >= 1, got {width}x{height}")
     if not 0.0 < p_move <= 1.0:

@@ -48,7 +48,6 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.mdp = mdp
-        self.policy = policy
         # the policy's action in each state, as Python ints
         self.policy_actions = tuple(map(int, policy.table))
         self.trajectories = deque(maxlen=capacity)

@@ -14,7 +14,8 @@ from . import mdp as mdp_mod
 from . import oracle as orc
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import ConfigurationError, FormatError, NumericError
+from .errors import ConfigurationError, FormatError, MismatchError, \
+    NumericError
 from .replay import ReplayBuffer
 
 
@@ -64,85 +65,88 @@ def structure(cfg, trainer):
             "step_dim": trainer.step_table.shape[1]}
 
 
-def structure_mismatch(cfg, ck):
-    """One line naming each structural field where the checkpoint and the
-    config disagree, or None when they agree."""
-    want = structure(cfg, build_trainer(cfg))
-    diffs = [f"{key} {ck.structure.get(key)!r} (config {value!r})"
-             for key, value in want.items() if ck.structure.get(key) != value]
-    if not diffs:
-        return None
-    return "checkpoint does not match config: " + ", ".join(diffs)
-
-
 def make_checkpoint(cfg, trainer, buf, rng):
+    replay = np.array([(*t.states, *t.actions) for t in buf.trajectories],
+                      dtype=np.int64)
     return Checkpoint(
         config_digest=config_digest(cfg), structure=structure(cfg, trainer),
         step_count=trainer.opt.step_count, m=trainer.opt.m, v=trainer.opt.v,
         rng_state=rng.bit_generator.state, online=trainer.online,
-        target=trainer.target, trajectories=list(buf.trajectories))
+        target=trainer.target,
+        replay=replay.reshape(len(buf), 2 * trainer.mdp.horizon + 1))
 
 
-def check_replay(trajectories, mdp):
-    """Raise a one-line FormatError unless the checkpoint's replay holds at
-    least one trajectory, each of the config's horizon, with every state
-    and action in range for the config's environment."""
-    if not trajectories:
-        raise FormatError("replay holds no trajectories")
+def restore_trainer(cfg, ck, override_digest=False):
+    """The trainer a checkpoint saved, rebuilt under its config. The
+    checkpoint gives the state, the config every setting: the optimizer
+    keeps the config's learning rate and takes the checkpoint's moments.
+
+    This is where a checkpoint is checked against its config, in order:
+    the structure, then the digest unless overridden (a MismatchError
+    naming each disagreement), then the replay (a one-line FormatError
+    unless it holds at least one trajectory, each of the config's
+    horizon, with every state and action in range)."""
+    trainer = build_trainer(cfg)
+    diffs = [f"{key} {ck.structure.get(key)!r} (config {value!r})"
+             for key, value in structure(cfg, trainer).items()
+             if ck.structure.get(key) != value]
+    if diffs:
+        raise MismatchError("checkpoint does not match config: "
+                            + ", ".join(diffs))
+    digest = config_digest(cfg)
+    if ck.config_digest != digest and not override_digest:
+        raise MismatchError(f"checkpoint digest {ck.config_digest[:12]} does "
+                            f"not match config digest {digest[:12]} "
+                            "(use --override-digest to proceed)")
+    mdp = trainer.mdp
     H = mdp.horizon
-    if any(len(t.states) != H + 1 or len(t.actions) != H
-           for t in trajectories):
+    if not len(ck.replay):
+        raise FormatError("replay holds no trajectories")
+    if ck.replay.shape[1] != 2 * H + 1:
         raise FormatError("replay trajectories do not have the config's "
                           f"horizon {H}")
     for name, values, bound in (
-            ("state", [t.states for t in trajectories], mdp.n_states),
-            ("action", [t.actions for t in trajectories], mdp.n_actions)):
-        values = np.asarray(values)
+            ("state", ck.replay[:, :H + 1], mdp.n_states),
+            ("action", ck.replay[:, H + 1:], mdp.n_actions)):
         bad = values[(values < 0) | (values >= bound)]
         if bad.size:
             raise FormatError(f"replay {name} {bad[0]} out of range "
                               f"[0, {bound})")
-
-
-def restore_trainer(cfg, ck):
-    """Rebuild a Trainer and buffer from a checkpoint plus its config. The
-    checkpoint gives the state, the config every setting: the optimizer
-    keeps the config's learning rate and takes the checkpoint's moments."""
-    mdp, policy = build_env(cfg)
-    check_replay(ck.trajectories, mdp)
-    trainer = build_trainer(cfg)
     trainer.online, trainer.target = ck.online, ck.target
     trainer.opt.m, trainer.opt.v = ck.m, ck.v
     trainer.opt.step_count = ck.step_count
-    buf = ReplayBuffer(mdp, policy, cfg.training["buffer_capacity"])
-    for traj in ck.trajectories:
-        buf.push_trajectory(traj)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = ck.rng_state
-    return trainer, mdp, policy, buf, rng
+    return trainer
 
 
-def run_training(cfg, out_dir, resume_ck=None, seed=None):
+def run_training(cfg, out_dir, resume_ck=None, seed=None,
+                 override_digest=False):
     """Collect rollouts, run the training loop, write loss.csv and the final
     checkpoint. Returns (trainer, mdp, policy, buffer). seed, if given,
-    replaces the config's training seed; a resumed run takes none."""
-    if resume_ck is not None and seed is not None:
-        raise ConfigurationError("cannot override the seed of a resumed run: "
-                                 "it continues its checkpoint's generator")
+    replaces the config's training seed; a resumed run takes none, and
+    override_digest resumes it despite a digest mismatch."""
     trn = cfg.training
     digest = config_digest(cfg)
-    seed = trn["seed"] if seed is None else seed
-    if resume_ck is not None:
-        trainer, mdp, policy, buf, rng = restore_trainer(cfg, resume_ck)
-        start_step = trainer.opt.step_count
-    else:
-        mdp, policy = build_env(cfg)
+    mdp, policy = build_env(cfg)
+    buf = ReplayBuffer(mdp, policy, trn["buffer_capacity"])
+    if resume_ck is None:
+        seed = trn["seed"] if seed is None else seed
         rng = np.random.default_rng(seed)
         trainer = build_trainer(cfg, seed=seed)
-        buf = ReplayBuffer(mdp, policy, trn["buffer_capacity"])
         for e in range(trn["initial_trajectories"]):
             buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng, episode_id=e))
-        start_step = 0
+    else:
+        trainer = restore_trainer(cfg, resume_ck, override_digest)
+        if seed is not None:
+            raise ConfigurationError("cannot override the seed of a resumed "
+                                     "run: it continues its checkpoint's "
+                                     "generator")
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = resume_ck.rng_state
+        H = mdp.horizon
+        for row in resume_ck.replay.tolist():
+            buf.push_trajectory(mdp_mod.Trajectory(states=tuple(row[:H + 1]),
+                                                   actions=tuple(row[H + 1:])))
+    start_step = trainer.opt.step_count
 
     os.makedirs(out_dir, exist_ok=True)
     loss_rows = []

@@ -49,37 +49,15 @@ def test_roundtrip_bit_exact(tmp_path):
                                            "layer_sizes", "n_max", "step_dim"]
     # online and target parameters, then Adam's two moment vectors
     n_params = ap.param_count(ck.online.layer_sizes)
-    traj_ints = sum(2 * len(t.actions) + 1 for t in ck.trajectories)
-    assert len(body) == 8 * (4 * n_params + traj_ints)
+    assert len(body) == 8 * (4 * n_params + ck.replay.size)
     for a, b in ((ck.online, loaded.online), (ck.target, loaded.target)):
         assert a.theta.tobytes() == b.theta.tobytes()
         assert b.layer_sizes == a.layer_sizes
     assert loaded.m.size == loaded.v.size == n_params
     assert loaded.step_count == ck.step_count
     assert loaded.rng_state == ck.rng_state
-    assert len(loaded.trajectories) == len(ck.trajectories)
-    for ta, tb in zip(ck.trajectories, loaded.trajectories):
-        np.testing.assert_array_equal(ta.states, tb.states)
-        np.testing.assert_array_equal(ta.actions, tb.actions)
-
-
-def test_mixed_length_replay_refused_before_writing(tmp_path):
-    # the format stores one horizon for every trajectory, so such a file
-    # would not load
-    _, ck = make_ck()
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, ck)
-    before = path.read_bytes()
-    first = ck.trajectories[0]
-    for short in (m.Trajectory(first.states[:-1], first.actions[:-1]),
-                  m.Trajectory(first.states[:-1], first.actions)):
-        ck.trajectories = [first, short]
-        with pytest.raises(FormatError, match="differ in length"):
-            save_checkpoint(path, ck)
-        with pytest.raises(FormatError, match="differ in length"):
-            save_checkpoint(tmp_path / "new.bin", ck)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+    assert loaded.replay.dtype == np.int64
+    np.testing.assert_array_equal(loaded.replay, ck.replay)
 
 
 def test_truncated_file_raises(tmp_path):
@@ -207,7 +185,7 @@ def test_restores_optimizer_moments(tmp_path):
     assert loaded.step_count == 7
     # Adam's step count, the one the trainer reads, drives the bias
     # correction; the learning rate is the config's
-    trainer = restore_trainer(cfg, loaded)[0]
+    trainer = restore_trainer(cfg, loaded)
     np.testing.assert_array_equal(trainer.opt.m, ck.m)
     np.testing.assert_array_equal(trainer.opt.v, ck.v)
     assert trainer.opt.step_count == 7

@@ -10,7 +10,6 @@ from ssm_diffusion import approximator as ap
 from ssm_diffusion import cli, runner
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import _SECTIONS
-from ssm_diffusion.mdp import Trajectory
 
 from test_checkpoint import VERSION_LINE, rewrite_header
 from test_config import minimal_raw
@@ -247,24 +246,25 @@ def test_replay_not_fitting_config_exit_1_one_line(tmp_path, capsys):
     resume_cfg = str(write_config(tmp_path, "resume.json", **resumed))
     assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     ck = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
-    trajs = ck.trajectories
-    first, rest = trajs[0], trajs[1:]
+    rows, H = ck.replay, 3
 
-    def with_replay(name, trajectories):
-        ck.trajectories = trajectories
+    def with_replay(name, replay):
+        ck.replay = replay
         save_checkpoint(tmp_path / name, ck)
         return tmp_path / name
 
+    state, action = rows.copy(), rows.copy()
+    state[0, H] = 99        # the first trajectory's last state
+    action[0, H + 1] = 7    # and its first action
     probes = (
-        (with_replay("state.bin", [Trajectory(
-            np.r_[first.states[:-1], 99], first.actions)] + rest),
+        (with_replay("state.bin", state),
          "replay state 99 out of range [0, 4)"),
-        (with_replay("action.bin", [Trajectory(
-            first.states, np.r_[7, first.actions[1:]])] + rest),
+        (with_replay("action.bin", action),
          "replay action 7 out of range [0, 4)"),
-        (with_replay("short.bin", [Trajectory(t.states[:-1], t.actions[:-1])
-                                   for t in trajs]), "config's horizon 3"),
-        (with_replay("empty.bin", []), "replay holds no trajectories"))
+        # each trajectory one step shorter
+        (with_replay("short.bin", np.c_[rows[:, :H], rows[:, H + 1:-1]]),
+         "config's horizon 3"),
+        (with_replay("empty.bin", rows[:0]), "replay holds no trajectories"))
     for path, says in probes:
         for argv in (["train", "--config", resume_cfg, "--override-digest"],
                      ["eval", "--config", cfg]):
@@ -308,11 +308,32 @@ def test_structural_mismatch_exit_3_despite_override(tmp_path, capsys):
                   "--out", str(tmp_path / "e")],
                  ["train", "--checkpoint", ck, "--config", cfg,
                   "--out", str(tmp_path / "t")]):
-        assert run(argv + ["--override-digest"]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "K 32 (config 4)" in err and "layer_sizes" in err
+        # the digest differs too, but the structure is checked first
+        for flags in ([], ["--override-digest"]):
+            assert run(argv + flags) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "digest" not in err
+            assert "K 32 (config 4)" in err and "layer_sizes" in err
     assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
+
+
+def test_checkpoint_commands_build_one_trainer(tmp_path, monkeypatch):
+    # the checkpoint is checked on the trainer it is restored into
+    cfg = str(write_config(tmp_path, **tiny_overrides(steps=0)))
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    ck = str(tmp_path / "run" / "checkpoint.bin")
+    builds, build_trainer = [], runner.build_trainer
+
+    def counting_build_trainer(*args, **kwargs):
+        builds.append(args)
+        return build_trainer(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_trainer", counting_build_trainer)
+    for command in ("eval", "train"):
+        builds.clear()
+        assert run([command, "--config", cfg, "--checkpoint", ck,
+                    "--out", str(tmp_path / command)]) == 0
+        assert len(builds) == 1, command
 
 
 def test_resume_equivalence(tmp_path):

@@ -10,7 +10,7 @@ from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
 from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer, _below
 from ssm_diffusion.runner import (build_env, build_trainer, make_checkpoint,
-                                  restore_trainer)
+                                  run_training)
 
 from test_config import minimal_raw
 
@@ -32,16 +32,18 @@ def test_push_and_size():
 
 def test_fifo_eviction():
     buf, rng = make_buffer(capacity=2, n_traj=0)
+    pol = m.policy_fixed_action(buf.mdp, 3)
     for e in range(3):
-        buf.push_trajectory(m.rollout(buf.mdp, buf.policy, rng, episode_id=e))
+        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, episode_id=e))
     assert len(buf) == 2
     assert [t.episode_id for t in buf.trajectories] == [1, 2]
 
 
 def test_evicted_trajectory_never_sampled():
     buf, rng = make_buffer(capacity=2, n_traj=0)
+    pol = m.policy_fixed_action(buf.mdp, 3)
     for e in range(5):
-        buf.push_trajectory(m.rollout(buf.mdp, buf.policy, rng, episode_id=e))
+        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, episode_id=e))
     remaining = {id(t) for t in buf.trajectories}
     assert len(remaining) == 2
 
@@ -127,8 +129,8 @@ def test_tuple_holds_indices_with_policy_actions():
     for _ in range(50):
         tup = buf.sample_tuple(rng)
         assert all(type(v) is int for v in tup[:6])
-        assert tup.a == buf.policy.table[tup.s]
-        assert tup.a_next == buf.policy.table[tup.s_next]
+        # make_buffer's policy always moves right
+        assert tup.a == tup.a_next == 3
 
 
 @pytest.mark.parametrize("policy", [
@@ -152,6 +154,17 @@ def test_tuple_types_and_next_action_under_each_policy_kind(policy):
         seen.add(tup.s_next)
     # every state that follows a step of some stored trajectory
     assert seen == {s for t in buf.trajectories for s in t.states[1:]}
+
+
+def test_numpy_integer_sizes_sample():
+    # replay's exact draws multiply a 64-bit word by the horizon, which a
+    # NumPy integer would overflow
+    g = m.gridworld_new(np.int64(3), np.int64(1), horizon=np.int64(4))
+    assert [type(v) for v in (g.width, g.height, g.horizon)] == [int] * 3
+    pol = m.policy_fixed_action(g, 3)
+    buf, rng = ReplayBuffer(g, pol, 2), np.random.default_rng(0)
+    buf.push_trajectory(m.rollout(g, pol, rng))
+    assert 1 <= buf.sample_tuple(rng).n <= 4
 
 
 def test_push_rejects_trajectory_of_another_horizon():
@@ -209,7 +222,8 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
         tmp_path):
     cfg = validate_config(minimal_raw(
         env={"width": 4, "height": 3, "horizon": 5, "p_move": 0.7},
-        training={"buffer_capacity": 6, "initial_trajectories": 6}))
+        training={"buffer_capacity": 6, "initial_trajectories": 6,
+                  "steps": 0}))
     mdp, policy = build_env(cfg)
     buf, ref = ReplayBuffer(mdp, policy, 6), RefReplay(policy.table, 6)
     rng = np.random.default_rng(1)
@@ -221,7 +235,9 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
     assert_same_stream(buf, ref, 7)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, make_checkpoint(cfg, build_trainer(cfg), buf, rng))
-    _, _, _, restored, _ = restore_trainer(cfg, load_checkpoint(path))
+    # a resumed run of no steps: its buffer as restored
+    restored = run_training(cfg, tmp_path / "resumed",
+                            resume_ck=load_checkpoint(path))[3]
     assert_same_stream(restored, ref, 8)
 
 
