@@ -23,7 +23,7 @@ class Trainer:
     sched: df.NoiseSchedule
     opt: ap.OptState                # its step_count is the trainer's
     mdp: TabularMdp                 # its horizon is the largest n
-    sync_period: int = 500          # steps between hard target copies; 0 is off
+    sync_period: int = 500          # steps between hard target copies
     # the encoding of each state, action, horizon n (row n-1, one-hot) and
     # diffusion step i (row i-1), built once by make_trainer with the
     # per-call encoders; the step table's width is the step embedding's
@@ -174,8 +174,7 @@ def td_loss(trainer, batch, i, eps):
 
 def sync_target(trainer):
     """Copy the online network into the target every sync_period steps."""
-    if trainer.sync_period > 0 and \
-            trainer.opt.step_count % trainer.sync_period == 0:
+    if trainer.opt.step_count % trainer.sync_period == 0:
         trainer.target = ap.copy_params(trainer.online)
 
 

@@ -47,10 +47,9 @@ _SECTIONS = {
         "height": (_REQUIRED, int),
         "p_move": (0.8, float),
         "horizon": (_REQUIRED, int),
-        # reward/policy default to the bottom-right corner of the grid
-        "reward": (None, dict),
-        "start": ("uniform", None),
-        "policy": (None, dict),
+        # the cell [x, y] that the reward marks and the policy moves
+        # toward; null is the bottom-right corner
+        "goal": (None, list),
     },
     "diffusion": {
         "K": (32, int),
@@ -123,47 +122,6 @@ def _ints_in(values, lo, hi):
                     and lo <= v < hi for v in values))
 
 
-# the keys besides "kind" that each kind of reward or policy spec reads
-_CELLSPEC_KEYS = {"zero": set(), "goal": {"cell"}, "values": {"values"},
-                  "toward_goal": {"cell"}, "fixed_action": {"action"},
-                  "table": {"table"}}
-
-
-def _validate_cellspec(env, key, kinds):
-    spec = env[key]
-    kind = spec.get("kind")
-    if kind not in kinds:
-        raise ConfigurationError(
-            f"env.{key}.kind must be one of {'|'.join(kinds)}, got {spec}")
-    unknown = set(spec) - _CELLSPEC_KEYS[kind] - {"kind"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in env.{key} of kind {kind}: {sorted(unknown)}")
-    n_states = env["width"] * env["height"]
-    if kind in ("goal", "toward_goal"):
-        cell = spec.get("cell")
-        if (not isinstance(cell, list) or len(cell) != 2
-                or not _ints_in(cell[:1], 0, env["width"])
-                or not _ints_in(cell[1:], 0, env["height"])):
-            raise ConfigurationError(f"env.{key}.cell invalid: {cell}")
-    elif kind == "fixed_action":
-        if not _ints_in([spec.get("action")], 0, 4):
-            raise ConfigurationError(f"env.{key}.action invalid: {spec}")
-    elif kind == "values":
-        vals = spec.get("values")
-        if (not isinstance(vals, list) or len(vals) != n_states
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       or not math.isfinite(v) for v in vals)):
-            raise ConfigurationError(
-                f"env.{key}.values must be a list of {n_states} numbers")
-    elif kind == "table":
-        table = spec.get("table")
-        if not _ints_in(table, 0, 4) or len(table) != n_states:
-            raise ConfigurationError(
-                f"env.{key}.table must be a list of {n_states} actions "
-                f"(ints in [0, 4)), got {table}")
-
-
 def validate_config(raw):
     """Apply defaults and check types/ranges; returns an ExperimentConfig."""
     if not isinstance(raw, dict):
@@ -181,18 +139,14 @@ def validate_config(raw):
                                      f"got {sections[name][key]}")
     if not 0.0 < env["p_move"] <= 1.0:
         raise ConfigurationError(f"env.p_move must be in (0, 1], got {env['p_move']}")
-    if env["start"] != "uniform" and not _ints_in(
-            [env["start"]], 0, env["width"] * env["height"]):
+    if env["goal"] is None:
+        env["goal"] = [env["width"] - 1, env["height"] - 1]
+    goal = env["goal"]
+    if not (len(goal) == 2 and _ints_in(goal[:1], 0, env["width"])
+            and _ints_in(goal[1:], 0, env["height"])):
         raise ConfigurationError(
-            f"env.start must be \"uniform\" or a state index, "
-            f"got {env['start']!r}")
-    corner = [env["width"] - 1, env["height"] - 1]
-    if env["reward"] is None:
-        env["reward"] = {"kind": "goal", "cell": corner}
-    if env["policy"] is None:
-        env["policy"] = {"kind": "toward_goal", "cell": corner}
-    _validate_cellspec(env, "reward", ("zero", "goal", "values"))
-    _validate_cellspec(env, "policy", ("toward_goal", "fixed_action", "table"))
+            f"env.goal must be a cell [x, y] of the {env['width']}x"
+            f"{env['height']} grid, got {goal}")
     if not 0.0 < dif["beta_min"] <= dif["beta_max"] < 1.0:
         raise ConfigurationError("diffusion: need 0 < beta_min <= beta_max < 1")
     if not (_ints_in(mdl["hidden_sizes"], 1, float("inf"))
@@ -202,7 +156,10 @@ def validate_config(raw):
             f"summing to at most {MAX_SIZE}, got {mdl['hidden_sizes']}")
     if not trn["lr"] > 0.0:
         raise ConfigurationError(f"training.lr must be > 0, got {trn['lr']}")
-    for key in ("sync_period", "collect_every", "log_every"):
+    if trn["sync_period"] < 1:
+        raise ConfigurationError(
+            f"training.sync_period must be >= 1, got {trn['sync_period']}")
+    for key in ("collect_every", "log_every"):
         if trn[key] < 0:
             raise ConfigurationError(
                 f"training.{key} must be >= 0 (0 is off), got {trn[key]}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# unused mlp_forward: perfbench's wrapper test reads it here (ROADMAP item 1)
+# unused mlp_forward: perfbench's wrapper test reads it here (ROADMAP item 2)
 from .approximator import (fold_biases, folded_buffers, folded_forward,
                            mlp_forward)  # noqa: F401
 from .errors import ConfigurationError, NumericError, ShapeError
@@ -168,7 +168,7 @@ def forward_noise(sched, x0, i, epsilon):
 def loss_weight(sched, i):
     """The unit weight of every step's squared noise-prediction error (one
     step or a vector of steps). The loss does not call it; it stays only
-    because perfbench/spans.TARGETS wraps it, and goes with ROADMAP item 1."""
+    because perfbench/spans.TARGETS wraps it, and goes with ROADMAP item 2."""
     _check_step(sched, i)
     return np.ones(np.shape(i))
 

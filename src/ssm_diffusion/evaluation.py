@@ -20,10 +20,7 @@ class MetricsReport:
     max_tv: float
     mean_q_err: float
     max_q_err: float
-    num_samples: int
-    seed: int
     steps: int          # the reverse chain's step count
-    config_digest: str = ""
 
 
 def empirical_pmf(samples, mdp):
@@ -55,8 +52,7 @@ def sample_condition(trainer, s, a, n, num_samples, rng):
                      trainer.chain_work)
 
 
-def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
-               seed=0, config_digest=""):
+def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng):
     if not eval_set:
         raise ValueError("eval_set must be non-empty")
     rows = []
@@ -81,6 +77,5 @@ def eval_model(trainer, mdp, oracle_table, eval_set, num_samples, rng,
     return MetricsReport(rows=rows, mean_tv=float(tvs.mean()),
                          mean_tv_by_n=tv_by_n,
                          max_tv=float(tvs.max()), mean_q_err=float(qerrs.mean()),
-                         max_q_err=float(qerrs.max()), num_samples=num_samples,
-                         seed=seed, steps=trainer.sample_sched.K,
-                         config_digest=config_digest)
+                         max_q_err=float(qerrs.max()),
+                         steps=trainer.sample_sched.K)

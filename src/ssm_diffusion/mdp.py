@@ -26,7 +26,6 @@ class TabularMdp:
     transition: np.ndarray  # (S, A, S)
     reward: np.ndarray      # (S,)
     horizon: int
-    start: object = "uniform"  # "uniform" or a fixed state index
 
 
 @dataclass
@@ -43,8 +42,7 @@ class Trajectory:
     episode_id: int = 0
 
 
-def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None,
-                  start="uniform"):
+def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None):
     # Python ints, which replay's exact integer draws need: a NumPy
     # integer's product with a 64-bit word overflows
     width, height, horizon = map(operator.index, (width, height, horizon))
@@ -71,11 +69,9 @@ def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None,
     reward = np.asarray(reward, dtype=float)
     if reward.shape != (n_states,) or not np.all(np.isfinite(reward)):
         raise ConfigurationError("reward must be a finite vector of length S")
-    if start != "uniform" and not 0 <= int(start) < n_states:
-        raise ConfigurationError(f"start state {start} out of range")
     return TabularMdp(width=width, height=height, n_states=n_states,
                       n_actions=N_ACTIONS, transition=T, reward=reward,
-                      horizon=horizon, start=start)
+                      horizon=horizon)
 
 
 def goal_reward(width, height, goal_cell):
@@ -120,13 +116,9 @@ def step(mdp, s, a, rng):
 
 
 def rollout(mdp, policy, rng, start=None, episode_id=0):
-    """One full-horizon episode following the policy."""
-    if start is None:
-        start = mdp.start
-    if start == "uniform":
-        s = int(rng.integers(mdp.n_states))
-    else:
-        s = int(start)
+    """One full-horizon episode following the policy, from `start` or, if
+    None, from a uniformly drawn state."""
+    s = int(rng.integers(mdp.n_states)) if start is None else int(start)
     states = [s]
     actions = []
     for _ in range(mdp.horizon):

@@ -20,26 +20,14 @@ from .replay import ReplayBuffer
 
 
 def build_env(cfg):
+    """The gridworld with the goal-indicator reward at env.goal, and the
+    policy that moves toward that cell."""
     env = cfg.env
-    W, H = env["width"], env["height"]
-    rspec = env["reward"]
-    if rspec["kind"] == "zero":
-        reward = np.zeros(W * H)
-    elif rspec["kind"] == "goal":
-        reward = mdp_mod.goal_reward(W, H, rspec["cell"])
-    else:
-        reward = np.asarray(rspec["values"], dtype=float)
+    W, H, goal = env["width"], env["height"], env["goal"]
     mdp = mdp_mod.gridworld_new(W, H, p_move=env["p_move"],
-                                horizon=env["horizon"], reward=reward,
-                                start=env["start"])
-    pspec = env["policy"]
-    if pspec["kind"] == "toward_goal":
-        policy = mdp_mod.policy_toward_goal(mdp, pspec["cell"])
-    elif pspec["kind"] == "fixed_action":
-        policy = mdp_mod.policy_fixed_action(mdp, pspec["action"])
-    else:
-        policy = mdp_mod.Policy(table=np.asarray(pspec["table"], dtype=int))
-    return mdp, policy
+                                horizon=env["horizon"],
+                                reward=mdp_mod.goal_reward(W, H, goal))
+    return mdp, mdp_mod.policy_toward_goal(mdp, goal)
 
 
 def build_trainer(cfg, seed=None):
@@ -211,37 +199,38 @@ def eval_steps(cfg):
 def run_eval(cfg, trainer, out_dir, seed=None):
     """Evaluate a trainer against the exact table; write metrics + heatmaps."""
     os.makedirs(out_dir, exist_ok=True)
-    digest = config_digest(cfg)
     eval_seed = cfg.eval["seed"] if seed is None else seed
     mdp, policy = build_env(cfg)
     table = orc.exact_ssm(mdp, policy, cfg.env["horizon"])
     rng = np.random.default_rng(eval_seed)
     report = ev.eval_model(trainer, mdp, table, eval_set(cfg, mdp, policy),
-                           cfg.eval["num_samples"], rng, seed=eval_seed,
-                           config_digest=digest)
-    write_metrics(report, out_dir)
+                           cfg.eval["num_samples"], rng)
+    write_metrics(cfg, report, out_dir, eval_seed)
     write_heatmaps(report, table, mdp, os.path.join(out_dir, "heatmaps"))
     return report
 
 
-def write_metrics(report, out_dir):
+def write_metrics(cfg, report, out_dir, seed):
+    """metrics.jsonl and metrics.csv, stamped with the config's digest; the
+    summary also records the eval seed used and the samples per condition."""
+    digest = config_digest(cfg)
     summary = {"kind": "summary", "mean_tv": report.mean_tv,
                "mean_tv_by_n": report.mean_tv_by_n,
                "max_tv": report.max_tv, "mean_q_err": report.mean_q_err,
                "max_q_err": report.max_q_err,
-               "num_samples": report.num_samples, "seed": report.seed,
-               "steps": report.steps, "config_digest": report.config_digest}
+               "num_samples": cfg.eval["num_samples"], "seed": seed,
+               "steps": report.steps, "config_digest": digest}
     with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
         for row in report.rows:
             rec = {k: row[k] for k in
                    ("s", "a", "n", "tv", "q_est", "q_exact", "q_abs_err",
                     "clamped_frac")}
             rec["kind"] = "condition"
-            rec["config_digest"] = report.config_digest
+            rec["config_digest"] = digest
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write(f"# config_digest={report.config_digest}\n")
+        fh.write(f"# config_digest={digest}\n")
         fh.write("s,a,n,tv,q_est,q_exact,q_abs_err,clamped_frac\n")
         for row in report.rows:
             fh.write(f"{row['s']},{row['a']},{row['n']},{row['tv']:.17g},"

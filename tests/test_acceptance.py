@@ -174,8 +174,7 @@ def test_criterion_5_oracle_cross_validation():
 
 HEADLINE_RAW = {
     "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8,
-            "reward": {"kind": "goal", "cell": [4, 4]},
-            "policy": {"kind": "toward_goal", "cell": [4, 4]}},
+            "goal": [4, 4]},
     "diffusion": {"K": 32},
     "training": {"steps": 50_000, "seed": 1},
     "eval": {"num_samples": 10_000, "seed": 11},

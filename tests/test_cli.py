@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -69,6 +72,20 @@ def test_train_zero_steps(tmp_path):
     assert (out / "checkpoint.bin").exists()
 
 
+def test_readme_usage_names_every_flag():
+    # README's usage line of each subcommand names exactly its flags
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    usage = dict(re.findall(r"^ssm-diffusion (\w+) +(.*)$",
+                            readme.read_text(), re.MULTILINE))
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(usage) == set(commands)
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[\w-]+", usage[name])) == flags, name
+
+
 def test_missing_config_key_exit_2(tmp_path, capsys):
     raw = minimal_raw(**tiny_overrides())
     del raw["training"]["seed"]
@@ -90,16 +107,14 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
                      ("model", "step_embed_dim", 2**63),
                      ("env", "height", 1e30))]
     for section, values, named in oversized + [
-            ("env", {**tiny["env"], "start": "foo"}, "env.start"),
+            ("env", {**tiny["env"], "goal": "foo"}, "env.goal"),
             # a negative rate trained by gradient ascent and exited 0
             ("training", {**tiny["training"], "lr": -1.0}, "training.lr"),
             # JSON's Infinity stopped the run at step 1 with exit 1
             ("training", {**tiny["training"], "lr": float("inf")},
              "training.lr"),
-            # an ignored key trained with exit 0 and moved the digest
-            ("env", {**tiny["env"], "reward": {"kind": "goal",
-                                               "cell": [1, 1], "extra": 3}},
-             "env.reward"),
+            # a cell outside the 2x2 grid
+            ("env", {**tiny["env"], "goal": [2, 0]}, "env.goal"),
             # rollouts beyond the capacity were collected, then evicted
             # unread, with exit 0
             ("training", {**tiny["training"], "initial_trajectories": 51},

@@ -61,37 +61,54 @@ def test_range_checks():
     with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(training={"optimizer": "rmsprop"}))
     with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(env={"reward": {"kind": "goal",
-                                                    "cell": [9, 0]}}))
+        validate_config(minimal_raw(env={"goal": [9, 0]}))
     with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(eval={"eval_n": [0]}))
 
 
-def test_policy_spec_validation():
-    cfg = validate_config(minimal_raw(
-        env={"policy": {"kind": "fixed_action", "action": 2}}))
-    assert cfg.env["policy"]["action"] == 2
-    with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(
-            env={"policy": {"kind": "fixed_action", "action": 7}}))
-    with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(
-            env={"policy": {"kind": "table", "table": [0, 1]}}))
+def test_goal_defaults_to_the_corner_and_takes_any_cell():
+    assert validate_config(minimal_raw()).env["goal"] == [2, 2]
+    assert validate_config(minimal_raw(
+        env={"width": 4, "height": 2})).env["goal"] == [3, 1]
+    assert validate_config(minimal_raw(env={"goal": [1, 2]})).env["goal"] \
+        == [1, 2]
+    assert validate_config(minimal_raw(env={"goal": [0, 0]})).env["goal"] \
+        == [0, 0]
 
 
 @pytest.mark.parametrize("section, values, named", [
-    ("env", {"start": "foo"}, "env.start"),
-    ("env", {"start": 9}, "env.start"),
-    ("env", {"start": True}, "env.start"),
+    # the start, policy and reward of earlier versions, whatever their
+    # values, are unknown keys: env.goal took their place
+    ("env", {"start": "foo"}, "'start'"),
+    ("env", {"start": 9}, "'start'"),
+    ("env", {"start": True}, "'start'"),
     ("env", {"policy": {"kind": "table", "table": [1.7] + [0] * 8}},
-     "env.policy.table"),
+     "'policy'"),
     ("env", {"policy": {"kind": "table", "table": [4] + [0] * 8}},
-     "env.policy.table"),
-    ("env", {"policy": {"kind": "fixed_action", "action": True}},
-     "env.policy.action"),
-    ("env", {"reward": {"kind": "goal", "cell": ["a", 0]}}, "env.reward.cell"),
-    ("env", {"reward": {"kind": "values", "values": ["a"] * 9}},
-     "env.reward.values"),
+     "'policy'"),
+    ("env", {"policy": {"kind": "fixed_action", "action": True}}, "'policy'"),
+    ("env", {"reward": {"kind": "goal", "cell": ["a", 0]}}, "'reward'"),
+    ("env", {"reward": {"kind": "values", "values": ["a"] * 9}}, "'reward'"),
+    ("env", {"reward": {"kind": "values", "values": [float("nan")] * 9}},
+     "'reward'"),
+    ("env", {"reward": {"kind": "goal", "cell": [1, 1], "extra": 3}},
+     "'reward'"),
+    ("env", {"reward": {"kind": "zero", "cell": [1, 1]}}, "'reward'"),
+    ("env", {"reward": {"kind": "values", "values": [0] * 9,
+                        "cell": [0, 0]}}, "'reward'"),
+    ("env", {"policy": {"kind": "toward_goal", "cell": [1, 1],
+                        "action": 2}}, "'policy'"),
+    ("env", {"policy": {"kind": "fixed_action", "action": 2,
+                        "table": [0] * 9}}, "'policy'"),
+    ("env", {"policy": {"kind": "table", "table": [0] * 9, "extra": 1}},
+     "'policy'"),
+    ("env", {"goal": [3, 0]}, "env.goal"),
+    ("env", {"goal": [0, 3]}, "env.goal"),
+    ("env", {"goal": [1]}, "env.goal"),
+    ("env", {"goal": [1, 1, 1]}, "env.goal"),
+    ("env", {"goal": [1.0, 1]}, "env.goal"),
+    ("env", {"goal": [True, 0]}, "env.goal"),
+    ("env", {"goal": "corner"}, "env.goal"),
     ("eval", {"eval_n": [True]}, "eval.eval_n"),
     ("model", {"hidden_sizes": ["a"]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [None]}, "model.hidden_sizes"),
@@ -104,6 +121,9 @@ def test_policy_spec_validation():
     ("training", {"lr": -1.0}, "training.lr"),
     ("training", {"lr": 0.0}, "training.lr"),
     ("training", {"sync_period": -1}, "training.sync_period"),
+    # a target never copied from the online network: training against
+    # a random network
+    ("training", {"sync_period": 0}, "training.sync_period"),
     ("training", {"collect_every": -1}, "training.collect_every"),
     ("training", {"log_every": -1}, "training.log_every"),
     ("training", {"seed": -1}, "training.seed"),
@@ -122,33 +142,21 @@ def test_policy_spec_validation():
     ("env", {"p_move": True}, "env.p_move"),
     ("diffusion", {"beta_max": False}, "diffusion.beta_max"),
     ("diffusion", {"beta_min": float("-inf")}, "diffusion.beta_min"),
-    ("env", {"reward": {"kind": "values", "values": [float("nan")] * 9}},
-     "env.reward.values"),
-    ("env", {"reward": {"kind": "goal", "cell": [1, 1], "extra": 3}},
-     "env.reward"),
-    ("env", {"reward": {"kind": "zero", "cell": [1, 1]}}, "env.reward"),
-    ("env", {"reward": {"kind": "values", "values": [0] * 9,
-                        "cell": [0, 0]}}, "env.reward"),
-    ("env", {"policy": {"kind": "toward_goal", "cell": [1, 1],
-                        "action": 2}}, "env.policy"),
-    ("env", {"policy": {"kind": "fixed_action", "action": 2,
-                        "table": [0] * 9}}, "env.policy"),
-    ("env", {"policy": {"kind": "table", "table": [0] * 9, "extra": 1}},
-     "env.policy"),
 ], ids=["start-str", "start-out-of-range", "start-bool", "table-float",
         "table-out-of-range", "action-bool", "cell-str", "values-str",
+        "reward-values-nan", "goal-extra-key", "zero-extra-key",
+        "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
+        "table-extra-key", "goal-x-outside", "goal-y-outside", "goal-short", "goal-long",
+        "goal-float", "goal-bool", "goal-not-list",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
         "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
         "hidden-sum-above-max",
         "lr-negative", "lr-zero",
-        "sync-period-negative", "collect-every-negative",
+        "sync-period-negative", "sync-period-zero", "collect-every-negative",
         "log-every-negative", "training-seed-negative",
         "eval-seed-negative", "optimizer-sgd", "initial-above-capacity",
         "initial-huge", "lr-infinite", "lr-nan", "lr-bool",
-        "p-move-bool", "beta-max-bool", "beta-min-infinite",
-        "reward-values-nan", "goal-extra-key", "zero-extra-key",
-        "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
-        "table-extra-key"])
+        "p-move-bool", "beta-max-bool", "beta-min-infinite"])
 def test_malformed_values_rejected(section, values, named):
     with pytest.raises(ConfigurationError, match=named):
         validate_config(minimal_raw(**{section: values}))
@@ -159,7 +167,7 @@ def test_boundary_values_accepted():
         env={"width": MAX_SIDE, "horizon": MAX_SIZE},
         diffusion={"K": MAX_SIZE},
         model={"step_embed_dim": 2, "hidden_sizes": [MAX_SIZE - 1, 1]},
-        training={"sync_period": 0, "collect_every": 0, "log_every": 0,
+        training={"sync_period": 1, "collect_every": 0, "log_every": 0,
                   "batch_size": MAX_SIZE, "buffer_capacity": MAX_SIZE},
         eval={"num_samples": MAX_SIZE}))
     assert cfg.model["step_embed_dim"] == 2 and cfg.diffusion["K"] == MAX_SIZE
@@ -167,9 +175,8 @@ def test_boundary_values_accepted():
 
 def test_null_accepted_where_the_default_is_null():
     cfg = validate_config(minimal_raw(
-        env={"reward": None, "policy": None},
-        eval={"eval_n": None, "steps": None}))
-    assert cfg.env["reward"]["kind"] == "goal"
+        env={"goal": None}, eval={"eval_n": None, "steps": None}))
+    assert cfg.env["goal"] == [2, 2]
     assert cfg.eval["eval_n"] is None and cfg.eval["steps"] is None
     assert validate_config(minimal_raw(eval={"steps": 32})).eval["steps"] == 32
 
@@ -186,10 +193,6 @@ def test_code_defaults_equal_config_defaults():
         want = _SECTIONS[section][key][0]
         assert (list(value) if isinstance(value, tuple) else value) == want, \
             name
-
-
-def test_start_state_index_accepted():
-    assert validate_config(minimal_raw(env={"start": 8})).env["start"] == 8
 
 
 def test_digest_stable_and_sensitive():

@@ -107,7 +107,7 @@ def test_eval_model_report_structure():
     trainer, g, pol, table = make_untrained()
     es = eval_set(g, pol, [1, 2, 4])[::8]
     report = ev.eval_model(trainer, g, table, es, 200,
-                           np.random.default_rng(0), seed=0)
+                           np.random.default_rng(0))
     assert len(report.rows) == 6
     assert 0.0 <= report.mean_tv <= report.max_tv <= 1.0
     assert list(report.mean_tv_by_n) == [1, 2, 4]

@@ -1,5 +1,9 @@
 """Property tests of the exact oracles, replay and the state encoding on
-random tabular MDPs, beyond the gridworlds the other tests use."""
+random tabular MDPs, beyond the gridworlds the other tests use, and of
+resumed training on random small configs."""
+
+import pathlib
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
+from ssm_diffusion.checkpoint import load_checkpoint
+from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer
+from ssm_diffusion.runner import run_training
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -204,3 +211,53 @@ def test_replay_tuples_follow_the_mdp(case, seed):
         share = is_l1[n == k].mean()
         sigma = np.sqrt((1 / k) * (1 - 1 / k) / np.sum(n == k))
         assert abs(share - 1 / k) <= 5 * sigma
+
+
+@st.composite
+def resume_cases(draw):
+    """A small training config and a step in [0, steps] to stop it at."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    capacity = draw(st.integers(2, 11))
+    steps = draw(st.integers(1, 16))
+    raw = {
+        "env": {"width": width, "height": height,
+                "horizon": draw(st.integers(1, 4)),
+                "goal": [draw(st.integers(0, width - 1)),
+                         draw(st.integers(0, height - 1))]},
+        "diffusion": {"K": draw(st.integers(1, 5))},
+        "model": {"hidden_sizes": [8]},
+        "training": {"steps": steps, "seed": draw(st.integers(0, 2 ** 32 - 1)),
+                     "batch_size": draw(st.integers(1, 8)),
+                     "sync_period": draw(st.integers(1, 5)),
+                     "buffer_capacity": capacity,
+                     "initial_trajectories": draw(st.integers(1, capacity)),
+                     "collect_every": draw(st.integers(0, 3)),
+                     "log_every": draw(st.integers(0, 2))},
+    }
+    # a stop before the end, or at it for a resume of zero steps
+    return raw, draw(st.integers(0, steps - 1)) if draw(st.booleans()) \
+        else steps
+
+
+@settings(SETTINGS, max_examples=50)
+@given(resume_cases())
+def test_resumed_run_continues_the_full_run(case):
+    # a run stopped at any step and resumed to the end logs the rows and
+    # saves the checkpoint of the run that never stopped, across target
+    # syncs and replay evictions on either side of the stop
+    raw, stop = case
+    full = validate_config(raw)
+    raw["training"]["steps"] = stop
+    first = validate_config(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        run_training(full, root / "full")
+        run_training(first, root / "first")
+        run_training(full, root / "resumed",
+                     resume_ck=load_checkpoint(root / "first" / "checkpoint.bin"),
+                     override_digest=True)
+        body = {name: (root / name / "loss.csv").read_text().splitlines()[2:]
+                for name in ("full", "first", "resumed")}
+        assert body["first"] + body["resumed"] == body["full"]
+        assert (root / "resumed" / "checkpoint.bin").read_bytes() == \
+            (root / "full" / "checkpoint.bin").read_bytes()
