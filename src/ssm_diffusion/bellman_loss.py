@@ -12,7 +12,7 @@ import numpy as np
 
 from . import approximator as ap
 from . import diffusion as df
-from .errors import NumericError
+from .errors import ConfigurationError, NumericError
 from .mdp import TabularMdp, encode_action, encode_state
 
 
@@ -81,6 +81,8 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), step_dim=8, lr=1e-3,
                  sync_period=500, seed=0, sample_sched=None):
     """A trainer whose samplers run over sample_sched (a respace of sched),
     or over sched itself if it is None."""
+    if sync_period < 1:   # a target never synced stays the random init
+        raise ConfigurationError(f"sync_period must be >= 1, got {sync_period}")
     # input: x | state | action | step embedding | one-hot horizon; x and
     # the state are 2-D cell centers
     sizes = [2 + 2 + mdp.n_actions + step_dim + mdp.horizon]

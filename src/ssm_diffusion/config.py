@@ -47,9 +47,6 @@ _SECTIONS = {
         "height": (_REQUIRED, int),
         "p_move": (0.8, float),
         "horizon": (_REQUIRED, int),
-        # the cell [x, y] that the reward marks and the policy moves
-        # toward; null is the bottom-right corner
-        "goal": (None, list),
     },
     "diffusion": {
         "K": (32, int),
@@ -139,14 +136,6 @@ def validate_config(raw):
                                      f"got {sections[name][key]}")
     if not 0.0 < env["p_move"] <= 1.0:
         raise ConfigurationError(f"env.p_move must be in (0, 1], got {env['p_move']}")
-    if env["goal"] is None:
-        env["goal"] = [env["width"] - 1, env["height"] - 1]
-    goal = env["goal"]
-    if not (len(goal) == 2 and _ints_in(goal[:1], 0, env["width"])
-            and _ints_in(goal[1:], 0, env["height"])):
-        raise ConfigurationError(
-            f"env.goal must be a cell [x, y] of the {env['width']}x"
-            f"{env['height']} grid, got {goal}")
     if not 0.0 < dif["beta_min"] <= dif["beta_max"] < 1.0:
         raise ConfigurationError("diffusion: need 0 < beta_min <= beta_max < 1")
     if not (_ints_in(mdl["hidden_sizes"], 1, float("inf"))

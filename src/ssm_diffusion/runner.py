@@ -20,10 +20,11 @@ from .replay import ReplayBuffer
 
 
 def build_env(cfg):
-    """The gridworld with the goal-indicator reward at env.goal, and the
-    policy that moves toward that cell."""
+    """The gridworld with the goal-indicator reward at the bottom-right
+    corner, and the policy that moves toward that cell."""
     env = cfg.env
-    W, H, goal = env["width"], env["height"], env["goal"]
+    W, H = env["width"], env["height"]
+    goal = (W - 1, H - 1)
     mdp = mdp_mod.gridworld_new(W, H, p_move=env["p_move"],
                                 horizon=env["horizon"],
                                 reward=mdp_mod.goal_reward(W, H, goal))

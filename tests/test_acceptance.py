@@ -173,8 +173,7 @@ def test_criterion_5_oracle_cross_validation():
 # -- 6 & 7: end-to-end learning on the headline configuration ----------------
 
 HEADLINE_RAW = {
-    "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8,
-            "goal": [4, 4]},
+    "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8},
     "diffusion": {"K": 32},
     "training": {"steps": 50_000, "seed": 1},
     "eval": {"num_samples": 10_000, "seed": 11},

@@ -13,6 +13,7 @@ from ssm_diffusion import diffusion as df
 from ssm_diffusion import mdp as m
 from ssm_diffusion import runner
 from ssm_diffusion.config import validate_config
+from ssm_diffusion.errors import ConfigurationError
 from ssm_diffusion.replay import ReplayBuffer
 
 
@@ -420,6 +421,12 @@ def test_sync_target_hard_period():
     bl.sync_target(trainer)
     np.testing.assert_array_equal(trainer.target.weights[0],
                                   trainer.online.weights[0])
+
+
+def test_sync_period_below_one_refused():
+    # a target never copied from the online network stays the random init
+    with pytest.raises(ConfigurationError, match="sync_period"):
+        make_setup(sync_period=0)
 
 
 def test_train_step_empty_batch_rejected():

@@ -107,14 +107,16 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
                      ("model", "step_embed_dim", 2**63),
                      ("env", "height", 1e30))]
     for section, values, named in oversized + [
-            ("env", {**tiny["env"], "goal": "foo"}, "env.goal"),
+            ("env", {**tiny["env"], "start": "foo"}, "'start'"),
             # a negative rate trained by gradient ascent and exited 0
             ("training", {**tiny["training"], "lr": -1.0}, "training.lr"),
             # JSON's Infinity stopped the run at step 1 with exit 1
             ("training", {**tiny["training"], "lr": float("inf")},
              "training.lr"),
-            # a cell outside the 2x2 grid
-            ("env", {**tiny["env"], "goal": [2, 0]}, "env.goal"),
+            # an ignored key trained with exit 0 and moved the digest
+            ("env", {**tiny["env"], "reward": {"kind": "goal",
+                                               "cell": [1, 1], "extra": 3}},
+             "'reward'"),
             # rollouts beyond the capacity were collected, then evicted
             # unread, with exit 0
             ("training", {**tiny["training"], "initial_trajectories": 51},

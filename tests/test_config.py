@@ -61,24 +61,13 @@ def test_range_checks():
     with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(training={"optimizer": "rmsprop"}))
     with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(env={"goal": [9, 0]}))
-    with pytest.raises(ConfigurationError):
         validate_config(minimal_raw(eval={"eval_n": [0]}))
 
 
-def test_goal_defaults_to_the_corner_and_takes_any_cell():
-    assert validate_config(minimal_raw()).env["goal"] == [2, 2]
-    assert validate_config(minimal_raw(
-        env={"width": 4, "height": 2})).env["goal"] == [3, 1]
-    assert validate_config(minimal_raw(env={"goal": [1, 2]})).env["goal"] \
-        == [1, 2]
-    assert validate_config(minimal_raw(env={"goal": [0, 0]})).env["goal"] \
-        == [0, 0]
-
-
 @pytest.mark.parametrize("section, values, named", [
-    # the start, policy and reward of earlier versions, whatever their
-    # values, are unknown keys: env.goal took their place
+    # the start, policy and reward specs of earlier versions, whatever
+    # their values, are unknown keys: every run models the toward-goal
+    # policy at the bottom-right corner, from uniform starts
     ("env", {"start": "foo"}, "'start'"),
     ("env", {"start": 9}, "'start'"),
     ("env", {"start": True}, "'start'"),
@@ -102,13 +91,6 @@ def test_goal_defaults_to_the_corner_and_takes_any_cell():
                         "table": [0] * 9}}, "'policy'"),
     ("env", {"policy": {"kind": "table", "table": [0] * 9, "extra": 1}},
      "'policy'"),
-    ("env", {"goal": [3, 0]}, "env.goal"),
-    ("env", {"goal": [0, 3]}, "env.goal"),
-    ("env", {"goal": [1]}, "env.goal"),
-    ("env", {"goal": [1, 1, 1]}, "env.goal"),
-    ("env", {"goal": [1.0, 1]}, "env.goal"),
-    ("env", {"goal": [True, 0]}, "env.goal"),
-    ("env", {"goal": "corner"}, "env.goal"),
     ("eval", {"eval_n": [True]}, "eval.eval_n"),
     ("model", {"hidden_sizes": ["a"]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [None]}, "model.hidden_sizes"),
@@ -146,8 +128,7 @@ def test_goal_defaults_to_the_corner_and_takes_any_cell():
         "table-out-of-range", "action-bool", "cell-str", "values-str",
         "reward-values-nan", "goal-extra-key", "zero-extra-key",
         "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
-        "table-extra-key", "goal-x-outside", "goal-y-outside", "goal-short", "goal-long",
-        "goal-float", "goal-bool", "goal-not-list",
+        "table-extra-key",
         "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
         "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
         "hidden-sum-above-max",
@@ -174,9 +155,7 @@ def test_boundary_values_accepted():
 
 
 def test_null_accepted_where_the_default_is_null():
-    cfg = validate_config(minimal_raw(
-        env={"goal": None}, eval={"eval_n": None, "steps": None}))
-    assert cfg.env["goal"] == [2, 2]
+    cfg = validate_config(minimal_raw(eval={"eval_n": None, "steps": None}))
     assert cfg.eval["eval_n"] is None and cfg.eval["steps"] is None
     assert validate_config(minimal_raw(eval={"steps": 32})).eval["steps"] == 32
 

@@ -221,9 +221,7 @@ def resume_cases(draw):
     steps = draw(st.integers(1, 16))
     raw = {
         "env": {"width": width, "height": height,
-                "horizon": draw(st.integers(1, 4)),
-                "goal": [draw(st.integers(0, width - 1)),
-                         draw(st.integers(0, height - 1))]},
+                "horizon": draw(st.integers(1, 4))},
         "diffusion": {"K": draw(st.integers(1, 5))},
         "model": {"hidden_sizes": [8]},
         "training": {"steps": steps, "seed": draw(st.integers(0, 2 ** 32 - 1)),
