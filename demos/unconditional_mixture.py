@@ -35,8 +35,8 @@ def main():
     sched = df.make_schedule(128, 1e-4, 0.05)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=args.seed + 1)
     opt = ap.init_opt_state(net, lr=1e-3)
-    cond = df.Conditioning(
-        step_table=df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8))
+    # the context of an unconditional model is its step embedding alone
+    step_rows = df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8)
     batch = 128
 
     print(f"training for {args.steps} steps (K={sched.K}) ...")
@@ -46,8 +46,8 @@ def main():
             + 0.1 * rng.standard_normal((batch, 1))
         eps = rng.standard_normal((batch, 1))
         ivals = rng.integers(1, sched.K + 1, size=batch)
-        inputs = df.net_input(df.forward_noise(sched, x0, ivals, eps), cond,
-                              ivals)
+        inputs = df.net_input(df.forward_noise(sched, x0, ivals, eps),
+                              step_rows.take(ivals - 1, axis=0))
         out, activations = ap.mlp_forward(net, inputs)
         grads = ap.mlp_backward(net, activations, (2.0 / batch) * (out - eps))
         net, opt = ap.opt_step(net, grads, opt)
@@ -56,7 +56,7 @@ def main():
             print(f"  step {step + 1}: batch loss {loss:.4f}")
 
     print(f"sampling {args.samples} points ...")
-    samples = df.sample(sched, net, cond, args.samples,
+    samples = df.sample(sched, net, step_rows, args.samples,
                         np.random.default_rng(args.seed + 2))[:, 0]
 
     edges = np.linspace(-1.5, 1.5, 102)

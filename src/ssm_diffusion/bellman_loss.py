@@ -3,6 +3,11 @@ bootstrap term regressing the online denoiser onto a frozen target network
 conditioned one horizon step shorter. Replay supplies the immediate-successor
 branch with probability 1/n, so the expected loss realizes
 (1/n) L1 + ((n-1)/n) L2.
+
+The denoiser's context is one array of rows [state | action | step
+embedding | one-hot horizon], which `conditioning` alone gathers from the
+trainer's tables: for the online rows at (s, a, n, i), the target rows at
+(s', pi(s'), n-1, i) and every step of the reverse chain.
 """
 
 import itertools
@@ -99,25 +104,38 @@ def make_trainer(sched, mdp, hidden_sizes=(128, 128), step_dim=8, lr=1e-3,
                        np.arange(1, sched.K + 1), step_dim))
 
 
-def _rows(table, index, name):
-    """table[index] for an integer index or vector of them, each in range."""
+def _rows(table, index, name, first=0, error=IndexError):
+    """The rows of table for an integer index or a vector of them, row 0
+    being index `first`; one out of range raises `error`. take gathers
+    rows faster than indexing but would truncate a float index, so one
+    that is not of integer dtype raises the IndexError indexing raises."""
     index = np.asarray(index)
-    if index.size and (index.min() < 0 or index.max() >= len(table)):
-        raise IndexError(f"{name} {index} out of range")
-    return df.take_rows(table, index)
+    last = first + len(table) - 1
+    if index.size and (index.min() < first or index.max() > last):
+        raise error(f"{name} {index} out of range [{first}, {last}]")
+    if index.dtype.kind not in "iu":
+        raise IndexError(f"{name} {index} is not an integer")
+    return table.take(index - first, axis=0)
 
 
-def conditioning(trainer, s, a, n):
-    """Denoiser context for state s, action a and horizon n, each one index
-    or a vector of them (one row each)."""
-    n, n_max = np.asarray(n), trainer.mdp.horizon
-    if n.size and (n.min() < 1 or n.max() > n_max):
-        raise ValueError(f"horizon {n} out of range [1, {n_max}]")
-    return df.Conditioning(state_enc=_rows(trainer.state_table, s, "state"),
-                           action_enc=_rows(trainer.action_table, a, "action"),
-                           horizon_enc=df.take_rows(trainer.horizon_table,
-                                                    n - 1),
-                           step_table=trainer.step_table)
+def conditioning(trainer, s, a, n, i):
+    """The denoiser context of state s, action a, horizon n and diffusion
+    step i: rows [state | action | step embedding | one-hot horizon]
+    gathered from the trainer's tables. Each index is one integer or a
+    vector of them; a vector gives one row per entry, scalars broadcast
+    against it, and four scalars give one 1-D row. A horizon out of range
+    is a ValueError, raised before any IndexError."""
+    horizon = _rows(trainer.horizon_table, n, "horizon", 1, ValueError)
+    parts = (_rows(trainer.state_table, s, "state"),
+             _rows(trainer.action_table, a, "action"),
+             _rows(trainer.step_table, i, "diffusion step", 1), horizon)
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    context = np.empty(lead + (sum(p.shape[-1] for p in parts),))
+    col = 0
+    for p in parts:
+        context[..., col:col + p.shape[-1]] = p
+        col += p.shape[-1]
+    return context
 
 
 def td_loss(trainer, batch, i, eps):
@@ -142,15 +160,16 @@ def td_loss(trainer, batch, i, eps):
     is_l1 = is_l1.astype(bool)
     x0 = _rows(trainer.state_table, np.where(is_l1, s_next, x), "state")
     x_i = df.forward_noise(trainer.sched, x0, i, eps)
-    inputs = df.net_input(x_i, conditioning(trainer, s, a, n), i,
+    inputs = df.net_input(x_i, conditioning(trainer, s, a, n, i),
                           out=work.online_in)
 
     targets = np.array(eps, dtype=float)
     l2 = np.flatnonzero(~is_l1)
     if l2.size:
-        tgt_cond = conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1)
-        tgt_in = df.net_input(x_i.take(l2, axis=0), tgt_cond, i[l2],
-                              out=work.target_in[:l2.size])
+        tgt_in = df.net_input(
+            x_i.take(l2, axis=0),
+            conditioning(trainer, s_next[l2], a_next[l2], n[l2] - 1, i[l2]),
+            out=work.target_in[:l2.size])
         tgt_out, _ = ap.mlp_forward(
             trainer.target, tgt_in,
             out=[o[:l2.size] for o in work.shared_out])

@@ -2,12 +2,13 @@
 reverse-process sampling.
 
 Diffusion steps are 1-indexed (i in [1, K]); internal arrays are 0-based.
-The denoiser is an MLP that takes [x_i | state | action | step embedding |
-horizon] concatenated, the embedding a row of the step table, and predicts
-the noise that was added. The sampler's conditioning is shared by every
-sample, so once per chain it folds the network into one read-only copy
-(approximator.fold_biases), the only network reverse_step takes: each step's
-context columns go into that step's first-layer bias, and every hidden
+The denoiser is an MLP that takes [x_i | context] and predicts the noise
+that was added, where a context row is [state | action | step embedding |
+horizon], gathered by bellman_loss.conditioning. A chain is given one
+context row for each of its steps, shared by every sample, so once per
+chain it folds the network into one read-only copy
+(approximator.fold_biases), the only network reverse_step takes: each
+step's context goes into that step's first-layer bias, and every hidden
 layer's bias into its weights, read on a ones column that the layer before
 writes. Each hidden layer is then one matmul and its activation, with no
 bias pass, and only x_i goes through the network. The chain runs blocks of
@@ -79,19 +80,6 @@ class NoiseSchedule:
         self.sqrt_alpha = np.sqrt(self.alpha)
 
 
-@dataclass
-class Conditioning:
-    """Context vectors the denoiser is conditioned on, or one row of them
-    per sample (training only: `sample` takes vectors shared by every
-    sample), and the table of step embeddings. Any context field may be an
-    empty array (unconditional sampling uses only the step embedding)."""
-    state_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    action_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    horizon_enc: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # sinusoidal_embedding(np.arange(1, K + 1), d); step i's is row i - 1
-    step_table: np.ndarray = field(kw_only=True)
-
-
 def make_schedule(K, beta_min, beta_max):
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
@@ -141,16 +129,6 @@ def _check_step(sched, i):
         raise IndexError(f"diffusion step {i} out of range [1, {sched.K}]")
 
 
-def take_rows(table, index):
-    """table[index] for an integer index or vector of them. take gathers
-    rows faster than indexing but would truncate a float index, so one
-    that is not of integer dtype raises the IndexError indexing raises."""
-    index = np.asarray(index)
-    if index.dtype.kind not in "iu":
-        raise IndexError(f"index {index} is not an integer")
-    return table.take(index, axis=0)
-
-
 def forward_noise(sched, x0, i, epsilon):
     """x_i = sqrt(abar_i) x0 + sqrt(1 - abar_i) epsilon. Works on a vector
     or a batch of row vectors (epsilon must match x0's shape); i is one
@@ -186,27 +164,22 @@ def sinusoidal_embedding(i, dim):
     return emb
 
 
-def net_input(x_i, cond, i, out=None):
-    """Concatenate a (batch, dim) matrix of noised points and their
-    conditioning into the denoiser input. Each conditioning field and the
-    step i (embedded as cond.step_table's row i - 1) are either shared by
-    every row or given per row. out, if given, is the (batch, width) array
-    that receives the input in place of a new one."""
+def net_input(x_i, context, out=None):
+    """The denoiser input [x_i | context] of a (batch, dim) matrix of noised
+    points, whose context (bellman_loss.conditioning) is one row per point
+    or one row shared by every point. out, if given, is the (batch, width)
+    array that receives the input in place of a new one."""
     x_i = np.asarray(x_i, dtype=float)
     if x_i.ndim != 2:
         raise ShapeError(f"x_i shape {x_i.shape} is not (batch, dim)")
-    step = take_rows(cond.step_table, np.asarray(i) - 1)
-    parts = (x_i, cond.state_enc, cond.action_enc, step, cond.horizon_enc)
-    shape = (x_i.shape[0], sum(p.shape[-1] for p in parts))
+    dim = x_i.shape[1]
+    shape = (x_i.shape[0], dim + np.shape(context)[-1])
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ShapeError(f"out shape {out.shape} is not the input's {shape}")
-    col = 0
-    for p in parts:
-        # a shared field's vector broadcasts over the rows
-        out[:, col:col + p.shape[-1]] = p
-        col += p.shape[-1]
+    out[:, :dim] = x_i
+    out[:, dim:] = context
     return out
 
 
@@ -309,15 +282,16 @@ def _run_all(fn, arg_lists):
     return results
 
 
-def sample(sched, net, cond, count, rng, work=None):
+def sample(sched, net, context, count, rng, work=None):
     """Draw `count` x0 vectors by running the reverse chain from unit
     Gaussian noise over sched's steps: a make_schedule schedule, or a
-    respace of one, whose step j conditions the network on diffusion step
-    sched.tau[j - 1]. Deterministic given the rng state, and bit for bit
-    the same whatever the worker count.
+    respace of one, whose step j conditions the network on row j - 1 of
+    the (sched.K, width) context, the row of diffusion step
+    sched.tau[j - 1] (bellman_loss.conditioning). Deterministic given the
+    rng state, and bit for bit the same whatever the worker count.
 
-    cond is shared by every sample, so the network is folded once per
-    chain, with every step's context, into one read-only copy that takes
+    The context is shared by every sample, so the network is folded once
+    per chain, with every step's row, into one read-only copy that takes
     only x (see approximator.fold_biases). This thread draws x, then every
     step's noise, (sched.K - 1) x count x dim floats, in one call. Up to
     WORKERS workers, each with its own block buffers, read that one fold,
@@ -329,15 +303,11 @@ def sample(sched, net, cond, count, rng, work=None):
     arrays."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    for name in ("state_enc", "action_enc", "horizon_enc"):
-        shape = np.shape(getattr(cond, name))
-        if len(shape) != 1:
-            raise ShapeError(f"sample needs conditioning shared by every "
-                             f"sample: {name} has shape {shape}, not 1-D")
+    if np.ndim(context) != 2 or len(context) != sched.K:
+        raise ShapeError(f"context shape {np.shape(context)} is not one row "
+                         f"for each of the chain's {sched.K} steps")
     dim = net.layer_sizes[-1]
-    # the context columns of every step's input, one row per step
-    folded = fold_biases(net, dim,
-                         net_input(np.empty((sched.K, 0)), cond, sched.tau))
+    folded = fold_biases(net, dim, context)
     starts = range(0, count, BLOCK_ROWS)
     workers = min(WORKERS, len(starts))
     work = ChainWork() if work is None else work

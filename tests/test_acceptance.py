@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The end-to-end criteria (6, 7) share one headline training run via a
-session fixture; expect the full module to take several minutes.
+The end-to-end criteria (6, 7) share one headline training run, which
+`conftest.headline_training` trains with `cli train` in a child process
+while the other tests run; they run last, and read its checkpoint. Expect
+the full module to take several minutes.
 """
 
 import json
@@ -16,12 +18,13 @@ from ssm_diffusion import diffusion as df
 from ssm_diffusion import evaluation as ev
 from ssm_diffusion import mdp as m
 from ssm_diffusion import oracle as orc
+from ssm_diffusion.checkpoint import load_checkpoint
 from ssm_diffusion.config import validate_config
 from ssm_diffusion.replay import ReplayBuffer
-from ssm_diffusion.runner import build_trainer, eval_set, run_eval, \
-    run_training
+from ssm_diffusion.runner import build_env, build_trainer, eval_set, \
+    restore_trainer, run_eval
 
-from conftest import acceptance_lines
+from conftest import HEADLINE_RAW, acceptance_lines
 from test_bellman_loss import draws, mixed_batch
 
 
@@ -85,8 +88,8 @@ def test_criterion_3_unconditional_mixture():
     rng = np.random.default_rng(3)
     net = ap.mlp_init([1 + 8, 64, 64, 1], seed=4)
     opt = ap.init_opt_state(net, lr=1e-3)
-    cond = df.Conditioning(
-        step_table=df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8))
+    # the context of an unconditional model is its step embedding alone
+    step_rows = df.sinusoidal_embedding(np.arange(1, sched.K + 1), 8)
 
     def draw_data(count):
         comp = rng.integers(2, size=(count, 1))
@@ -101,13 +104,13 @@ def test_criterion_3_unconditional_mixture():
         eps = rng.standard_normal((batch, 1))
         # per-row diffusion steps so every index trains despite the large K
         ivals = rng.integers(1, sched.K + 1, size=batch)
-        inputs = df.net_input(df.forward_noise(sched, x0, ivals, eps), cond,
-                              ivals)
+        inputs = df.net_input(df.forward_noise(sched, x0, ivals, eps),
+                              step_rows.take(ivals - 1, axis=0))
         out, activations = ap.mlp_forward(net, inputs)
         grads = ap.mlp_backward(net, activations, (2.0 / batch) * (out - eps))
         net, opt = ap.opt_step(net, grads, opt)
 
-    samples = df.sample(sched, net, cond, 50_000,
+    samples = df.sample(sched, net, step_rows, 50_000,
                         np.random.default_rng(5))[:, 0]
     edges = np.linspace(-1.5, 1.5, 102)
     hist, _ = np.histogram(np.clip(samples, -1.4999, 1.4999), bins=edges)
@@ -172,26 +175,24 @@ def test_criterion_5_oracle_cross_validation():
 
 # -- 6 & 7: end-to-end learning on the headline configuration ----------------
 
-HEADLINE_RAW = {
-    "env": {"width": 5, "height": 5, "p_move": 0.8, "horizon": 8},
-    "diffusion": {"K": 32},
-    "training": {"steps": 50_000, "seed": 1},
-    "eval": {"num_samples": 10_000, "seed": 11},
-}
-
-
 @pytest.fixture(scope="session")
-def headline_run(tmp_path_factory):
+def headline_run(headline_training):
+    proc, train_dir, stderr = headline_training
+    # the bound stops only a hung child: the run takes a minute or two
+    if proc.wait(timeout=1800) != 0:
+        pytest.fail(f"headline training exited {proc.returncode}:\n"
+                    + stderr.read_text())
     cfg = validate_config(json.loads(json.dumps(HEADLINE_RAW)))
-    out = tmp_path_factory.mktemp("headline")
-    trainer, mdp_, policy, _ = run_training(cfg, out / "train")
+    trainer = restore_trainer(
+        cfg, load_checkpoint(str(train_dir / "checkpoint.bin")))
+    mdp_, policy = build_env(cfg)
 
     untrained = build_trainer(cfg, seed=999)
     table = orc.exact_ssm(mdp_, policy, cfg.env["horizon"])
     baseline = ev.eval_model(untrained, mdp_, table,
                              eval_set(cfg, mdp_, policy), 2000,
                              np.random.default_rng(12))
-    report_trained = run_eval(cfg, trainer, out / "eval")
+    report_trained = run_eval(cfg, trainer, train_dir.parent / "eval")
     return report_trained, baseline, table, mdp_
 
 

@@ -68,12 +68,12 @@ def row_loss(trainer, tup, i, eps):
     x0 = m.encode_state(trainer.mdp, tup.s_next if tup.is_l1 else tup.x)
     x_i = df.forward_noise(trainer.sched, x0, i, eps)[None, :]
     out, _ = ap.mlp_forward(trainer.online, df.net_input(
-        x_i, bl.conditioning(trainer, tup.s, tup.a, tup.n), i))
+        x_i, bl.conditioning(trainer, tup.s, tup.a, tup.n, i)))
     y = eps
     if not tup.is_l1:
         y, _ = ap.mlp_forward(trainer.target, df.net_input(
-            x_i, bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1),
-            i))
+            x_i, bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1,
+                                 i)))
     resid = (out - y)[0]
     return float(resid @ resid)
 
@@ -208,8 +208,8 @@ def test_td_loss_self_consistency_at_fixed_point():
     tup = get_tuple(buf, rng, want_l1=False)
     eps = np.array([[0.1, -0.1]])
     x_i = df.forward_noise(trainer.sched, m.encode_state(g, [tup.x]), 2, eps)
-    cond = bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1)
-    inp = df.net_input(x_i, cond, 2)
+    cond = bl.conditioning(trainer, tup.s_next, tup.a_next, tup.n - 1, 2)
+    inp = df.net_input(x_i, cond)
     out_online, _ = ap.mlp_forward(trainer.online, inp)
     out_target, _ = ap.mlp_forward(trainer.target, inp)
     np.testing.assert_array_equal(out_online, out_target)
@@ -282,25 +282,27 @@ def test_conditioning_rejects_out_of_range_horizon():
     trainer, _, _, _, _ = make_setup(horizon=4)
     for n in (0, 5):
         with pytest.raises(ValueError, match="horizon"):
-            bl.conditioning(trainer, 0, 3, n)
+            bl.conditioning(trainer, 0, 3, n, 1)
     with pytest.raises(ValueError, match="horizon"):
-        bl.conditioning(trainer, [0, 1], [3, 3], np.array([1, 0]))
+        bl.conditioning(trainer, [0, 1], [3, 3], np.array([1, 0]), 1)
 
 
 def test_conditioning_rejects_out_of_range_state_and_action():
     trainer, _, _, _, _ = make_setup(width=4, horizon=4)
     for s, a in ((4, 3), (-1, 3), ([0, -1], [3, 3]), (0, 4), ([0], [-1])):
         with pytest.raises(IndexError, match="out of range"):
-            bl.conditioning(trainer, s, a, 1)
+            bl.conditioning(trainer, s, a, 1, 1)
 
 
 def test_float_indices_are_refused_not_truncated():
     trainer, _, _, _, _ = make_setup(horizon=4)
-    for s, a, n in ((1.0, 3, 1), (0, 3.0, 1), (0, 3, 2.0), (0, 3, [1.0, 2.0])):
-        with pytest.raises(IndexError):
-            bl.conditioning(trainer, s, a, n)
-    with pytest.raises(IndexError):
-        df.net_input(np.zeros((2, 2)), bl.conditioning(trainer, 0, 3, 1), 2.0)
+    for s, a, n, i in ((1.0, 3, 1, 1), (0, 3.0, 1, 1), (0, 3, 2.0, 1),
+                       (0, 3, [1.0, 2.0], 1), (0, 3, 1, 2.0),
+                       (0, 3, 1, np.float64(2.0)),
+                       (0, 3, 1, np.array([1.0, 2.0])),
+                       (np.array([0.0, 1.0]), 3, 1, 1)):
+        with pytest.raises(IndexError, match="not an integer"):
+            bl.conditioning(trainer, s, a, n, i)
 
 
 # one bad field in one row of a mixed batch on make_setup's 4-state,
@@ -340,16 +342,18 @@ def test_td_loss_rejects_out_of_range_diffusion_step(step):
     i[3] = step
     with pytest.raises(IndexError, match="diffusion step"):
         bl.td_loss(trainer, batch, i, eps)
+    # and conditioning, the sampler's path, for one step or a vector
+    for steps in (step, i):
+        with pytest.raises(IndexError, match="diffusion step .* out of range"):
+            bl.conditioning(trainer, 0, 3, 1, steps)
 
 
 def test_empty_index_vectors_give_empty_encodings():
     trainer, _, _, _, _ = make_setup(horizon=4)
     empty = np.zeros(0, dtype=np.int64)
-    cond = bl.conditioning(trainer, empty, empty, empty)
-    assert cond.state_enc.shape == (0, 2)
-    assert cond.action_enc.shape == (0, trainer.mdp.n_actions)
-    assert cond.horizon_enc.shape == (0, 4)
-    inputs = df.net_input(np.zeros((0, 2)), cond, empty)
+    cond = bl.conditioning(trainer, empty, empty, empty, empty)
+    assert cond.shape == (0, trainer.online.layer_sizes[0] - 2)
+    inputs = df.net_input(np.zeros((0, 2)), cond)
     assert inputs.shape == (0, trainer.online.layer_sizes[0])
 
 
@@ -618,12 +622,12 @@ def test_encoding_tables_equal_per_call_encoders(width, height, step_dim):
     a = rng.integers(g.n_actions, size=40)
     n = rng.integers(1, g.horizon + 1, size=40)
     i = rng.integers(1, trainer.sched.K + 1, size=40)
-    cond = bl.conditioning(trainer, s, a, n)
-    for got, want in zip((cond.state_enc, cond.action_enc, cond.horizon_enc),
-                         ref_conditioning(trainer, s, a, n)):
-        assert got.tobytes() == want.tobytes()
+    cond = bl.conditioning(trainer, s, a, n, i)
+    assert cond.tobytes() == ref_net_input(
+        trainer, np.empty((40, 0)), ref_conditioning(trainer, s, a, n),
+        i).tobytes()
     x = rng.standard_normal((40, 2))
-    assert df.net_input(x, cond, i).tobytes() == ref_net_input(
+    assert df.net_input(x, cond).tobytes() == ref_net_input(
         trainer, x, ref_conditioning(trainer, s, a, n), i).tobytes()
 
 
@@ -631,11 +635,10 @@ def test_sampler_conditioning_from_tables_bit_exact():
     # the sampler reads the trainer's tables through conditioning;
     # conditioning from the per-call encoders gives the same samples
     trainer, _, _, _, _ = make_setup(width=3, height=3, seed=2)
-    cond = bl.conditioning(trainer, 4, 1, 3)
-    per_call = df.Conditioning(
-        *ref_conditioning(trainer, 4, 1, 3),
-        step_table=df.sinusoidal_embedding(np.arange(1, trainer.sched.K + 1),
-                                           trainer.step_table.shape[1]))
+    tau = trainer.sched.tau
+    cond = bl.conditioning(trainer, 4, 1, 3, tau)
+    per_call = ref_net_input(trainer, np.empty((len(tau), 0)),
+                             ref_conditioning(trainer, 4, 1, 3), tau)
     got, want = (df.sample(trainer.sched, trainer.online, c, 700,
                            np.random.default_rng(5)) for c in (cond, per_call))
     assert got.tobytes() == want.tobytes()

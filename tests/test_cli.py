@@ -464,8 +464,19 @@ def test_eval_same_bytes_on_one_or_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def cli_process(*argv):
+    """cli.main(argv) in a fresh process with one BLAS thread, so that
+    stderr holds all the process prints, NumPy's warnings too (pytest
+    would capture them)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from ssm_diffusion import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300)
+
+
 def test_eval_of_overflowing_weights_prints_one_line(tmp_path):
-    # a fresh process, as pytest would capture NumPy's overflow warning:
     # the chain's matmuls overflow on both workers (1100 samples are three
     # row blocks), and stderr holds only the numeric error
     overrides = tiny_overrides()
@@ -476,17 +487,39 @@ def test_eval_of_overflowing_weights_prints_one_line(tmp_path):
     ck = load_checkpoint(str(out / "checkpoint.bin"))
     ck.online.theta[...] = 1e200
     save_checkpoint(str(out / "checkpoint.bin"), ck)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from ssm_diffusion import cli; "
-         "sys.exit(cli.main(sys.argv[1:]))", "eval", "--checkpoint",
-         str(out / "checkpoint.bin"), "--config", str(cfg), "--out",
-         str(tmp_path / "eval")],
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-        capture_output=True, text=True, timeout=300)
+    proc = cli_process("eval", "--checkpoint", str(out / "checkpoint.bin"),
+                       "--config", str(cfg), "--out", str(tmp_path / "eval"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("numeric error: non-finite sample values")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_resumed_partial_checkpoint_fails_at_the_same_step(tmp_path):
+    # at a learning rate of 1e300 the first Adam step takes the weights to
+    # about 1e300, so the second step's loss overflows and training leaves
+    # a partial checkpoint of the one finite step. Its resume, under the
+    # same config, takes that step again on the next batch of the saved
+    # generator and fails alike: exit 1, one line and a partial checkpoint
+    # of the same step count and weights, with no other output
+    overrides = tiny_overrides()
+    overrides["training"]["lr"] = 1e300
+    cfg = write_config(tmp_path, **overrides)
+    run_dir, resumed_dir = tmp_path / "run", tmp_path / "resumed"
+    partial = run_dir / "checkpoint.partial.bin"
+    procs = [cli_process("train", "--config", str(cfg), "--out", str(run_dir)),
+             cli_process("train", "--config", str(cfg), "--out",
+                         str(resumed_dir), "--checkpoint", str(partial))]
+    for proc in procs:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            "numeric error: non-finite loss for batch row ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+    cks = [load_checkpoint(str(d / "checkpoint.partial.bin"))
+           for d in (run_dir, resumed_dir)]
+    assert [ck.step_count for ck in cks] == [1, 1]
+    assert cks[0].online.theta.tobytes() == cks[1].online.theta.tobytes()
+    for d in (run_dir, resumed_dir):
+        assert os.listdir(d) == ["checkpoint.partial.bin"]
 
 
 def test_eval_seed_flag_changes_samples_only(tmp_path):

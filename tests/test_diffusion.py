@@ -99,10 +99,10 @@ def test_loss_weight_index_error():
             df.loss_weight(sched, bad)
 
 
-def step_conditioning(K, d=8, **context):
-    """Conditioning on `context` with the embeddings of steps 1..K, d wide."""
-    return df.Conditioning(
-        step_table=df.sinusoidal_embedding(np.arange(1, K + 1), d), **context)
+def step_context(sched, d=8):
+    """The context of an unconditional model on sched's steps: each step's
+    embedding alone, d wide."""
+    return df.sinusoidal_embedding(sched.tau, d)
 
 
 def fold_unconditional(sched, net):
@@ -148,28 +148,29 @@ def test_sample_count_precondition():
     sched = df.make_schedule(2, 0.1, 0.1)
     net = ap.mlp_init([2 + 8, 4, 2], seed=0)
     with pytest.raises(ConfigurationError):
-        df.sample(sched, net, step_conditioning(sched.K), 0,
+        df.sample(sched, net, step_context(sched), 0,
                   np.random.default_rng(0))
 
 
 def test_sample_deterministic_given_seed():
     sched = df.make_schedule(8, 0.01, 0.2)
     net = ap.mlp_init([2 + 8, 16, 2], seed=3)
-    cond = step_conditioning(sched.K)
+    cond = step_context(sched)
     for count in (5, 2 * df.BLOCK_ROWS + 37):
         a = df.sample(sched, net, cond, count, np.random.default_rng(42))
         b = df.sample(sched, net, cond, count, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
 
-def reference_chain(sched, net, cond, count, rng):
+def reference_chain(sched, net, context, count, rng):
     """The reverse chain on the unfolded network: each step concatenates
-    x with the conditioning and runs the full first layer."""
+    x with its row of the (sched.K, width) context and runs the full first
+    layer."""
     dim = net.layer_sizes[-1]
     x = rng.standard_normal((count, dim))
     for i in range(sched.K, 0, -1):
         z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
-        eps_pred, _ = ap.mlp_forward(net, df.net_input(x, cond, i))
+        eps_pred, _ = ap.mlp_forward(net, df.net_input(x, context[i - 1]))
         beta, ab = sched.beta[i - 1], sched.alpha_bar[i - 1]
         x = (x - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(sched.alpha[i - 1])
         if i > 1:
@@ -194,16 +195,18 @@ def ddim_eta_one_step(alpha_bar, alpha_bar_prev, x, eps_pred, z):
     return x if z is None else x + np.sqrt(var) * z
 
 
-def strided_reference_chain(sched, net, cond, count, steps, rng):
+def strided_reference_chain(sched, net, context, count, steps, rng):
     """The reverse chain over `steps` of sched's K steps on the unfolded
     network, each step DDIM's eta = 1 update from diffusion step tau_j to
-    tau_{j-1}, and from tau_1 to x0."""
+    tau_{j-1}, and from tau_1 to x0, on tau_j's row of the (sched.K,
+    width) context."""
     dim = net.layer_sizes[-1]
     tau = strided_tau(sched.K, steps)
     x = rng.standard_normal((count, dim))
     for j in range(steps, 0, -1):
         z = rng.standard_normal((count, dim)) if j > 1 else None
-        eps_pred, _ = ap.mlp_forward(net, df.net_input(x, cond, tau[j - 1]))
+        row = context[tau[j - 1] - 1]
+        eps_pred, _ = ap.mlp_forward(net, df.net_input(x, row))
         prev = sched.alpha_bar[tau[j - 2] - 1] if j > 1 else 1.0
         x = ddim_eta_one_step(sched.alpha_bar[tau[j - 1] - 1], prev, x,
                               eps_pred, z)
@@ -221,10 +224,11 @@ def test_sample_matches_unfolded_reference(seed, conditioned, K):
     if conditioned:
         g = m.gridworld_new(3, 3, horizon=4)
         trainer = bl.make_trainer(sched, g, hidden_sizes=(16, 16), seed=seed)
-        net, cond = trainer.online, bl.conditioning(trainer, 4, 1, 3)
+        net = trainer.online
+        cond = bl.conditioning(trainer, 4, 1, 3, sched.tau)
     else:
         net = ap.mlp_init([2 + 8, 16, 16, 2], seed=seed)
-        cond = step_conditioning(K)
+        cond = step_context(sched)
     # non-zero biases, so the folded first-layer bias carries them too
     for b in net.biases:
         b[...] = np.random.default_rng(6).uniform(-0.5, 0.5, b.shape)
@@ -240,19 +244,18 @@ def test_sample_matches_unfolded_reference(seed, conditioned, K):
         np.testing.assert_array_equal(net.theta, theta)
 
 
-def block_chain_reference(sched, net, cond, count, rng):
+def block_chain_reference(sched, net, context, count, rng):
     """The row-blocked chain with each layer's bias added after its matmul:
     the first layer split after x, its bias carrying each step's context
     product, then mlp_forward over blocks of at most BLOCK_ROWS rows."""
     dim = net.layer_sizes[-1]
-    ctx = df.net_input(np.empty((sched.K, 0)), cond, np.arange(1, sched.K + 1))
     sizes = [dim] + net.layer_sizes[1:]
     head = ap.MlpParams(sizes, np.empty(ap.param_count(sizes)))
     head.weights[0][...] = net.weights[0][:, :dim]
     for dst, src in zip(head.weights[1:] + head.biases,
                         net.weights[1:] + net.biases):
         dst[...] = src
-    bias = ctx @ net.weights[0][:, dim:].T + net.biases[0]
+    bias = context @ net.weights[0][:, dim:].T + net.biases[0]
     x = rng.standard_normal((count, dim))
     for i in range(sched.K, 0, -1):
         z = rng.standard_normal((count, dim)) if i > 1 else np.zeros((count, dim))
@@ -282,7 +285,7 @@ def headline_trainer(hidden_sizes=(128, 128), K=32, seed=999):
 
 def test_sample_bit_exact_against_block_chain_headline():
     trainer = headline_trainer()
-    cond = bl.conditioning(trainer, 12, 1, 5)
+    cond = bl.conditioning(trainer, 12, 1, 5, trainer.sched.tau)
     for count in (2000, 2 * df.BLOCK_ROWS + 37):
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         got = df.sample(trainer.sched, trainer.online, cond, count, rng_a)
@@ -302,7 +305,8 @@ def test_sample_close_to_block_chain(hidden_sizes, K, count):
     # the three-hidden-layer cases fail unless the ones columns pass the
     # ReLUs unchanged: they carry the second and third layers' biases
     trainer = headline_trainer(hidden_sizes, K)
-    net, cond = trainer.online, bl.conditioning(trainer, 7, 2, 3)
+    net, cond = trainer.online, bl.conditioning(trainer, 7, 2, 3,
+                                                trainer.sched.tau)
     theta = net.theta.copy()
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
     got = df.sample(trainer.sched, net, cond, count, rng_a)
@@ -379,14 +383,15 @@ def test_respaced_step_is_ddim_eta_one(K, steps):
 def test_respaced_sample_matches_strided_reference(monkeypatch, K, steps):
     trainer = headline_trainer((16, 16), K=K)
     resp = df.respace(trainer.sched, steps)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, resp.tau)
+    full = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     for count in (300, 2 * df.BLOCK_ROWS + 37):
         for workers in (1, 2):
             monkeypatch.setattr(df, "WORKERS", workers)
             rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
             got = df.sample(resp, trainer.online, cond, count, rng_a,
                             trainer.chain_work)
-            want = strided_reference_chain(trainer.sched, trainer.online, cond,
+            want = strided_reference_chain(trainer.sched, trainer.online, full,
                                            count, steps, rng_b)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             # x, then steps - 1 steps of noise: one draw of them all
@@ -398,7 +403,7 @@ def test_respaced_sample_matches_strided_reference(monkeypatch, K, steps):
 def test_respaced_sample_names_the_original_diffusion_step(monkeypatch):
     trainer = headline_trainer((16,), K=32)
     resp = df.respace(trainer.sched, 16)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, resp.tau)
     step = df.reverse_step
 
     def poisoned(sched, net, x_i, i, z, out=None):
@@ -432,7 +437,7 @@ def test_sample_parallel_equals_serial(monkeypatch, hidden_sizes, K):
     # one block (1 and BLOCK_ROWS rows), two, three with a ragged last
     # one, and 20. The parallel chains share the trainer's work area
     trainer = headline_trainer(hidden_sizes, K=K)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     for count in (1, df.BLOCK_ROWS, df.BLOCK_ROWS + 1,
                   2 * df.BLOCK_ROWS + 37, 10000):
         serial = sample_with_workers(monkeypatch, 1, trainer, cond, count, 9)
@@ -447,7 +452,7 @@ def test_sample_more_workers_than_cores(monkeypatch):
     # result or error slot lost, would change the bytes or the count of
     # blocks run. The workers read one fold, each with its own buffers
     trainer = headline_trainer((16, 16), K=8)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 2)
     step, first_steps, nets = df.reverse_step, [], set()
     fold, folds = df.fold_biases, []
@@ -484,7 +489,7 @@ def test_sample_more_workers_than_cores(monkeypatch):
 def test_sample_reuses_the_work_area(monkeypatch):
     monkeypatch.setattr(df, "WORKERS", 2)
     trainer = headline_trainer((16, 16), K=4)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     work = df.ChainWork()
     arrays = []
     for count in (2000, 2 * df.BLOCK_ROWS + 37, 300, 2000):
@@ -505,7 +510,7 @@ def test_sample_follows_a_changed_network(monkeypatch):
     # work area equals a fresh chain of the new network
     monkeypatch.setattr(df, "WORKERS", 2)
     trainer = headline_trainer((16, 16), K=4)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     work = df.ChainWork()
     count = 2 * df.BLOCK_ROWS + 37
     old = df.sample(trainer.sched, trainer.online, cond, count,
@@ -524,7 +529,7 @@ def test_sample_non_finite_step_same_serial_and_parallel(monkeypatch):
     # output weights so large that the chain overflows part-way
     trainer = headline_trainer((16,), K=32)
     trainer.online.weights[-1][...] *= 1e20
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     messages = []
     for workers in (1, 2):
         monkeypatch.setattr(df, "WORKERS", workers)
@@ -545,7 +550,7 @@ def test_sample_raises_for_the_earliest_non_finite_step(
     # ragged last block at another, whichever worker takes them: the
     # chain reports the earlier in its order
     trainer = headline_trainer((16,), K=32)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     step = df.reverse_step
 
     def poisoned(sched, net, x_i, i, z, out=None):
@@ -564,17 +569,19 @@ def test_sample_raises_for_the_earliest_non_finite_step(
 
 def test_sample_workers_keep_the_callers_errstate(monkeypatch):
     trainer = headline_trainer((16,), K=8)
-    cond = bl.conditioning(trainer, 7, 2, 3)
-    step, seen, other_ran = df.reverse_step, set(), threading.Event()
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
+    step, seen, held = df.reverse_step, set(), set()
+    both_took_one = threading.Barrier(2, timeout=10)
 
     def recording(*args, **kwargs):
-        seen.add((threading.get_ident(), np.geterr()["over"]))
-        # this thread holds its first block until the other worker has
-        # taken one, so that the 3 blocks cannot all go to this thread
-        if threading.current_thread() is threading.main_thread():
-            other_ran.wait(timeout=10)
-        else:
-            other_ran.set()
+        ident = threading.get_ident()
+        seen.add((ident, np.geterr()["over"]))
+        # each worker holds its first block until the other has taken one,
+        # so that the 3 blocks cannot all go to one worker, whichever
+        # starts first
+        if ident not in held:
+            held.add(ident)
+            both_took_one.wait()
         return step(*args, **kwargs)
 
     monkeypatch.setattr(df, "reverse_step", recording)
@@ -586,7 +593,7 @@ def test_sample_workers_keep_the_callers_errstate(monkeypatch):
 
 def test_sample_worker_exception_reaches_caller(monkeypatch):
     trainer = headline_trainer((16,), K=8)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     count = 2 * df.BLOCK_ROWS + 37
     want = sample_with_workers(monkeypatch, 1, trainer, cond, count, 4)
     step, threads = df.reverse_step, set()
@@ -609,7 +616,7 @@ def test_sample_workers_meet_once_per_chain(monkeypatch):
     # one queue of blocks for the whole chain: the workers start and meet
     # once, whether one step's noise is 32 KB or 160 KB
     trainer = headline_trainer((16,), K=32)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     run_all, calls, started = df._run_all, [], []
 
     def counting_run_all(fn, arg_lists):
@@ -635,7 +642,7 @@ def test_sample_slowed_worker_gives_serial_bytes(monkeypatch):
     # another tenant holds its core, so the other worker takes the rest
     # of the queue; which worker runs a block moves no bit
     trainer = headline_trainer((16, 16), K=8)
-    cond = bl.conditioning(trainer, 7, 2, 3)
+    cond = bl.conditioning(trainer, 7, 2, 3, trainer.sched.tau)
     want = sample_with_workers(monkeypatch, 1, trainer, cond, 10000, 6)
     step, on_main = df.reverse_step, []
 
@@ -714,21 +721,6 @@ def test_reverse_step_tables_bit_exact_against_formula():
             assert got.tobytes() == want.tobytes()
 
 
-def test_take_rows_refuses_a_float_index():
-    table = np.arange(12.0).reshape(4, 3)
-    # take alone truncates a float index where indexing refuses it
-    np.testing.assert_array_equal(table.take(1.7, axis=0), table[1])
-    for bad in (1.0, np.float64(2.0), np.array([0.0, 1.0])):
-        with pytest.raises(IndexError):
-            table[bad]
-        with pytest.raises(IndexError, match="not an integer"):
-            df.take_rows(table, bad)
-    with pytest.raises(IndexError):
-        df.take_rows(table, np.array([1, 4]))
-    for index in (2, -1, np.array([3, 0, 3]), np.array([], dtype=int)):
-        assert df.take_rows(table, index).tobytes() == table[index].tobytes()
-
-
 # the reverse chain of 10 headline conditions at argv[1] samples, after
 # two warm-up conditions; prints the minor page faults per condition
 EVAL_FAULTS_SCRIPT = """
@@ -773,17 +765,25 @@ def test_sample_page_faults_per_condition():
 
 
 def test_sample_rejects_per_row_conditioning():
+    # a chain takes one context row for each of its steps: a context of
+    # one row per sample, of the wrong step count or of the wrong width
+    # (one that does not give the network's inputs) is refused
     sched = df.make_schedule(4, 0.01, 0.2)
     g = m.gridworld_new(3, 3, horizon=4)
     trainer = bl.make_trainer(sched, g, hidden_sizes=(8,), seed=0)
     rows = bl.conditioning(trainer, np.array([0, 4]), np.array([1, 2]),
-                           np.array([1, 3]))
-    with pytest.raises(ShapeError, match="state_enc"):
-        df.sample(sched, trainer.online, rows, 2, np.random.default_rng(0))
-    # conditioning that does not fit the network's input width
-    with pytest.raises(ShapeError, match="inputs"):
-        df.sample(sched, trainer.online, step_conditioning(sched.K), 2,
-                  np.random.default_rng(0))
+                           np.array([1, 3]), np.array([2, 4]))
+    for context, match in (
+            (rows, "is not one row"),
+            (bl.conditioning(trainer, 4, 1, 3, sched.tau[1:]),
+             "is not one row"),
+            (bl.conditioning(trainer, 4, 1, 3, np.arange(1, 5).repeat(2)),
+             "is not one row"),
+            (bl.conditioning(trainer, 4, 1, 3, 2), "is not one row"),
+            (step_context(sched), "inputs")):
+        with pytest.raises(ShapeError, match=match):
+            df.sample(sched, trainer.online, context, 2,
+                      np.random.default_rng(0))
 
 
 def test_single_step_chain_learns_point_mass():
@@ -794,11 +794,11 @@ def test_single_step_chain_learns_point_mass():
     rng = np.random.default_rng(0)
     net = ap.mlp_init([2 + 8, 32, 2], seed=1)
     state = ap.init_opt_state(net, lr=1e-2)
-    cond = step_conditioning(sched.K)
+    cond = step_context(sched)
     for _ in range(2000):
         eps = rng.standard_normal((1, 2))
         x1 = df.forward_noise(sched, c[None, :], 1, eps)
-        out, activations = ap.mlp_forward(net, df.net_input(x1, cond, 1))
+        out, activations = ap.mlp_forward(net, df.net_input(x1, cond))
         grads = ap.mlp_backward(net, activations, 2.0 * (out - eps))
         net, state = ap.opt_step(net, grads, state)
     samples = df.sample(sched, net, cond, 500, np.random.default_rng(9))
@@ -819,46 +819,33 @@ def test_sinusoidal_embedding_shape_and_range():
 
 
 def test_net_input_concatenation():
-    # conditioning shared by every row
-    cond = step_conditioning(3, 4, state_enc=np.array([0.5]),
-                             action_enc=np.array([1.0, 0.0]),
-                             horizon_enc=np.array([0.25]))
-    batch = df.net_input(np.array([[9.0], [8.0]]), cond, 2)
-    assert batch.shape == (2, 1 + 1 + 2 + 4 + 1)
-    v = batch[0]
-    assert v[0] == 9.0 and v[1] == 0.5 and v[-1] == 0.25
-    np.testing.assert_array_equal(v[4:8], df.sinusoidal_embedding(2, 4))
-    np.testing.assert_array_equal(batch[1, 1:], v[1:])
-    # per-row conditioning and steps
-    rows = step_conditioning(3, 4, state_enc=np.array([[0.5], [0.7]]),
-                             action_enc=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                             horizon_enc=np.array([[0.25], [0.5]]))
-    batch = df.net_input(np.array([[9.0], [8.0]]), rows, np.array([2, 3]))
-    np.testing.assert_array_equal(batch[0], v)
-    assert batch[1, 1] == 0.7 and batch[1, -1] == 0.5
-    np.testing.assert_array_equal(batch[1, 4:8], df.sinusoidal_embedding(3, 4))
+    # a context row shared by every row
+    context = np.array([0.5, 1.0, 0.0, 0.25])
+    batch = df.net_input(np.array([[9.0], [8.0]]), context)
+    assert batch.shape == (2, 1 + 4)
+    np.testing.assert_array_equal(batch, [[9.0, 0.5, 1.0, 0.0, 0.25],
+                                          [8.0, 0.5, 1.0, 0.0, 0.25]])
+    # one context row per row
+    rows = np.array([[0.5, 1.0, 0.0, 0.25], [0.7, 0.0, 1.0, 0.5]])
+    batch = df.net_input(np.array([[9.0, 7.0], [8.0, 6.0]]), rows)
+    np.testing.assert_array_equal(batch, [[9.0, 7.0, 0.5, 1.0, 0.0, 0.25],
+                                          [8.0, 6.0, 0.7, 0.0, 1.0, 0.5]])
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
 def test_net_input_into_out_equals_new_array(per_row):
     rng = np.random.default_rng(4)
-    lead = (5,) if per_row else ()
-    cond = df.Conditioning(
-        state_enc=rng.standard_normal(lead + (2,)),
-        action_enc=rng.standard_normal(lead + (4,)),
-        horizon_enc=rng.standard_normal(lead + (3,)),
-        step_table=df.sinusoidal_embedding(np.arange(1, 9), 6))
+    context = rng.standard_normal(((5,) if per_row else ()) + (15,))
     x = rng.standard_normal((5, 2))
-    i = rng.integers(1, 9, size=5) if per_row else 7
-    buf = np.full((5, 2 + 2 + 4 + 6 + 3), np.nan)
-    got = df.net_input(x, cond, i, out=buf)
+    buf = np.full((5, 2 + 15), np.nan)
+    got = df.net_input(x, context, out=buf)
     assert got is buf
-    assert buf.tobytes() == df.net_input(x, cond, i).tobytes()
+    assert buf.tobytes() == df.net_input(x, context).tobytes()
 
 
 def test_net_input_rejects_misshapen_x_and_out():
-    cond = step_conditioning(1, 4, state_enc=np.array([0.5]))
+    context = np.array([0.5, 0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ShapeError, match="out shape"):
-        df.net_input(np.zeros((3, 2)), cond, 1, out=np.empty((3, 8)))
+        df.net_input(np.zeros((3, 2)), context, out=np.empty((3, 8)))
     with pytest.raises(ShapeError, match="x_i shape"):
-        df.net_input(np.zeros(2), cond, 1)
+        df.net_input(np.zeros(2), context)

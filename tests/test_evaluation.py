@@ -191,7 +191,9 @@ def test_eval_model_pmfs_match_unfolded_reference():
     rng = np.random.default_rng(11)
     for row, (s, a, n) in zip(report.rows, es):
         samples = reference_chain(trainer.sched, trainer.online,
-                                  bl.conditioning(trainer, s, a, n), 2000, rng)
+                                  bl.conditioning(trainer, s, a, n,
+                                                  trainer.sched.tau),
+                                  2000, rng)
         assert row["pmf"] == ev.empirical_pmf(samples, g)[0].tolist()
 
 
@@ -202,6 +204,7 @@ def test_eval_model_default_chain_matches_strided_reference():
     rng = np.random.default_rng(11)
     for row, (s, a, n) in zip(report.rows, es):
         samples = strided_reference_chain(
-            trainer.sched, trainer.online, bl.conditioning(trainer, s, a, n),
-            2000, 16, rng)
+            trainer.sched, trainer.online,
+            bl.conditioning(trainer, s, a, n, trainer.sched.tau), 2000, 16,
+            rng)
         assert row["pmf"] == ev.empirical_pmf(samples, g)[0].tolist()
