@@ -115,7 +115,7 @@ def _rows(table, index, name, first=0, error=IndexError):
         raise error(f"{name} {index} out of range [{first}, {last}]")
     if index.dtype.kind not in "iu":
         raise IndexError(f"{name} {index} is not an integer")
-    return table.take(index - first, axis=0)
+    return table.take(index - first if first else index, axis=0)
 
 
 def conditioning(trainer, s, a, n, i):
@@ -129,7 +129,8 @@ def conditioning(trainer, s, a, n, i):
     parts = (_rows(trainer.state_table, s, "state"),
              _rows(trainer.action_table, a, "action"),
              _rows(trainer.step_table, i, "diffusion step", 1), horizon)
-    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    leads = {p.shape[:-1] for p in parts}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
     context = np.empty(lead + (sum(p.shape[-1] for p in parts),))
     col = 0
     for p in parts:

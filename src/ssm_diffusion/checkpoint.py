@@ -2,8 +2,8 @@
 little-endian float64 blocks and int64 replay-buffer blocks. The float64
 blocks are the online and the target parameter vectors, then Adam's first
 and second moment vectors, each in the layout of approximator.MlpParams.
-The int64 block holds the replay, one row per trajectory: its states, then
-its actions.
+The int64 block holds the replay, one row of 2H + 1 integers per
+trajectory, in the layout of replay.py.
 
 The checkpoint holds training's state only (networks, optimizer moments,
 step count, rng state, buffer contents); every setting comes from the
@@ -34,8 +34,7 @@ class Checkpoint:
     rng_state: dict
     online: MlpParams
     target: MlpParams
-    replay: np.ndarray      # (n, 2H+1) int64: per trajectory s_0..s_H,
-                            # then a_0..a_{H-1}
+    replay: np.ndarray      # (n, 2H+1) int64: replay.py's rows
 
 
 def save_checkpoint(path, ck):

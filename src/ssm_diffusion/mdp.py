@@ -1,5 +1,5 @@
 """Finite-horizon tabular gridworld, fixed deterministic policies, and
-trajectory collection.
+trajectory collection: a rollout is one replay row (see replay.py).
 
 States are cells indexed s = cy * width + cx. Actions: 0=up, 1=down,
 2=left, 3=right ("down" increases cy). A move succeeds with probability
@@ -31,15 +31,6 @@ class TabularMdp:
 @dataclass
 class Policy:
     table: np.ndarray       # the deterministic action in each state
-
-
-@dataclass
-class Trajectory:
-    """One episode as tuples of Python ints, which replay indexes per row
-    without converting a NumPy scalar."""
-    states: tuple           # s_0 .. s_H
-    actions: tuple          # a_0 .. a_{H-1}
-    episode_id: int = 0
 
 
 def gridworld_new(width, height, p_move=1.0, horizon=8, reward=None):
@@ -117,7 +108,9 @@ def step(mdp, s, a, rng):
 
 def rollout(mdp, policy, rng, start=None, episode_id=0):
     """One full-horizon episode following the policy, from `start` or, if
-    None, from a uniformly drawn state."""
+    None, from a uniformly drawn state, as the tuple (s_0, ..., s_H, a_0,
+    ..., a_{H-1}) of Python ints, which replay indexes without converting
+    a NumPy scalar. episode_id is not read."""
     s = int(rng.integers(mdp.n_states)) if start is None else int(start)
     states = [s]
     actions = []
@@ -126,8 +119,7 @@ def rollout(mdp, policy, rng, start=None, episode_id=0):
         actions.append(a)
         s = step(mdp, s, a, rng)
         states.append(s)
-    return Trajectory(states=tuple(states), actions=tuple(actions),
-                      episode_id=episode_id)
+    return (*states, *actions)
 
 
 def encode_state(mdp, s):

@@ -10,10 +10,16 @@ value trained on the full visitation distribution: the measure being
 learned does not depend on where in the episode the transition occurred,
 but with n = H - t the small-n conditions would only ever see late-episode
 states.
+
+A trajectory is one row (s_0, ..., s_H, a_0, ..., a_{H-1}) of 2H + 1
+integers: mdp.rollout returns it, the buffer keeps it, and the
+checkpoint's replay block stores one int64 row per trajectory.
 """
 
 from collections import deque
 from typing import NamedTuple
+
+from .errors import FormatError
 
 
 def _below(raw, m):
@@ -42,7 +48,7 @@ class TrainTuple(NamedTuple):
 
 
 class ReplayBuffer:
-    """Bounded FIFO of trajectories over one environment/policy pair."""
+    """Bounded FIFO of trajectory rows over one environment/policy pair."""
 
     def __init__(self, mdp, policy, capacity):
         if capacity < 1:
@@ -50,31 +56,49 @@ class ReplayBuffer:
         self.mdp = mdp
         # the policy's action in each state, as Python ints
         self.policy_actions = tuple(map(int, policy.table))
-        self.trajectories = deque(maxlen=capacity)
+        self.rows = deque(maxlen=capacity)
 
     def __len__(self):
-        return len(self.trajectories)
+        return len(self.rows)
 
-    def push_trajectory(self, traj):
+    def push_trajectory(self, row):
         H = self.mdp.horizon
-        if len(traj.actions) != H or len(traj.states) != H + 1:
+        if len(row) != 2 * H + 1:
             raise ValueError(f"trajectory does not have the horizon {H}")
-        self.trajectories.append(traj)
+        self.rows.append(row)
 
     def sample_tuple(self, rng):
         """Uniform trajectory, uniform remaining horizon, uniform time index
         among those with enough steps left, uniform future offset."""
-        if not self.trajectories:
+        if not self.rows:
             raise RuntimeError("cannot sample from an empty replay buffer")
         # two draws from the bit generator's raw words, each split into a
         # uniform pair: (trajectory, n - 1), then (t, k - 1) with k the
         # future offset
         H, raw = self.mdp.horizon, rng.bit_generator.random_raw
-        traj, n = divmod(_below(raw, len(self.trajectories) * H), H)
-        traj, n = self.trajectories[traj], n + 1
+        row, n = divmod(_below(raw, len(self.rows) * H), H)
+        row, n = self.rows[row], n + 1
         t, k = divmod(_below(raw, (H - n + 1) * n), n)
-        states = traj.states
-        s_next = states[t + 1]
-        return TrainTuple._make((states[t], traj.actions[t], s_next,
+        s_next = row[t + 1]
+        return TrainTuple._make((row[t], row[H + 1 + t], s_next,
                                  self.policy_actions[s_next],
-                                 states[t + k + 1], n, k == 0))
+                                 row[t + k + 1], n, k == 0))
+
+
+def check_rows(mdp, rows):
+    """Refuse a stored replay, an int64 array of one row per trajectory,
+    with a one-line FormatError unless it holds at least one row, each of
+    mdp's horizon, with every state and action in range."""
+    H = mdp.horizon
+    if not len(rows):
+        raise FormatError("replay holds no trajectories")
+    if rows.shape[1] != 2 * H + 1:
+        raise FormatError("replay trajectories do not have the config's "
+                          f"horizon {H}")
+    for name, values, bound in (
+            ("state", rows[:, :H + 1], mdp.n_states),
+            ("action", rows[:, H + 1:], mdp.n_actions)):
+        bad = values[(values < 0) | (values >= bound)]
+        if bad.size:
+            raise FormatError(f"replay {name} {bad[0]} out of range "
+                              f"[0, {bound})")

@@ -14,9 +14,8 @@ from . import mdp as mdp_mod
 from . import oracle as orc
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import ConfigurationError, FormatError, MismatchError, \
-    NumericError
-from .replay import ReplayBuffer
+from .errors import ConfigurationError, MismatchError, NumericError
+from .replay import ReplayBuffer, check_rows
 
 
 def build_env(cfg):
@@ -55,14 +54,11 @@ def structure(cfg, trainer):
 
 
 def make_checkpoint(cfg, trainer, buf, rng):
-    replay = np.array([(*t.states, *t.actions) for t in buf.trajectories],
-                      dtype=np.int64)
     return Checkpoint(
         config_digest=config_digest(cfg), structure=structure(cfg, trainer),
         step_count=trainer.opt.step_count, m=trainer.opt.m, v=trainer.opt.v,
         rng_state=rng.bit_generator.state, online=trainer.online,
-        target=trainer.target,
-        replay=replay.reshape(len(buf), 2 * trainer.mdp.horizon + 1))
+        target=trainer.target, replay=np.array(buf.rows, dtype=np.int64))
 
 
 def restore_trainer(cfg, ck, override_digest=False):
@@ -74,7 +70,7 @@ def restore_trainer(cfg, ck, override_digest=False):
     the structure, then the digest unless overridden (a MismatchError
     naming each disagreement), then the replay (a one-line FormatError
     unless it holds at least one trajectory, each of the config's
-    horizon, with every state and action in range)."""
+    horizon, with every state and action in range: replay.check_rows)."""
     trainer = build_trainer(cfg)
     diffs = [f"{key} {ck.structure.get(key)!r} (config {value!r})"
              for key, value in structure(cfg, trainer).items()
@@ -87,20 +83,7 @@ def restore_trainer(cfg, ck, override_digest=False):
         raise MismatchError(f"checkpoint digest {ck.config_digest[:12]} does "
                             f"not match config digest {digest[:12]} "
                             "(use --override-digest to proceed)")
-    mdp = trainer.mdp
-    H = mdp.horizon
-    if not len(ck.replay):
-        raise FormatError("replay holds no trajectories")
-    if ck.replay.shape[1] != 2 * H + 1:
-        raise FormatError("replay trajectories do not have the config's "
-                          f"horizon {H}")
-    for name, values, bound in (
-            ("state", ck.replay[:, :H + 1], mdp.n_states),
-            ("action", ck.replay[:, H + 1:], mdp.n_actions)):
-        bad = values[(values < 0) | (values >= bound)]
-        if bad.size:
-            raise FormatError(f"replay {name} {bad[0]} out of range "
-                              f"[0, {bound})")
+    check_rows(trainer.mdp, ck.replay)
     trainer.online, trainer.target = ck.online, ck.target
     trainer.opt.m, trainer.opt.v = ck.m, ck.v
     trainer.opt.step_count = ck.step_count
@@ -121,8 +104,8 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None,
         seed = trn["seed"] if seed is None else seed
         rng = np.random.default_rng(seed)
         trainer = build_trainer(cfg, seed=seed)
-        for e in range(trn["initial_trajectories"]):
-            buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng, episode_id=e))
+        for _ in range(trn["initial_trajectories"]):
+            buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng))
     else:
         trainer = restore_trainer(cfg, resume_ck, override_digest)
         if seed is not None:
@@ -131,10 +114,8 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None,
                                      "generator")
         rng = np.random.default_rng(0)
         rng.bit_generator.state = resume_ck.rng_state
-        H = mdp.horizon
         for row in resume_ck.replay.tolist():
-            buf.push_trajectory(mdp_mod.Trajectory(states=tuple(row[:H + 1]),
-                                                   actions=tuple(row[H + 1:])))
+            buf.push_trajectory(row)
     start_step = trainer.opt.step_count
 
     os.makedirs(out_dir, exist_ok=True)
@@ -142,8 +123,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None,
     try:
         for step_idx in range(start_step, trn["steps"]):
             if trn["collect_every"] > 0 and step_idx % trn["collect_every"] == 0:
-                buf.push_trajectory(
-                    mdp_mod.rollout(mdp, policy, rng, episode_id=step_idx))
+                buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng))
             batch = [buf.sample_tuple(rng) for _ in range(trn["batch_size"])]
             stats = bl.train_step(trainer, batch, rng)
             if trn["log_every"] > 0 and stats["step"] % trn["log_every"] == 0:

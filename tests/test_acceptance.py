@@ -44,8 +44,8 @@ def test_criterion_1_gradient_correctness():
     trainer = bl.make_trainer(sched, g, hidden_sizes=(8, 8), seed=2)
     buf = ReplayBuffer(g, pol, 50)
     rng = np.random.default_rng(0)
-    for e in range(10):
-        buf.push_trajectory(m.rollout(g, pol, rng, episode_id=e))
+    for _ in range(10):
+        buf.push_trajectory(m.rollout(g, pol, rng))
     # the loss training minimizes, on one batch that mixes both branches
     batch = mixed_batch(buf, rng, size=16)
     i, eps = draws(trainer, len(batch), rng)
@@ -135,8 +135,8 @@ def test_criterion_4_branch_statistics():
     pol = m.policy_fixed_action(g, 3)
     buf = ReplayBuffer(g, pol, 20)
     rng = np.random.default_rng(6)
-    for e in range(10):
-        buf.push_trajectory(m.rollout(g, pol, rng, start=0, episode_id=e))
+    for _ in range(10):
+        buf.push_trajectory(m.rollout(g, pol, rng, start=0))
     hits = total = 0
     while total < 100_000:
         tup = buf.sample_tuple(rng)

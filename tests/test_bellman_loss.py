@@ -26,8 +26,8 @@ def make_setup(width=4, height=1, horizon=4, p_move=1.0, hidden=(8, 8),
                               **trainer_kw)
     buf = ReplayBuffer(g, pol, 50)
     rng = np.random.default_rng(seed)
-    for e in range(10):
-        buf.push_trajectory(m.rollout(g, pol, rng, start=0, episode_id=e))
+    for _ in range(10):
+        buf.push_trajectory(m.rollout(g, pol, rng, start=0))
     return trainer, buf, g, pol, rng
 
 
@@ -449,8 +449,8 @@ def test_degenerate_single_state_loss_goes_to_zero():
                               lr=3e-3, sync_period=100)
     buf = ReplayBuffer(g, pol, 20)
     rng = np.random.default_rng(0)
-    for e in range(5):
-        buf.push_trajectory(m.rollout(g, pol, rng, episode_id=e))
+    for _ in range(5):
+        buf.push_trajectory(m.rollout(g, pol, rng))
     losses = []
     for _ in range(2000):
         batch = [buf.sample_tuple(rng) for _ in range(16)]
@@ -590,8 +590,8 @@ def test_train_step_bit_exact_headline_shape():
     trainer = runner.build_trainer(cfg)
     buf = ReplayBuffer(mdp, policy, 100)
     rng = np.random.default_rng(1)
-    for e in range(100):
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    for _ in range(100):
+        buf.push_trajectory(m.rollout(mdp, policy, rng))
     assert_train_steps_bit_exact(
         trainer, [[buf.sample_tuple(rng) for _ in range(128)]
                   for _ in range(10)])
@@ -661,11 +661,11 @@ mdp, policy = runner.build_env(cfg)
 trainer = runner.build_trainer(cfg)
 buf = ReplayBuffer(mdp, policy, 1000)
 rng = np.random.default_rng(0)
-for e in range(100):
-    buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+for _ in range(100):
+    buf.push_trajectory(m.rollout(mdp, policy, rng))
 def step(k):
     if k % 10 == 0:
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=k))
+        buf.push_trajectory(m.rollout(mdp, policy, rng))
     bl.train_step(trainer, [buf.sample_tuple(rng) for _ in range(128)], rng)
 for k in range(100):
     step(k)

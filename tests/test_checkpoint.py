@@ -28,8 +28,8 @@ def make_ck():
     trainer = build_trainer(cfg)
     buf = ReplayBuffer(mdp, policy, 10)
     rng = np.random.default_rng(3)
-    for e in range(4):
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    for _ in range(4):
+        buf.push_trajectory(m.rollout(mdp, policy, rng))
     return cfg, make_checkpoint(cfg, trainer, buf, rng)
 
 
@@ -203,8 +203,8 @@ def test_partial_checkpoint_counts_the_failed_step():
     trainer = build_trainer(cfg)
     buf = ReplayBuffer(mdp, policy, 10)
     rng = np.random.default_rng(3)
-    for e in range(4):
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    for _ in range(4):
+        buf.push_trajectory(m.rollout(mdp, policy, rng))
     for _ in range(5):
         bl.train_step(trainer, [buf.sample_tuple(rng) for _ in range(8)], rng)
     trainer.online.theta[...] *= 1e50

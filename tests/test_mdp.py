@@ -77,35 +77,38 @@ def test_step_index_errors():
 def test_rollout_lengths():
     g = m.gridworld_new(3, 3, p_move=1.0, horizon=1)
     pol = m.policy_fixed_action(g, 3)
-    traj = m.rollout(g, pol, np.random.default_rng(0))
-    assert len(traj.states) == 2 and len(traj.actions) == 1
-    # stored once, as tuples of Python ints
-    assert type(traj.states) is tuple and type(traj.actions) is tuple
-    assert all(type(v) is int for v in traj.states + traj.actions)
+    row = m.rollout(g, pol, np.random.default_rng(0))
+    # one row (s_0, s_1, a_0) of the replay's layout
+    assert len(row) == 3 and row[2] == 3
+    # stored once, as a tuple of Python ints
+    assert type(row) is tuple
+    assert all(type(v) is int for v in row)
 
 
 def test_rollout_one_cell_grid():
     g = m.gridworld_new(1, 1, horizon=5)
     pol = m.policy_fixed_action(g, 0)
-    traj = m.rollout(g, pol, np.random.default_rng(0))
-    assert traj.states == (0,) * 6
+    row = m.rollout(g, pol, np.random.default_rng(0))
+    assert row[:6] == (0,) * 6
 
 
 def test_rollout_deterministic_env_seed_independent():
     g = m.gridworld_new(4, 1, p_move=1.0, horizon=3)
     pol = m.policy_fixed_action(g, 3)
-    t1 = m.rollout(g, pol, np.random.default_rng(1), start=0)
-    t2 = m.rollout(g, pol, np.random.default_rng(99), start=0)
-    np.testing.assert_array_equal(t1.states, t2.states)
+    r1 = m.rollout(g, pol, np.random.default_rng(1), start=0)
+    r2 = m.rollout(g, pol, np.random.default_rng(99), start=0)
+    assert r1[:4] == r2[:4] == (0, 1, 2, 3)
 
 
 def test_rollout_transitions_have_support():
     g = m.gridworld_new(4, 4, p_move=0.6, horizon=8)
     pol = m.policy_toward_goal(g, (3, 3))
-    traj = m.rollout(g, pol, np.random.default_rng(3))
-    for t in range(len(traj.actions)):
-        assert g.transition[traj.states[t], traj.actions[t],
-                            traj.states[t + 1]] > 0.0
+    row = m.rollout(g, pol, np.random.default_rng(3))
+    H = g.horizon
+    states, actions = row[:H + 1], row[H + 1:]
+    assert len(actions) == H
+    for t in range(H):
+        assert g.transition[states[t], actions[t], states[t + 1]] > 0.0
 
 
 def test_encode_center_and_corner():

@@ -140,8 +140,8 @@ def test_bellman_update_through_replay(case, seed):
             np.sum(cdf < rng.random((R, 1)), axis=1), S - 1)
     buf = ReplayBuffer(mdp, policy, 1)
     rows = []
-    for traj in zip(states.tolist(), policy.table[states[:, :-1]].tolist()):
-        buf.push_trajectory(m.Trajectory(*map(tuple, traj)))
+    for traj in np.hstack([states, policy.table[states[:, :-1]]]).tolist():
+        buf.push_trajectory(traj)
         row = buf.sample_tuple(rng)
         while row.n != H:
             row = buf.sample_tuple(rng)
@@ -194,8 +194,8 @@ def test_replay_tuples_follow_the_mdp(case, seed):
     mdp, policy, n_max = case
     rng = np.random.default_rng(seed)
     buf = ReplayBuffer(mdp, policy, 8)
-    for e in range(8):
-        buf.push_trajectory(m.rollout(mdp, policy, rng, episode_id=e))
+    for _ in range(8):
+        buf.push_trajectory(m.rollout(mdp, policy, rng))
     reach = orc.exact_ssm(mdp, policy, n_max).d
     rows = np.array([buf.sample_tuple(rng) for _ in range(2000)])
     s, a, s_next, a_next, x, n, is_l1 = rows.T

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 from types import SimpleNamespace
 
@@ -20,8 +21,8 @@ def make_buffer(width=4, horizon=4, p_move=1.0, capacity=10, n_traj=5, seed=0):
     pol = m.policy_fixed_action(g, 3)
     buf = ReplayBuffer(g, pol, capacity)
     rng = np.random.default_rng(seed)
-    for e in range(n_traj):
-        buf.push_trajectory(m.rollout(g, pol, rng, start=0, episode_id=e))
+    for _ in range(n_traj):
+        buf.push_trajectory(m.rollout(g, pol, rng, start=0))
     return buf, rng
 
 
@@ -34,18 +35,21 @@ def test_fifo_eviction():
     buf, rng = make_buffer(capacity=2, n_traj=0)
     pol = m.policy_fixed_action(buf.mdp, 3)
     for e in range(3):
-        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, episode_id=e))
+        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, start=e))
     assert len(buf) == 2
-    assert [t.episode_id for t in buf.trajectories] == [1, 2]
+    # the right-moving chains from cells 1 and 2
+    assert [row[0] for row in buf.rows] == [1, 2]
 
 
 def test_evicted_trajectory_never_sampled():
     buf, rng = make_buffer(capacity=2, n_traj=0)
     pol = m.policy_fixed_action(buf.mdp, 3)
-    for e in range(5):
-        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, episode_id=e))
-    remaining = {id(t) for t in buf.trajectories}
+    for e in range(4):
+        buf.push_trajectory(m.rollout(buf.mdp, pol, rng, start=e))
+    remaining = {id(row) for row in buf.rows}
     assert len(remaining) == 2
+    # the chains from cells 0 and 1 are gone, and only they visit 0 and 1
+    assert all(buf.sample_tuple(rng).s >= 2 for _ in range(500))
 
 
 def test_empty_buffer_raises():
@@ -143,8 +147,8 @@ def test_tuple_types_and_next_action_under_each_policy_kind(make_policy):
     mdp, _ = build_env(validate_config(minimal_raw()))
     pol = make_policy(mdp)
     buf, rng = ReplayBuffer(mdp, pol, 40), np.random.default_rng(3)
-    for e in range(40):
-        buf.push_trajectory(m.rollout(mdp, pol, rng, episode_id=e))
+    for _ in range(40):
+        buf.push_trajectory(m.rollout(mdp, pol, rng))
     seen = set()
     for _ in range(2000):
         tup = buf.sample_tuple(rng)
@@ -153,7 +157,8 @@ def test_tuple_types_and_next_action_under_each_policy_kind(make_policy):
         assert tup.a_next == int(pol.table[tup.s_next])
         seen.add(tup.s_next)
     # every state that follows a step of some stored trajectory
-    assert seen == {s for t in buf.trajectories for s in t.states[1:]}
+    H = mdp.horizon
+    assert seen == {s for row in buf.rows for s in row[1:H + 1]}
 
 
 def test_numpy_integer_sizes_sample():
@@ -169,9 +174,9 @@ def test_numpy_integer_sizes_sample():
 
 def test_push_rejects_trajectory_of_another_horizon():
     buf, rng = make_buffer(horizon=4, n_traj=1)
-    traj = buf.trajectories[0]
-    for bad in (m.Trajectory(traj.states[:-1], traj.actions[:-1]),
-                m.Trajectory(traj.states, traj.actions[:-1])):
+    row = buf.rows[0]
+    # one step fewer, and one action fewer
+    for bad in (row[:4] + row[5:-1], row[:-1]):
         with pytest.raises(ValueError, match="horizon 4"):
             buf.push_trajectory(bad)
     assert len(buf) == 1
@@ -188,16 +193,17 @@ def ref_below(rng, bound):
 
 
 class RefReplay:
-    """A FIFO of NumPy copies of the trajectories, sampled with the two
-    draws of sample_tuple split by // and %, the horizon read from a stored
-    trajectory."""
+    """A FIFO of NumPy copies of the trajectories' states and actions,
+    sampled with the two draws of sample_tuple split by // and %, the
+    horizon read from a stored trajectory."""
 
     def __init__(self, policy_table, capacity):
         self.trajs = deque(maxlen=capacity)
         self.table = np.asarray(policy_table)
 
-    def push(self, traj):
-        self.trajs.append((np.array(traj.states), np.array(traj.actions)))
+    def push(self, row):
+        H = len(row) // 2
+        self.trajs.append((np.array(row[:H + 1]), np.array(row[H + 1:])))
 
     def sample(self, rng):
         H = len(self.trajs[0][1])
@@ -227,11 +233,11 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
     mdp, policy = build_env(cfg)
     buf, ref = ReplayBuffer(mdp, policy, 6), RefReplay(policy.table, 6)
     rng = np.random.default_rng(1)
-    for e in range(15):
-        traj = m.rollout(mdp, policy, rng, episode_id=e)
-        buf.push_trajectory(traj)
-        ref.push(traj)
-    assert [t.episode_id for t in buf.trajectories] == list(range(9, 15))
+    pushed = [m.rollout(mdp, policy, rng) for _ in range(15)]
+    for row in pushed:
+        buf.push_trajectory(row)
+        ref.push(row)
+    assert list(buf.rows) == pushed[9:]
     assert_same_stream(buf, ref, 7)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, make_checkpoint(cfg, build_trainer(cfg), buf, rng))
@@ -239,6 +245,39 @@ def test_sample_tuple_matches_reference_after_eviction_and_checkpoint(
     restored = run_training(cfg, tmp_path / "resumed",
                             resume_ck=load_checkpoint(path))[3]
     assert_same_stream(restored, ref, 8)
+
+
+# eight trajectories of a 3x3 grid at H = 4, written out by hand
+PINNED_ROWS = [
+    (0, 1, 2, 5, 8, 3, 3, 1, 1),
+    (4, 4, 5, 8, 8, 3, 3, 1, 0),
+    (6, 7, 7, 8, 8, 3, 3, 1, 1),
+    (2, 5, 8, 8, 5, 1, 1, 0, 2),
+    (3, 4, 1, 0, 3, 3, 0, 2, 1),
+    (8, 8, 7, 6, 3, 2, 2, 2, 0),
+    (1, 1, 2, 2, 5, 3, 3, 1, 1),
+    (5, 4, 3, 6, 7, 2, 2, 1, 3),
+]
+
+
+def test_sample_tuple_stream_pinned_across_versions():
+    # the draws read only bit_generator.random_raw, whose PCG64 words do not
+    # depend on BLAS or on Generator's methods; the constants were made by
+    # the trajectory-object buffer that this row buffer replaced
+    g = m.gridworld_new(3, 3, horizon=4)
+    buf = ReplayBuffer(g, m.policy_toward_goal(g, (2, 2)), 6)
+    for row in PINNED_ROWS:
+        buf.push_trajectory(row)
+    assert list(buf.rows) == PINNED_ROWS[2:]
+    rng = np.random.default_rng(2024)
+    draws = np.array([tuple(buf.sample_tuple(rng)) for _ in range(512)],
+                     dtype="<i8")
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+        "3857a0f37272c3c53975dd9a0da6dd2202e03ee4b71979fe81db8966d6b11b77")
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": 157605803940848301573742804727617122078,
+                  "inc": 263843294879837360010514471918415607657}}
 
 
 class AllDraws:
@@ -286,7 +325,7 @@ def test_sample_tuple_draws_split_exactly(horizon, pushed, capacity,
     for e in range(pushed):
         buf.push_trajectory(m.rollout(g, pol, np.random.default_rng(e),
                                        start=10 * e))
-    slot = {t.states[0] // 10: i for i, t in enumerate(buf.trajectories)}
+    slot = {row[0] // 10: i for i, row in enumerate(buf.rows)}
     rng, firsts = AllDraws(), {}
     while True:
         tup = buf.sample_tuple(rng)
