@@ -35,7 +35,6 @@ def build_parser():
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--checkpoint", help="resume from this checkpoint")
-    p_train.add_argument("--seed", type=int, help="override training seed")
     p_train.add_argument("--override-digest", action="store_true",
                          help="resume despite a config digest mismatch "
                               "(structural fields must still match)")
@@ -44,7 +43,6 @@ def build_parser():
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--seed", type=int, help="override eval seed")
     p_eval.add_argument("--override-digest", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="dump the exact tables as CSV")
@@ -56,7 +54,7 @@ def build_parser():
 def cmd_train(args):
     cfg = load_config(args.config)
     resume_ck = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    run_training(cfg, args.out, resume_ck=resume_ck, seed=args.seed,
+    run_training(cfg, args.out, resume_ck=resume_ck,
                  override_digest=args.override_digest)
     return EXIT_OK
 
@@ -65,11 +63,12 @@ def cmd_eval(args):
     cfg = load_config(args.config)
     trainer = restore_trainer(cfg, load_checkpoint(args.checkpoint),
                               args.override_digest)
-    report = run_eval(cfg, trainer, args.out, seed=args.seed)
+    report = run_eval(cfg, trainer, args.out)
     by_n = " ".join(f"tv_n{n}={tv:.4f}"
                     for n, tv in report.mean_tv_by_n.items())
     print(f"mean_tv={report.mean_tv:.4f} {by_n} max_tv={report.max_tv:.4f} "
-          f"mean_q_err={report.mean_q_err:.4f} steps={report.steps}")
+          f"mean_q_err={report.mean_q_err:.4f} "
+          f"max_q_err={report.max_q_err:.4f} steps={report.steps}")
     return EXIT_OK
 
 
@@ -82,8 +81,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "oracle": cmd_oracle}
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         # not NumPy's warnings but the finiteness checks report overflow
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return handlers[args.command](args)

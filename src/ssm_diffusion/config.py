@@ -72,7 +72,6 @@ _SECTIONS = {
     },
     "eval": {
         "num_samples": (10000, int),
-        "eval_n": (None, None),   # None -> {1, horizon/2, horizon}
         "seed": (0, int),
         "steps": (None, int),     # reverse-chain steps; None -> ceil(K/2)
     },
@@ -103,7 +102,7 @@ def _validate_section(name, raw):
             val = int(val)
         if typ is float and isinstance(val, int):
             val = float(val)
-        if typ is not None and not isinstance(val, typ):
+        if not isinstance(val, typ):
             raise ConfigurationError(
                 f"{name}.{key}: expected {typ.__name__}, got {type(val).__name__}")
         if typ is float and not math.isfinite(val):   # JSON's Infinity, NaN
@@ -164,10 +163,6 @@ def validate_config(raw):
         raise ConfigurationError(
             "training.initial_trajectories must be in [1, "
             f"training.buffer_capacity], got {trn['initial_trajectories']}")
-    if evl["eval_n"] is not None and not _ints_in(evl["eval_n"], 1,
-                                                  env["horizon"] + 1):
-        raise ConfigurationError(
-            f"eval.eval_n must be ints in [1, horizon], got {evl['eval_n']}")
     if evl["steps"] is not None and not 1 <= evl["steps"] <= dif["K"]:
         raise ConfigurationError(f"eval.steps must be null or an int in "
                                  f"[1, diffusion.K], got {evl['steps']}")

@@ -14,7 +14,7 @@ from . import mdp as mdp_mod
 from . import oracle as orc
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import config_digest
-from .errors import ConfigurationError, MismatchError, NumericError
+from .errors import MismatchError, NumericError
 from .replay import ReplayBuffer, check_rows
 
 
@@ -90,28 +90,23 @@ def restore_trainer(cfg, ck, override_digest=False):
     return trainer
 
 
-def run_training(cfg, out_dir, resume_ck=None, seed=None,
-                 override_digest=False):
+def run_training(cfg, out_dir, resume_ck=None, override_digest=False):
     """Collect rollouts, run the training loop, write loss.csv and the final
-    checkpoint. Returns (trainer, mdp, policy, buffer). seed, if given,
-    replaces the config's training seed; a resumed run takes none, and
-    override_digest resumes it despite a digest mismatch."""
+    checkpoint. Returns (trainer, mdp, policy, buffer). A fresh run draws
+    from the config's training seed, a resumed one continues its
+    checkpoint's generator; override_digest resumes it despite a digest
+    mismatch."""
     trn = cfg.training
     digest = config_digest(cfg)
     mdp, policy = build_env(cfg)
     buf = ReplayBuffer(mdp, policy, trn["buffer_capacity"])
     if resume_ck is None:
-        seed = trn["seed"] if seed is None else seed
-        rng = np.random.default_rng(seed)
-        trainer = build_trainer(cfg, seed=seed)
+        rng = np.random.default_rng(trn["seed"])
+        trainer = build_trainer(cfg)
         for _ in range(trn["initial_trajectories"]):
             buf.push_trajectory(mdp_mod.rollout(mdp, policy, rng))
     else:
         trainer = restore_trainer(cfg, resume_ck, override_digest)
-        if seed is not None:
-            raise ConfigurationError("cannot override the seed of a resumed "
-                                     "run: it continues its checkpoint's "
-                                     "generator")
         rng = np.random.default_rng(0)
         rng.bit_generator.state = resume_ck.rng_state
         for row in resume_ck.replay.tolist():
@@ -148,7 +143,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None,
                 "files": ["loss.csv", "checkpoint.bin"]}
     # a resumed run draws from its checkpoint's generator, not from a seed
     if resume_ck is None:
-        manifest["seed"] = seed
+        manifest["seed"] = trn["seed"]
     else:
         manifest["resumed_from_step"] = start_step
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -158,8 +153,7 @@ def run_training(cfg, out_dir, resume_ck=None, seed=None,
 
 
 def eval_n_values(cfg):
-    if cfg.eval["eval_n"] is not None:
-        return sorted(set(cfg.eval["eval_n"]))
+    """The eval horizons: 1, half the horizon and the horizon."""
     H = cfg.env["horizon"]
     return sorted({1, max(1, H // 2), H})
 
@@ -177,30 +171,30 @@ def eval_steps(cfg):
     return (cfg.diffusion["K"] + 1) // 2
 
 
-def run_eval(cfg, trainer, out_dir, seed=None):
+def run_eval(cfg, trainer, out_dir):
     """Evaluate a trainer against the exact table; write metrics + heatmaps."""
     os.makedirs(out_dir, exist_ok=True)
-    eval_seed = cfg.eval["seed"] if seed is None else seed
     mdp, policy = build_env(cfg)
     table = orc.exact_ssm(mdp, policy, cfg.env["horizon"])
-    rng = np.random.default_rng(eval_seed)
+    rng = np.random.default_rng(cfg.eval["seed"])
     report = ev.eval_model(trainer, mdp, table, eval_set(cfg, mdp, policy),
                            cfg.eval["num_samples"], rng)
-    write_metrics(cfg, report, out_dir, eval_seed)
+    write_metrics(cfg, report, out_dir)
     write_heatmaps(report, table, mdp, os.path.join(out_dir, "heatmaps"))
     return report
 
 
-def write_metrics(cfg, report, out_dir, seed):
+def write_metrics(cfg, report, out_dir):
     """metrics.jsonl and metrics.csv, stamped with the config's digest; the
-    summary also records the eval seed used and the samples per condition."""
+    summary also records the eval seed and the samples per condition."""
     digest = config_digest(cfg)
     summary = {"kind": "summary", "mean_tv": report.mean_tv,
                "mean_tv_by_n": report.mean_tv_by_n,
                "max_tv": report.max_tv, "mean_q_err": report.mean_q_err,
                "max_q_err": report.max_q_err,
-               "num_samples": cfg.eval["num_samples"], "seed": seed,
-               "steps": report.steps, "config_digest": digest}
+               "num_samples": cfg.eval["num_samples"],
+               "seed": cfg.eval["seed"], "steps": report.steps,
+               "config_digest": digest}
     with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
         for row in report.rows:
             rec = {k: row[k] for k in

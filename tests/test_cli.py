@@ -12,7 +12,7 @@ import pytest
 from ssm_diffusion import approximator as ap
 from ssm_diffusion import cli, runner
 from ssm_diffusion.checkpoint import load_checkpoint, save_checkpoint
-from ssm_diffusion.config import _SECTIONS
+from ssm_diffusion.config import _SECTIONS, config_digest, load_config
 
 from test_checkpoint import VERSION_LINE, rewrite_header
 from test_config import minimal_raw
@@ -60,6 +60,47 @@ def test_train_deterministic_loss_csv(tmp_path):
     assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
     assert (out1 / "checkpoint.bin").read_bytes() == \
         (out2 / "checkpoint.bin").read_bytes()
+
+
+def output_digests(tmp_path, name, over):
+    """Runs train, eval and oracle on one config; returns the config's
+    digest and, per output, the set of digests it holds."""
+    cfg = write_config(tmp_path, f"{name}.json", **over)
+    train, evl, oracle = (tmp_path / name / part
+                          for part in ("train", "eval", "oracle"))
+    assert run(["train", "--config", str(cfg), "--out", str(train)]) == 0
+    assert run(["eval", "--checkpoint", str(train / "checkpoint.bin"),
+                "--config", str(cfg), "--out", str(evl)]) == 0
+    assert run(["oracle", "--config", str(cfg), "--out", str(oracle)]) == 0
+    found = {}
+    for path in (train / "loss.csv", evl / "metrics.csv",
+                 oracle / "ssm_oracle.csv", oracle / "q_oracle.csv"):
+        first = path.read_text().splitlines()[0]
+        assert first.startswith("# config_digest="), path
+        found[path.name] = {first.removeprefix("# config_digest=")}
+    found["metrics.jsonl"] = {
+        json.loads(line)["config_digest"]
+        for line in (evl / "metrics.jsonl").read_text().splitlines()}
+    found["manifest.json"] = {
+        json.loads((train / "manifest.json").read_text())["config_digest"]}
+    found["checkpoint.bin"] = {
+        load_checkpoint(train / "checkpoint.bin").config_digest}
+    return config_digest(load_config(cfg)), found
+
+
+def test_every_output_names_its_config(tmp_path):
+    # each seed is a config key, so a run's bytes follow from the config
+    # its digest names
+    base = tiny_overrides(steps=10)
+    digest, found = output_digests(tmp_path, "base", base)
+    assert len(found) == 7
+    assert all(digests == {digest} for digests in found.values()), found
+    for section in ("training", "eval"):
+        over = tiny_overrides(steps=10)
+        over[section]["seed"] = 5
+        other, other_found = output_digests(tmp_path, section, over)
+        assert other != digest
+        assert all(digests == {other} for digests in other_found.values())
 
 
 def test_train_zero_steps(tmp_path):
@@ -120,7 +161,9 @@ def test_malformed_config_value_exit_2_one_line(tmp_path, capsys):
             # rollouts beyond the capacity were collected, then evicted
             # unread, with exit 0
             ("training", {**tiny["training"], "initial_trajectories": 51},
-             "training.initial_trajectories")]:
+             "training.initial_trajectories"),
+            # a key that earlier versions read: the eval horizons are fixed
+            ("eval", {**tiny["eval"], "eval_n": [1]}, "'eval_n'")]:
         cfg = write_config(tmp_path, **{**tiny, section: values})
         for command in ("train", "oracle"):
             assert run([command, "--config", str(cfg),
@@ -149,8 +192,8 @@ def null_or_non_object_configs():
     """(config, what its error names) for null in each typed key whose
     default is not null, and for each section set to a non-object."""
     for section, spec in _SECTIONS.items():
-        for key, (default, typ) in spec.items():
-            if typ is not None and default is not None:
+        for key, (default, _) in spec.items():
+            if default is not None:
                 raw = minimal_raw(**tiny_overrides())
                 raw[section][key] = None
                 yield raw, f"{section}.{key}"
@@ -202,10 +245,19 @@ def test_eval_reports_its_step_count(tmp_path, capsys):
             argv.append("--override-digest")
         capsys.readouterr()
         assert run(argv) == 0
-        assert capsys.readouterr().out.rstrip().endswith(f" steps={ran}")
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith(f" steps={ran}\n")
         lines = (tmp_path / f"e{steps}" / "metrics.jsonl").read_text()
         summary = json.loads(lines.splitlines()[-1])
         assert summary["kind"] == "summary" and summary["steps"] == ran
+        # stdout names every numeric field of the summary, in its order
+        printed = [field.split("=") for field in out.split()]
+        want = [("mean_tv", summary["mean_tv"])] + [
+            (f"tv_n{n}", tv) for n, tv in summary["mean_tv_by_n"].items()] + [
+            (key, summary[key])
+            for key in ("max_tv", "mean_q_err", "max_q_err")]
+        assert printed == [[key, f"{value:.4f}"] for key, value in want] + [
+            ["steps", str(ran)]]
 
 
 def test_out_of_range_generator_state_exit_1_one_line(tmp_path, capsys):
@@ -523,41 +575,43 @@ def test_resumed_partial_checkpoint_fails_at_the_same_step(tmp_path):
 
 
 def test_eval_seed_flag_changes_samples_only(tmp_path):
+    # another eval seed is another config, evaluated with --override-digest
     cfg = write_config(tmp_path, **tiny_overrides())
     out = tmp_path / "run"
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
     ck = str(out / "checkpoint.bin")
-    e1, e2 = tmp_path / "s1", tmp_path / "s2"
-    assert run(["eval", "--checkpoint", ck, "--config", str(cfg),
-                "--out", str(e1), "--seed", "7"]) == 0
-    assert run(["eval", "--checkpoint", ck, "--config", str(cfg),
-                "--out", str(e2), "--seed", "8"]) == 0
-    r1 = [json.loads(l) for l in (e1 / "metrics.jsonl").read_text().splitlines()]
-    r2 = [json.loads(l) for l in (e2 / "metrics.jsonl").read_text().splitlines()]
+    records = []
+    for seed in (7, 8):
+        over = tiny_overrides()
+        over["eval"]["seed"] = seed
+        other = write_config(tmp_path, f"eval{seed}.json", **over)
+        e = tmp_path / f"s{seed}"
+        assert run(["eval", "--checkpoint", ck, "--config", str(other),
+                    "--out", str(e), "--override-digest"]) == 0
+        records.append([json.loads(l) for l in
+                        (e / "metrics.jsonl").read_text().splitlines()])
+    r1, r2 = records
     # oracle-derived q_exact identical, sampled estimates differ
     assert [r["q_exact"] for r in r1 if r["kind"] == "condition"] == \
         [r["q_exact"] for r in r2 if r["kind"] == "condition"]
     assert r1 != r2
+    assert [r1[-1]["seed"], r2[-1]["seed"]] == [7, 8]
 
 
 def test_manifest_records_the_seed_the_run_used(tmp_path):
     runs = {}
-    for name, seed_in_config, argv in (("default", 0, []),
-                                       ("flag", 0, ["--seed", "77"]),
-                                       ("config", 77, [])):
+    for name, seed_in_config in (("default", 0), ("config", 77)):
         over = tiny_overrides(steps=10)
         over["training"]["seed"] = seed_in_config
         cfg = write_config(tmp_path, f"{name}.json", **over)
         out = tmp_path / name
-        assert run(["train", "--config", str(cfg), "--out", str(out)]
-                   + argv) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         # the loss rows, without the digest line
         runs[name] = (manifest["seed"],
                       (out / "loss.csv").read_text().splitlines()[1:])
     assert runs["default"][0] == 0
-    assert runs["flag"] == runs["config"]
-    assert runs["flag"][0] == 77 and runs["flag"][1] != runs["default"][1]
+    assert runs["config"][0] == 77 and runs["config"][1] != runs["default"][1]
 
 
 def test_bad_seed_exit_2_one_line(tmp_path, capsys):
@@ -570,18 +624,30 @@ def test_bad_seed_exit_2_one_line(tmp_path, capsys):
     neg_eval = str(write_config(tmp_path, "e.json", **{
         **tiny, "eval": {**tiny["eval"], "seed": -1}}))
     for argv, says in (
-            (["train", "--config", cfg, "--seed", "-3"], "--seed must be >= 0"),
-            (["eval", "--config", cfg, "--checkpoint", ck, "--seed", "-1"],
-             "--seed must be >= 0"),
             (["train", "--config", neg_train], "training.seed must be >= 0"),
             (["eval", "--config", neg_eval, "--checkpoint", ck],
-             "eval.seed must be >= 0"),
-            (["train", "--config", cfg, "--checkpoint", ck, "--seed", "4"],
-             "cannot override the seed of a resumed run")):
+             "eval.seed must be >= 0")):
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and says in err
+        assert not out.exists()
+
+
+def test_seed_flag_is_a_usage_error(tmp_path, capsys):
+    # a run's seeds are its config's, which its digest names
+    cfg = str(write_config(tmp_path, **tiny_overrides(steps=0)))
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    ck = str(tmp_path / "run" / "checkpoint.bin")
+    capsys.readouterr()
+    for argv in (["train", "--config", cfg],
+                 ["train", "--config", cfg, "--checkpoint", ck],
+                 ["eval", "--config", cfg, "--checkpoint", ck]):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -48,20 +48,18 @@ def test_unknown_key_rejected():
                          ("training", "sync_mode"), ("training", "tau"),
                          ("model", "horizon_encoding"),
                          ("model", "activation"), ("diffusion", "eta_mode"),
-                         ("diffusion", "sigma_mode")):
+                         ("diffusion", "sigma_mode"), ("eval", "eval_n")):
         with pytest.raises(ConfigurationError, match=key):
             validate_config(minimal_raw(**{section: {key: "x"}}))
 
 
 def test_range_checks():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="env.p_move"):
         validate_config(minimal_raw(env={"p_move": 0.0}))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="beta_max"):
         validate_config(minimal_raw(diffusion={"beta_max": 1.0}))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="training.optimizer"):
         validate_config(minimal_raw(training={"optimizer": "rmsprop"}))
-    with pytest.raises(ConfigurationError):
-        validate_config(minimal_raw(eval={"eval_n": [0]}))
 
 
 @pytest.mark.parametrize("section, values, named", [
@@ -91,7 +89,6 @@ def test_range_checks():
                         "table": [0] * 9}}, "'policy'"),
     ("env", {"policy": {"kind": "table", "table": [0] * 9, "extra": 1}},
      "'policy'"),
-    ("eval", {"eval_n": [True]}, "eval.eval_n"),
     ("model", {"hidden_sizes": ["a"]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [None]}, "model.hidden_sizes"),
     ("model", {"hidden_sizes": [1.5]}, "model.hidden_sizes"),
@@ -129,7 +126,7 @@ def test_range_checks():
         "reward-values-nan", "goal-extra-key", "zero-extra-key",
         "values-extra-key", "toward-goal-extra-key", "fixed-action-extra-key",
         "table-extra-key",
-        "eval_n-bool", "hidden-str", "hidden-null", "hidden-float",
+        "hidden-str", "hidden-null", "hidden-float",
         "hidden-bool", "step-dim-negative", "step-dim-zero", "step-dim-one",
         "hidden-sum-above-max",
         "lr-negative", "lr-zero",
@@ -155,8 +152,8 @@ def test_boundary_values_accepted():
 
 
 def test_null_accepted_where_the_default_is_null():
-    cfg = validate_config(minimal_raw(eval={"eval_n": None, "steps": None}))
-    assert cfg.eval["eval_n"] is None and cfg.eval["steps"] is None
+    cfg = validate_config(minimal_raw(eval={"steps": None}))
+    assert cfg.eval["steps"] is None
     assert validate_config(minimal_raw(eval={"steps": 32})).eval["steps"] == 32
 
 
@@ -189,9 +186,9 @@ def test_load_config_from_file(tmp_path):
     assert cfg.env["width"] == 3
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
         load_config(bad)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="cannot read config"):
         load_config(tmp_path / "missing.json")
 
 

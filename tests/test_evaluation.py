@@ -79,18 +79,15 @@ def test_tv_distance_shape_error():
         ev.tv_distance([1.0], [0.5, 0.5])
 
 
-def eval_set(mdp, policy, ns):
-    cfg = validate_config(minimal_raw(env={"horizon": mdp.horizon},
-                                      eval={"eval_n": ns}))
+def eval_set(mdp, policy):
+    cfg = validate_config(minimal_raw(env={"horizon": mdp.horizon}))
     return runner.eval_set(cfg, mdp, policy)
 
 
 def test_eval_n_values():
-    cfg = validate_config(minimal_raw(env={"horizon": 8}))
-    assert eval_n_values(cfg) == [1, 4, 8]
-    cfg = validate_config(minimal_raw(env={"horizon": 8},
-                                      eval={"eval_n": [8, 2, 8]}))
-    assert eval_n_values(cfg) == [2, 8]
+    for horizon, want in ((8, [1, 4, 8]), (3, [1, 3]), (1, [1])):
+        cfg = validate_config(minimal_raw(env={"horizon": horizon}))
+        assert eval_n_values(cfg) == want
 
 
 def make_untrained(horizon=4):
@@ -105,7 +102,7 @@ def make_untrained(horizon=4):
 
 def test_eval_model_report_structure():
     trainer, g, pol, table = make_untrained()
-    es = eval_set(g, pol, [1, 2, 4])[::8]
+    es = eval_set(g, pol)[::8]
     report = ev.eval_model(trainer, g, table, es, 200,
                            np.random.default_rng(0))
     assert len(report.rows) == 6
@@ -129,7 +126,7 @@ def test_eval_model_requires_nonempty_set():
 
 def test_untrained_model_has_large_tv():
     trainer, g, pol, table = make_untrained()
-    es = eval_set(g, pol, [1, 2, 4])
+    es = eval_set(g, pol)
     report = ev.eval_model(trainer, g, table, es, 500,
                            np.random.default_rng(0))
     assert report.mean_tv > 0.3
@@ -160,7 +157,7 @@ def test_q_from_oracle_samples_matches_exact_q():
 
 def test_eval_deterministic_given_seed():
     trainer, g, pol, table = make_untrained()
-    es = eval_set(g, pol, [1, 2, 4])[:4]
+    es = eval_set(g, pol)[:4]
     r1 = ev.eval_model(trainer, g, table, es, 100, np.random.default_rng(5))
     r2 = ev.eval_model(trainer, g, table, es, 100, np.random.default_rng(5))
     assert r1.rows == r2.rows

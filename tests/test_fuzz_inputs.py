@@ -36,7 +36,7 @@ TINY = {
 # keys that earlier versions read
 OLD_KEYS = [("model", "activation"), ("diffusion", "eta_mode"),
             ("diffusion", "sigma_mode"), ("env", "reward"), ("env", "policy"),
-            ("env", "start")]
+            ("env", "start"), ("eval", "eval_n")]
 CONFIG_KEYS = [(section, key) for section, spec in _SECTIONS.items()
                for key in spec] + OLD_KEYS
 
